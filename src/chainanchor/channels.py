@@ -17,6 +17,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import ProtocolError
 from .groupmath import canonical_encode, rand_bytes
+from .serial import Record, decode, encode, omit_if_none
 
 AEAD_NONCE_LEN = 12
 
@@ -51,26 +52,12 @@ def open_sealed(key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
 
 
 @dataclass
-class Envelope:
+class Envelope(Record):
     sender: str
     recipient: str
     step: str
     payload: bytes
-    signature: Optional[tuple] = None
-
-    def to_doc(self) -> dict:
-        doc = {"sender": self.sender, "recipient": self.recipient,
-               "step": self.step, "payload": self.payload.hex()}
-        if self.signature is not None:
-            doc["signature"] = [hex(self.signature[0]), hex(self.signature[1])]
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Envelope":
-        sig = doc.get("signature")
-        return cls(doc["sender"], doc["recipient"], doc["step"],
-                   bytes.fromhex(doc["payload"]),
-                   (int(sig[0], 16), int(sig[1], 16)) if sig else None)
+    signature: Optional[tuple[int, int]] = omit_if_none()
 
 
 class Transcript:
@@ -97,12 +84,12 @@ class Transcript:
         return b"".join(e.payload for e in self.envelopes if e.sender == actor_id)
 
     def to_doc(self) -> list:
-        return [e.to_doc() for e in self.envelopes]
+        return encode(self.envelopes, list[Envelope])
 
     @classmethod
     def from_doc(cls, doc: list) -> "Transcript":
         t = cls()
-        t.envelopes = [Envelope.from_doc(d) for d in doc]
+        t.envelopes = decode(list[Envelope], doc)
         return t
 
 

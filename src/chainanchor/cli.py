@@ -35,6 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def hex_int(text: str) -> int:
+    return int(text, 16)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chainanchor",
                      description="anonymous-membership permissioned ledger "
@@ -100,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     world_arg(p)
 
     p = sub.add_parser("revoke", help="append a pseudonym to a revocation list")
-    p.add_argument("B", help="pseudonym base, hex")
-    p.add_argument("K", help="pseudonym value, hex")
+    p.add_argument("B", type=hex_int, help="pseudonym base, hex")
+    p.add_argument("K", type=hex_int, help="pseudonym value, hex")
     p.add_argument("--list", dest="which", choices=("sig", "issuer"),
                    default="sig")
     world_arg(p)
@@ -170,7 +174,7 @@ def _load_world(args, parser) -> World:
         parser.error(f"world file {args.world} does not exist")
     try:
         return World.load(args.world)
-    except (ProtocolError, KeyError, ValueError, TypeError) as exc:
+    except ProtocolError as exc:
         parser.error(f"world file {args.world} is corrupt: {exc}")
 
 
@@ -220,7 +224,7 @@ def _dispatch(args, parser) -> int:
             report = world.audit(args.block_hash)
             print(f"{len(report.violations)} violations")
         elif args.command == "revoke":
-            world.revoke(int(args.B, 16), int(args.K, 16), args.which)
+            world.revoke(args.B, args.K, args.which)
         elif args.command == "disclose":
             world.disclose(args.user, args.key_index,
                            reveal_identity=args.reveal_identity)

@@ -34,6 +34,7 @@ from .groupmath import (
     rand_range,
     random_subgroup_element,
 )
+from .serial import JsonInt, Record
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,6 @@ def _enc(*values) -> list:
     return out
 
 
-def _signed_hex(n: int) -> str:
-    return ("-" if n < 0 else "") + hex(abs(n))
-
-
-def _signed_int(s: str) -> int:
-    return int(s, 16)
-
-
 # ---------------------------------------------------------------------------
 # group keys
 
@@ -79,13 +72,6 @@ class DlogProof:
     label: str
     c: int
     s: int
-
-    def to_doc(self):
-        return {"label": self.label, "c": hex(self.c), "s": hex(self.s)}
-
-    @classmethod
-    def from_doc(cls, doc):
-        return cls(doc["label"], int(doc["c"], 16), int(doc["s"], 16))
 
 
 def _dlog_challenge(label: str, N: int, base: int, value: int, t: int, l_H: int) -> int:
@@ -112,7 +98,7 @@ def _verify_dlog(proof: DlogProof, N, base, value, profile) -> bool:
 
 
 @dataclass(frozen=True)
-class GroupPublicKey:
+class GroupPublicKey(Record):
     """Membership verification public key (N, g', g, h, R, S, Z, p, q, u)."""
 
     N: int
@@ -127,36 +113,13 @@ class GroupPublicKey:
     u: int
     profile: ParameterProfile
     issuer_basename: bytes
-    correctness_proofs: tuple
+    correctness_proofs: tuple[DlogProof, ...]
 
     def transcript_bytes(self) -> bytes:
         return canonical_encode(_enc(
             b"group-public-key", self.N, self.g_prime, self.g, self.h,
             self.R, self.S, self.Z, self.p, self.q, self.u,
             self.issuer_basename, self.profile.transcript_bytes()))
-
-    def to_doc(self) -> dict:
-        return {
-            "N": hex(self.N), "g_prime": hex(self.g_prime), "g": hex(self.g),
-            "h": hex(self.h), "R": hex(self.R), "S": hex(self.S),
-            "Z": hex(self.Z), "p": hex(self.p), "q": hex(self.q),
-            "u": hex(self.u), "profile": self.profile.to_doc(),
-            "issuer_basename": self.issuer_basename.hex(),
-            "correctness_proofs": [pr.to_doc() for pr in self.correctness_proofs],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "GroupPublicKey":
-        return cls(
-            N=int(doc["N"], 16), g_prime=int(doc["g_prime"], 16),
-            g=int(doc["g"], 16), h=int(doc["h"], 16), R=int(doc["R"], 16),
-            S=int(doc["S"], 16), Z=int(doc["Z"], 16), p=int(doc["p"], 16),
-            q=int(doc["q"], 16), u=int(doc["u"], 16),
-            profile=ParameterProfile.from_doc(doc["profile"]),
-            issuer_basename=bytes.fromhex(doc["issuer_basename"]),
-            correctness_proofs=tuple(
-                DlogProof.from_doc(d) for d in doc["correctness_proofs"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -171,15 +134,6 @@ class GroupIssuingPrivateKey:
     @property
     def qr_order(self) -> int:
         return self.p_N_prime * self.q_N_prime
-
-    def to_doc(self) -> dict:
-        return {"p_N": hex(self.p_N), "q_N": hex(self.q_N),
-                "p_N_prime": hex(self.p_N_prime), "q_N_prime": hex(self.q_N_prime)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "GroupIssuingPrivateKey":
-        return cls(int(doc["p_N"], 16), int(doc["q_N"], 16),
-                   int(doc["p_N_prime"], 16), int(doc["q_N_prime"], 16))
 
 
 def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
@@ -255,7 +209,7 @@ def validate_gpk(gpk: GroupPublicKey) -> Check:
     if not is_probable_prime(gpk.q):
         return _fail("q not prime")
     if (gpk.p - 1) % gpk.q != 0:
-        return _fail("q divides p-1")
+        return _fail("q does not divide p-1")
     if ((gpk.p - 1) // gpk.q) % gpk.q == 0:
         return _fail("q square")
     if not 1 < gpk.u < gpk.p:
@@ -285,13 +239,6 @@ class JoinProof:
     s_f: int
     s_v: int
 
-    def to_doc(self):
-        return {"c": hex(self.c), "s_f": hex(self.s_f), "s_v": hex(self.s_v)}
-
-    @classmethod
-    def from_doc(cls, doc):
-        return cls(int(doc["c"], 16), int(doc["s_f"], 16), int(doc["s_v"], 16))
-
 
 @dataclass(frozen=True)
 class JoinState:
@@ -311,16 +258,6 @@ class JoinRequest:
     K_I: int
     proof: JoinProof
     nonce_echo: bytes
-
-    def to_doc(self) -> dict:
-        return {"U": hex(self.U), "K_I": hex(self.K_I),
-                "proof": self.proof.to_doc(), "nonce_echo": self.nonce_echo.hex()}
-
-    @classmethod
-    def from_doc(cls, doc) -> "JoinRequest":
-        return cls(int(doc["U"], 16), int(doc["K_I"], 16),
-                   JoinProof.from_doc(doc["proof"]),
-                   bytes.fromhex(doc["nonce_echo"]))
 
 
 def _join_challenge(gpk, B_I, U, K_I, t1, t2, nonce, l_H) -> int:
@@ -392,15 +329,6 @@ class CredentialResponse:
     e: int
     v_double_prime: int
 
-    def to_doc(self) -> dict:
-        return {"A": hex(self.A), "e": hex(self.e),
-                "v_double_prime": hex(self.v_double_prime)}
-
-    @classmethod
-    def from_doc(cls, doc) -> "CredentialResponse":
-        return cls(int(doc["A"], 16), int(doc["e"], 16),
-                   int(doc["v_double_prime"], 16))
-
 
 def _e_interval(profile: ParameterProfile):
     lo = 1 << (profile.l_e - 1)
@@ -436,15 +364,6 @@ class UserMemberPrivateKey:
     f: int
     v: int
 
-    def to_doc(self) -> dict:
-        return {"A": hex(self.A), "e": hex(self.e), "f": hex(self.f),
-                "v": hex(self.v)}
-
-    @classmethod
-    def from_doc(cls, doc) -> "UserMemberPrivateKey":
-        return cls(int(doc["A"], 16), int(doc["e"], 16), int(doc["f"], 16),
-                   int(doc["v"], 16))
-
 
 def key_relation_holds(gpk: GroupPublicKey, key: UserMemberPrivateKey) -> bool:
     lhs = (pow(key.A, key.e, gpk.N) * pow(gpk.R, key.f, gpk.N)
@@ -469,26 +388,11 @@ def complete_join(state: JoinState, resp: CredentialResponse,
 # revocation lists
 
 @dataclass(frozen=True)
-class RevocationList:
+class RevocationList(Record):
     """Ordered (B, K) pseudonym pairs with a monotone epoch counter."""
 
-    entries: tuple = ()
-    epoch: int = 0
-
-    def to_doc(self) -> dict:
-        return {"epoch": self.epoch,
-                "entries": [[hex(b), hex(k)] for b, k in self.entries]}
-
-    @classmethod
-    def from_doc(cls, doc) -> "RevocationList":
-        return cls(entries=tuple((int(b, 16), int(k, 16))
-                                 for b, k in doc["entries"]),
-                   epoch=int(doc["epoch"]))
-
-
-# sig-RL (verifier-driven) and Issuer-RL share the pair format.
-SigRL = RevocationList
-IssuerRL = RevocationList
+    entries: tuple[tuple[int, int], ...] = ()
+    epoch: JsonInt = 0
 
 
 def revoke_signature(rl: RevocationList, B: int, K: int) -> RevocationList:
@@ -499,11 +403,6 @@ def revoke_signature(rl: RevocationList, B: int, K: int) -> RevocationList:
     if (B, K) in rl.entries:
         return rl
     return RevocationList(entries=rl.entries + ((B, K),), epoch=rl.epoch + 1)
-
-
-def revoke_by_issuer(rl: RevocationList, B: int, K: int) -> RevocationList:
-    """Issuer-side revocation; same append/no-op semantics as sig-RL."""
-    return revoke_signature(rl, B, K)
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +417,9 @@ class NonRevocationProof:
     s_alpha: int
     s_beta: int
 
-    def to_doc(self):
-        return {"W": hex(self.W), "c": hex(self.c),
-                "s_alpha": hex(self.s_alpha), "s_beta": hex(self.s_beta)}
-
-    @classmethod
-    def from_doc(cls, doc):
-        return cls(int(doc["W"], 16), int(doc["c"], 16),
-                   int(doc["s_alpha"], 16), int(doc["s_beta"], 16))
-
 
 @dataclass(frozen=True)
-class MembershipSignature:
+class MembershipSignature(Record):
     """sigma = (sigma1, sigma2, sigma3) over a pseudonym (B, K) and blinded
     credential T."""
 
@@ -540,44 +430,19 @@ class MembershipSignature:
     s_e: int
     s_f: int
     s_v: int                       # may be negative
-    sig_rl_epoch: int
-    issuer_rl_epoch: int
-    nonrevocation_sig: tuple
-    nonrevocation_iss: tuple
+    sig_rl_epoch: JsonInt
+    issuer_rl_epoch: JsonInt
+    nonrevocation_sig: tuple[NonRevocationProof, ...]
+    nonrevocation_iss: tuple[NonRevocationProof, ...]
 
     def transcript_bytes(self) -> bytes:
         parts = _enc(b"membership-signature", self.B, self.K, self.T, self.c,
                      self.s_e, self.s_f)
-        parts.append(_signed_hex(self.s_v).encode())
+        parts.append(hex(self.s_v).encode())
         parts += _enc(self.sig_rl_epoch, self.issuer_rl_epoch)
         for pr in self.nonrevocation_sig + self.nonrevocation_iss:
             parts += _enc(pr.W, pr.c, pr.s_alpha, pr.s_beta)
         return canonical_encode(parts)
-
-    def to_doc(self) -> dict:
-        return {
-            "B": hex(self.B), "K": hex(self.K), "T": hex(self.T),
-            "c": hex(self.c), "s_e": hex(self.s_e), "s_f": hex(self.s_f),
-            "s_v": _signed_hex(self.s_v),
-            "sig_rl_epoch": self.sig_rl_epoch,
-            "issuer_rl_epoch": self.issuer_rl_epoch,
-            "nonrevocation_sig": [p.to_doc() for p in self.nonrevocation_sig],
-            "nonrevocation_iss": [p.to_doc() for p in self.nonrevocation_iss],
-        }
-
-    @classmethod
-    def from_doc(cls, doc) -> "MembershipSignature":
-        return cls(
-            B=int(doc["B"], 16), K=int(doc["K"], 16), T=int(doc["T"], 16),
-            c=int(doc["c"], 16), s_e=int(doc["s_e"], 16),
-            s_f=int(doc["s_f"], 16), s_v=_signed_int(doc["s_v"]),
-            sig_rl_epoch=int(doc["sig_rl_epoch"]),
-            issuer_rl_epoch=int(doc["issuer_rl_epoch"]),
-            nonrevocation_sig=tuple(NonRevocationProof.from_doc(d)
-                                    for d in doc["nonrevocation_sig"]),
-            nonrevocation_iss=tuple(NonRevocationProof.from_doc(d)
-                                    for d in doc["nonrevocation_iss"]),
-        )
 
 
 def _sigma1_challenge(gpk, B, K, T, t1, t2, sig_epoch, iss_epoch,
@@ -655,6 +520,8 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     p, q, N = gpk.p, gpk.q, gpk.N
 
     for B_i, K_i in sig_rl.entries + issuer_rl.entries:
+        if not (1 < B_i < p and 1 < K_i < p):
+            raise ProtocolError("revocation list entry out of range")
         if pow(B_i, sk.f, p) == K_i:
             raise RevokedKeyError()
 

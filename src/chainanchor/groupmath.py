@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .serial import JsonInt, Record
+
 # Single fixed hash for Fiat-Shamir challenges, basename derivation and key
 # derivation.  Challenge lengths l_H therefore cannot exceed HASH_BITS.
 HASH_NAME = "sha256"
@@ -107,7 +109,7 @@ def rand_bytes(rng, n: int) -> bytes:
 # parameter profiles
 
 @dataclass(frozen=True)
-class ParameterProfile:
+class ParameterProfile(Record):
     """Bit lengths for one deployment scale.
 
     l_N   RSA modulus, l_f secret exponent, l_e/l_e_prime prime-credential
@@ -116,15 +118,15 @@ class ParameterProfile:
     """
 
     name: str
-    l_N: int
-    l_f: int
-    l_e: int
-    l_e_prime: int
-    l_v: int
-    l_phi: int
-    l_H: int
-    l_p: int
-    l_q: int
+    l_N: JsonInt
+    l_f: JsonInt
+    l_e: JsonInt
+    l_e_prime: JsonInt
+    l_v: JsonInt
+    l_phi: JsonInt
+    l_H: JsonInt
+    l_p: JsonInt
+    l_q: JsonInt
 
     def __post_init__(self):
         if self.l_v != self.l_N + self.l_f + self.l_phi:
@@ -139,18 +141,6 @@ class ParameterProfile:
             raise ValueError(f"l_H must be in (0, {HASH_BITS}]")
         if self.l_N % 2 != 0 or self.l_N < 16:
             raise ValueError("l_N must be even and at least 16")
-
-    def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "l_N": self.l_N, "l_f": self.l_f, "l_e": self.l_e,
-            "l_e_prime": self.l_e_prime, "l_v": self.l_v, "l_phi": self.l_phi,
-            "l_H": self.l_H, "l_p": self.l_p, "l_q": self.l_q,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ParameterProfile":
-        return cls(**doc)
 
     def transcript_bytes(self) -> bytes:
         fields = [self.name.encode()] + [
@@ -280,8 +270,9 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
 
     ``_top_two`` additionally forces the two top bits, so that the product of
     two such primes has exactly twice their bit length (RSA modulus shaping).
-    Raises RuntimeError after ``max_attempts`` restarts, which at these
-    densities only happens when the randomness source is broken.
+    Below 20 bits the search draws ``max_attempts * 1000`` candidates, above
+    it sieves a number of windows derived from ``bits``; running out of
+    either raises RuntimeError and means the randomness source is broken.
     """
     if bits < 4:
         raise ValueError("need bits >= 4")
@@ -296,7 +287,12 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
                 return p
         raise RuntimeError(f"no {bits}-bit safe prime found")
     span = 1 << 14
-    for _ in range(max_attempts):
+    # 64 windows, plus enough that an honest source exhausts the extra ones
+    # with a chance below 1e-9: a window holds about 0.086 safe primes at
+    # 1024 bits and the density falls as 1/bits^2 (241 extra at 1024 bits).
+    # Keeping the first 64 keeps every draw that finds a prime in them.
+    windows = 64 + math.ceil(math.log(1e9) / (0.086 * (1024 / bits) ** 2))
+    for _ in range(windows):
         # q is (bits-1) bits; force its top bit (and next, for _top_two) so
         # that p = 2q + 1 lands on the requested length.
         q0 = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
@@ -318,7 +314,7 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
                 continue
             if is_probable_prime(q) and is_probable_prime(p):
                 return p
-    raise RuntimeError(f"no {bits}-bit safe prime after {max_attempts} windows")
+    raise RuntimeError(f"no {bits}-bit safe prime after {windows} windows")
 
 
 # ---------------------------------------------------------------------------

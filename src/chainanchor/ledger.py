@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from . import schnorr
 from .errors import ProtocolError
 from .groupmath import canonical_encode, int_to_bytes
+from .serial import JsonInt, Record, decode, encode
 
 GENESIS_HASH = "0" * 64
 
@@ -23,29 +24,16 @@ NOT_A_MEMBER = "not-a-member"
 
 
 @dataclass(frozen=True)
-class Transaction:
+class Transaction(Record):
     sender_key: int
     payload: bytes
-    timestamp: int
-    signature: tuple
+    timestamp: JsonInt
+    signature: tuple[int, int]
     txid: str
 
     def body_bytes(self) -> bytes:
         return canonical_encode([int_to_bytes(self.sender_key), self.payload,
                                  int_to_bytes(self.timestamp)])
-
-    def to_doc(self) -> dict:
-        return {"sender_key": hex(self.sender_key), "payload": self.payload.hex(),
-                "timestamp": self.timestamp,
-                "signature": [hex(self.signature[0]), hex(self.signature[1])],
-                "txid": self.txid}
-
-    @classmethod
-    def from_doc(cls, doc) -> "Transaction":
-        return cls(int(doc["sender_key"], 16), bytes.fromhex(doc["payload"]),
-                   doc["timestamp"],
-                   (int(doc["signature"][0], 16), int(doc["signature"][1], 16)),
-                   doc["txid"])
 
 
 def _txid(body: bytes, signature) -> str:
@@ -81,16 +69,18 @@ class TransactionPool:
         self.pending: dict[str, Transaction] = {}
 
     def to_doc(self) -> dict:
-        return {"group": self.group.to_doc(),
-                "pending": [tx.to_doc() for tx in self.pending.values()]}
+        return encode({"group": self.group,
+                       "pending": list(self.pending.values())}, _POOL)
 
     @classmethod
     def from_doc(cls, doc) -> "TransactionPool":
-        pool = cls(schnorr.SigningGroup.from_doc(doc["group"]))
-        for tx_doc in doc["pending"]:
-            tx = Transaction.from_doc(tx_doc)
-            pool.pending[tx.txid] = tx
+        group, pending = decode(_POOL, doc).values()
+        pool = cls(group)
+        pool.pending = {tx.txid: tx for tx in pending}
         return pool
+
+
+_POOL = {"group": schnorr.SigningGroup, "pending": list[Transaction]}
 
 
 def submit(pool: TransactionPool, tx: Transaction) -> bool:
@@ -109,22 +99,11 @@ def submit(pool: TransactionPool, tx: Transaction) -> bool:
 
 @dataclass(frozen=True)
 class Block:
-    height: int
+    height: JsonInt
     prev_hash: str
-    transactions: tuple
+    transactions: tuple[Transaction, ...]
     proposer_id: str
     block_hash: str
-
-    def to_doc(self) -> dict:
-        return {"height": self.height, "prev_hash": self.prev_hash,
-                "transactions": [tx.to_doc() for tx in self.transactions],
-                "proposer_id": self.proposer_id, "block_hash": self.block_hash}
-
-    @classmethod
-    def from_doc(cls, doc) -> "Block":
-        return cls(doc["height"], doc["prev_hash"],
-                   tuple(Transaction.from_doc(d) for d in doc["transactions"]),
-                   doc["proposer_id"], doc["block_hash"])
 
 
 def block_hash(height: int, prev_hash: str, transactions, proposer_id: str) -> str:
@@ -145,28 +124,18 @@ def make_block(height, prev_hash, transactions, proposer_id) -> Block:
 
 
 @dataclass
-class ConsensusNode:
+class ConsensusNode(Record):
     """One miner; ``dishonest`` (test fixture flag) skips the membership
     filter to exercise validator auditing."""
 
     node_id: str
-    chain: list = field(default_factory=list)
+    chain: list[Block] = field(default_factory=list)
     dishonest: bool = False
-    drop_log: list = field(default_factory=list)   # (txid, reason)
+    # (txid, reason)
+    drop_log: list[tuple[str, str]] = field(default_factory=list)
 
     def tip_hash(self) -> str:
         return self.chain[-1].block_hash if self.chain else GENESIS_HASH
-
-    def to_doc(self) -> dict:
-        return {"node_id": self.node_id, "dishonest": self.dishonest,
-                "chain": [b.to_doc() for b in self.chain],
-                "drop_log": [[txid, reason] for txid, reason in self.drop_log]}
-
-    @classmethod
-    def from_doc(cls, doc) -> "ConsensusNode":
-        return cls(node_id=doc["node_id"], dishonest=doc["dishonest"],
-                   chain=[Block.from_doc(d) for d in doc["chain"]],
-                   drop_log=[tuple(row) for row in doc["drop_log"]])
 
 
 def node_check_membership(db_view, tx: Transaction) -> bool:
@@ -206,10 +175,6 @@ class ValidatorReport:
 
     block_hash: str
     violations: tuple   # (txid, sender_key)
-
-    def to_doc(self) -> dict:
-        return {"block_hash": self.block_hash,
-                "violations": [[txid, hex(pk)] for txid, pk in self.violations]}
 
 
 def validator_audit(db_view, block: Block) -> ValidatorReport:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 
+from .serial import JsonInt, decode, encode
+
 
 class DeterministicRng:
     def __init__(self, seed: int = 0):
@@ -32,11 +34,13 @@ class DeterministicRng:
         return x >> (8 * nbytes - k)
 
     def to_doc(self) -> dict:
-        return {"key": self.key.hex(), "counter": self.counter}
+        return encode(vars(self), _STATE)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "DeterministicRng":
         rng = cls.__new__(cls)
-        rng.key = bytes.fromhex(doc["key"])
-        rng.counter = int(doc["counter"])
+        vars(rng).update(decode(_STATE, doc))
         return rng
+
+
+_STATE = {"key": bytes, "counter": JsonInt}

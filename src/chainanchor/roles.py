@@ -33,7 +33,15 @@ from .groupmath import (
     rand_bytes,
     rand_range,
 )
-from .serial import doc_bytes, doc_from_bytes
+from .serial import (
+    JsonInt,
+    Record,
+    doc_bytes,
+    doc_from_bytes,
+    pack,
+    secret,
+    unpack,
+)
 
 ISSUER_ID = "idp-pi"
 VERIFIER_ID = "idp-pv"
@@ -49,6 +57,30 @@ def signing_group_of(gpk: epid.GroupPublicKey) -> schnorr.SigningGroup:
 
 
 # ---------------------------------------------------------------------------
+# message shapes: a payload is written with pack() and read back with
+# unpack() against the same shape
+
+_GPK_DELIVERY = {"group_id": str, "gpk": epid.GroupPublicKey}
+_MEMBERSHIP_REQUEST = {"identity": str, "group_id": str}
+_AUTH_CHALLENGE = {"auth_nonce": bytes}
+_AUTH_STATEMENT = {"identity": str, "group_id": str, "auth_nonce": bytes}
+_JOIN_REQUEST = {"identity": str, "join": epid.JoinRequest}
+_CREDENTIAL = {"credential": epid.CredentialResponse}
+_PROOF_REQUEST = {"request": str, "session_id": str}
+_CHALLENGE = {"session_id": str, "m": bytes, "n_pv": bytes,
+              "sig_rl": epid.RevocationList, "issuer_rl": epid.RevocationList}
+_PROOF = {"session_id": str, "sigma": epid.MembershipSignature, "share": int}
+_SHARE_CONFIRM = {"session_id": str, "share": int, "confirm": bytes}
+_CONFIRM = {"session_id": str, "confirm": bytes}
+_SEALED = {"session_id": str, "sealed": bytes}
+_REGISTER = {"transaction_public_key": int}
+_REGISTER_ACK = {"registered": int, "timestamp": JsonInt}
+_IDENTITY_REQUEST = {"bound_key": int}
+_CERTIFICATE_BODY = {"anon_id": str, "bound_key": int, "issued_at": JsonInt}
+_DISCLOSURE = {"disclosed_key": int, "identity": Optional[str]}
+
+
+# ---------------------------------------------------------------------------
 # state records
 
 @dataclass
@@ -56,7 +88,8 @@ class PermissionsDatabase:
     """Registered transaction public keys and timestamps; nothing else."""
 
     group_id: str
-    entries: list = field(default_factory=list)   # [(public key, timestamp)]
+    # (public key, timestamp)
+    entries: list[tuple[int, JsonInt]] = field(default_factory=list)
 
     def contains(self, public_key: int) -> bool:
         return any(pk == public_key for pk, _ in self.entries)
@@ -66,96 +99,43 @@ class PermissionsDatabase:
             raise ProtocolError("duplicate transaction key")
         self.entries.append((public_key, timestamp))
 
-    def to_doc(self) -> dict:
-        return {"group_id": self.group_id,
-                "entries": [[hex(pk), ts] for pk, ts in self.entries]}
-
-    @classmethod
-    def from_doc(cls, doc) -> "PermissionsDatabase":
-        return cls(doc["group_id"],
-                   [(int(pk, 16), ts) for pk, ts in doc["entries"]])
-
 
 @dataclass
 class PskSession:
     session_id: str
     psk: bytes
     transcript_hash: bytes
-    registered_keys: list = field(default_factory=list)
-
-    def to_doc(self) -> dict:
-        return {"session_id": self.session_id, "psk": self.psk.hex(),
-                "transcript_hash": self.transcript_hash.hex(),
-                "registered_keys": [hex(k) for k in self.registered_keys]}
-
-    @classmethod
-    def from_doc(cls, doc) -> "PskSession":
-        return cls(doc["session_id"], bytes.fromhex(doc["psk"]),
-                   bytes.fromhex(doc["transcript_hash"]),
-                   [int(k, 16) for k in doc["registered_keys"]])
+    registered_keys: list[int] = field(default_factory=list)
 
 
 @dataclass
 class Challenge:
     m: bytes
     n_pv: bytes
-    expires_at: int
+    expires_at: JsonInt
     used: bool = False
-
-    def to_doc(self) -> dict:
-        return {"m": self.m.hex(), "n_pv": self.n_pv.hex(),
-                "expires_at": self.expires_at, "used": self.used}
-
-    @classmethod
-    def from_doc(cls, doc) -> "Challenge":
-        return cls(bytes.fromhex(doc["m"]), bytes.fromhex(doc["n_pv"]),
-                   doc["expires_at"], doc["used"])
 
 
 @dataclass
-class AnonymousIdentityCertificate:
+class AnonymousIdentityCertificate(Record):
     """Binding of a fresh anonymous identity to one transaction key."""
 
     anon_id: str
     bound_key: int
-    issued_at: int
-    signature: tuple
+    issued_at: JsonInt
+    signature: tuple[int, int]
 
     def body_bytes(self) -> bytes:
-        return doc_bytes({"anon_id": self.anon_id,
-                          "bound_key": hex(self.bound_key),
-                          "issued_at": self.issued_at})
-
-    def to_doc(self) -> dict:
-        return {"anon_id": self.anon_id, "bound_key": hex(self.bound_key),
-                "issued_at": self.issued_at,
-                "signature": [hex(self.signature[0]), hex(self.signature[1])]}
-
-    @classmethod
-    def from_doc(cls, doc) -> "AnonymousIdentityCertificate":
-        return cls(doc["anon_id"], int(doc["bound_key"], 16), doc["issued_at"],
-                   (int(doc["signature"][0], 16), int(doc["signature"][1], 16)))
+        return pack(_CERTIFICATE_BODY, anon_id=self.anon_id,
+                    bound_key=self.bound_key, issued_at=self.issued_at)
 
 
 @dataclass
-class DisclosureRecord:
+class DisclosureRecord(Record):
     disclosed_key: int
     statement: bytes
-    signature: tuple
+    signature: tuple[int, int]
     identity: Optional[str] = None
-
-    def to_doc(self) -> dict:
-        return {"disclosed_key": hex(self.disclosed_key),
-                "statement": self.statement.hex(),
-                "signature": [hex(self.signature[0]), hex(self.signature[1])],
-                "identity": self.identity}
-
-    @classmethod
-    def from_doc(cls, doc) -> "DisclosureRecord":
-        return cls(int(doc["disclosed_key"], 16),
-                   bytes.fromhex(doc["statement"]),
-                   (int(doc["signature"][0], 16), int(doc["signature"][1], 16)),
-                   doc["identity"])
 
 
 # ---------------------------------------------------------------------------
@@ -164,58 +144,66 @@ class DisclosureRecord:
 @dataclass
 class IssuerGroup:
     gpk: epid.GroupPublicKey
-    gipk: epid.GroupIssuingPrivateKey
-    member_roster: set = field(default_factory=set)
-    pending_join_nonces: dict = field(default_factory=dict)   # identity -> nonce
-    join_pseudonyms: dict = field(default_factory=dict)       # identity -> (B, K)
+    gipk: epid.GroupIssuingPrivateKey = secret()
+    member_roster: set[str] = field(default_factory=set)
+    # identity -> nonce
+    pending_join_nonces: dict[str, bytes] = secret(default_factory=dict)
+    # identity -> (B, K)
+    join_pseudonyms: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass
-class IssuerActor:
+class IssuerActor(Record):
     """Identity provider acting as Permissions Issuer; one per group."""
 
-    identity_keypair: Optional[schnorr.SchnorrKeypair] = None
-    accounts: dict = field(default_factory=dict)   # identity -> identity public key
-    groups: dict = field(default_factory=dict)     # group_id -> IssuerGroup
+    identity_keypair: Optional[schnorr.SchnorrKeypair] = secret(default=None)
+    # identity -> identity public key
+    accounts: dict[str, int] = field(default_factory=dict)
+    groups: dict[str, IssuerGroup] = field(default_factory=dict)
     actor_id: str = ISSUER_ID
 
 
 @dataclass
-class VerifierActor:
+class VerifierActor(Record):
     """Identity provider acting as Permissions Verifier."""
 
-    identity_keypair: Optional[schnorr.SchnorrKeypair] = None
+    identity_keypair: Optional[schnorr.SchnorrKeypair] = secret(default=None)
     pinned_issuer_key: Optional[int] = None
     signing_group: Optional[schnorr.SigningGroup] = None
     gpk: Optional[epid.GroupPublicKey] = None
     permissions_db: Optional[PermissionsDatabase] = None
     sig_rl: epid.RevocationList = field(default_factory=epid.RevocationList)
     issuer_rl: epid.RevocationList = field(default_factory=epid.RevocationList)
-    pending_challenges: dict = field(default_factory=dict)    # session_id -> Challenge
-    sessions: dict = field(default_factory=dict)              # session_id -> PskSession
-    issued_identities: dict = field(default_factory=dict)     # anon_id -> certificate
-    disclosures: list = field(default_factory=list)
-    verified_pseudonyms: list = field(default_factory=list)   # (B, K, session_id)
+    pending_challenges: dict[str, Challenge] = secret(default_factory=dict)
+    sessions: dict[str, PskSession] = secret(default_factory=dict)
+    # anon_id -> certificate
+    issued_identities: dict[str, AnonymousIdentityCertificate] = field(
+        default_factory=dict)
+    disclosures: list[DisclosureRecord] = field(default_factory=list)
+    # (B, K, session_id)
+    verified_pseudonyms: list[tuple[int, int, str]] = field(
+        default_factory=list)
     domain: str = VERIFIER_DOMAIN
     actor_id: str = VERIFIER_ID
 
 
 @dataclass
-class Enrollment:
-    group_id: str
+class Enrollment(Record):
     gpk: epid.GroupPublicKey
     join_nonce: bytes
 
 
 @dataclass
-class UserActor:
+class UserActor(Record):
     internet_identity: str
     identity_keypair: schnorr.SchnorrKeypair
-    member_keys: list = field(default_factory=list)
-    transaction_keys: list = field(default_factory=list)
-    psk_sessions: dict = field(default_factory=dict)
-    enrollments: dict = field(default_factory=dict)           # group_id -> Enrollment
-    certificates: list = field(default_factory=list)
+    member_keys: list[epid.UserMemberPrivateKey] = field(default_factory=list)
+    transaction_keys: list[schnorr.SchnorrKeypair] = field(
+        default_factory=list)
+    psk_sessions: dict[str, PskSession] = field(default_factory=dict)
+    enrollments: dict[str, Enrollment] = field(default_factory=dict)
+    certificates: list[AnonymousIdentityCertificate] = field(
+        default_factory=list)
 
 
 def make_user(identity: str, group: schnorr.SigningGroup, rng) -> UserActor:
@@ -251,7 +239,7 @@ def pi_share_gpk(issuer: IssuerActor, verifier: VerifierActor, group_id: str,
     group = issuer.groups.get(group_id)
     if group is None:
         raise ProtocolError(f"unknown group {group_id!r}")
-    payload = doc_bytes({"group_id": group_id, "gpk": group.gpk.to_doc()})
+    payload = pack(_GPK_DELIVERY, group_id=group_id, gpk=group.gpk)
     signature = schnorr.sign(issuer.identity_keypair, payload)
     env = transcript.send(Envelope(ISSUER_ID, VERIFIER_ID, "step-1",
                                    payload, signature))
@@ -262,14 +250,13 @@ def pi_share_gpk(issuer: IssuerActor, verifier: VerifierActor, group_id: str,
             verifier.signing_group, verifier.pinned_issuer_key,
             env.payload, env.signature):
         raise ProtocolError("issuer signature on group key delivery invalid")
-    doc = doc_from_bytes(env.payload)
-    gpk = epid.GroupPublicKey.from_doc(doc["gpk"])
+    delivered_id, gpk = unpack(_GPK_DELIVERY, env.payload)
     check = epid.validate_gpk(gpk)
     if not check:
         raise ProtocolError(f"delivered group key invalid: {check.reason}")
     verifier.gpk = gpk
-    verifier.permissions_db = PermissionsDatabase(group_id=doc["group_id"])
-    return {"group_id": doc["group_id"], "accepted": True}
+    verifier.permissions_db = PermissionsDatabase(group_id=delivered_id)
+    return {"group_id": delivered_id, "accepted": True}
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +272,16 @@ def user_request_membership(user: UserActor, issuer: IssuerActor,
         raise ProtocolError(f"unknown group {group_id!r}")
     identity = user.internet_identity
     transcript.send(Envelope(identity, ISSUER_ID, "step-2",
-                             doc_bytes({"identity": identity,
-                                        "group_id": group_id})))
+                             pack(_MEMBERSHIP_REQUEST, identity=identity,
+                                  group_id=group_id)))
     if identity not in issuer.accounts:
         raise ProtocolError(f"unknown identity {identity!r}")
 
     auth_nonce = rand_bytes(rng, NONCE_LEN)
     transcript.send(Envelope(ISSUER_ID, identity, "step-2",
-                             doc_bytes({"auth_nonce": auth_nonce.hex()})))
-    statement = doc_bytes({"identity": identity, "group_id": group_id,
-                           "auth_nonce": auth_nonce.hex()})
+                             pack(_AUTH_CHALLENGE, auth_nonce=auth_nonce)))
+    statement = pack(_AUTH_STATEMENT, identity=identity, group_id=group_id,
+                     auth_nonce=auth_nonce)
     auth_sig = schnorr.sign(user.identity_keypair, statement)
     env = transcript.send(Envelope(identity, ISSUER_ID, "step-2",
                                    statement, auth_sig))
@@ -306,11 +293,10 @@ def user_request_membership(user: UserActor, issuer: IssuerActor,
     group.member_roster.add(identity)
     join_nonce = rand_bytes(rng, NONCE_LEN)
     group.pending_join_nonces[identity] = join_nonce
-    transcript.send(Envelope(ISSUER_ID, identity, "step-2",
-                             doc_bytes({"gpk": group.gpk.to_doc(),
-                                        "join_nonce": join_nonce.hex()})))
-    enrollment = Enrollment(group_id=group_id, gpk=group.gpk,
-                            join_nonce=join_nonce)
+    env = transcript.send(Envelope(
+        ISSUER_ID, identity, "step-2",
+        doc_bytes(Enrollment(gpk=group.gpk, join_nonce=join_nonce).to_doc())))
+    enrollment = Enrollment.from_doc(doc_from_bytes(env.payload))
     user.enrollments[group_id] = enrollment
     return enrollment
 
@@ -334,24 +320,22 @@ def user_join_group(user: UserActor, issuer: IssuerActor, group_id: str,
                                        enrollment.gpk.issuer_basename,
                                        enrollment.join_nonce, rng)
     env = transcript.send(Envelope(identity, ISSUER_ID, "step-3",
-                                   doc_bytes({"identity": identity,
-                                              "join": request.to_doc()})))
+                                   pack(_JOIN_REQUEST, identity=identity,
+                                        join=request)))
 
-    doc = doc_from_bytes(env.payload)
-    nonce = group.pending_join_nonces.get(doc["identity"])
+    requester, received = unpack(_JOIN_REQUEST, env.payload)
+    nonce = group.pending_join_nonces.get(requester)
     if nonce is None:
         raise ProtocolError("no pending join for this identity")
-    received = epid.JoinRequest.from_doc(doc["join"])
     response = epid.issue_credential(group.gpk, group.gipk, received,
                                      nonce, rng)
-    del group.pending_join_nonces[doc["identity"]]
+    del group.pending_join_nonces[requester]
     base = hash_to_subgroup(group.gpk.issuer_basename, group.gpk.p, group.gpk.q)
-    group.join_pseudonyms[doc["identity"]] = (base.value, received.K_I)
+    group.join_pseudonyms[requester] = (base.value, received.K_I)
 
     env = transcript.send(Envelope(ISSUER_ID, identity, "step-4",
-                                   doc_bytes({"credential": response.to_doc()})))
-    delivered = epid.CredentialResponse.from_doc(
-        doc_from_bytes(env.payload)["credential"])
+                                   pack(_CREDENTIAL, credential=response)))
+    delivered, = unpack(_CREDENTIAL, env.payload)
     member_key = epid.complete_join(state, delivered, enrollment.gpk)
     user.member_keys.append(member_key)
     # Step 5 also has the user mint a transaction keypair for later use.
@@ -394,8 +378,9 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
     params = signing_group_of(gpk)
 
     transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-6.1",
-                             doc_bytes({"request": "membership-verification",
-                                        "session_id": session_id})))
+                             pack(_PROOF_REQUEST,
+                                  request="membership-verification",
+                                  session_id=session_id)))
     challenge = verifier.pending_challenges.get(session_id)
     if challenge is None:
         raise ProtocolError("unknown challenge session")
@@ -405,16 +390,11 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
         raise ProtocolError("challenge expired")
     env = transcript.send(Envelope(
         VERIFIER_ID, ANON_ID, "step-6.2",
-        doc_bytes({"session_id": session_id, "m": challenge.m.hex(),
-                   "n_pv": challenge.n_pv.hex(),
-                   "sig_rl": verifier.sig_rl.to_doc(),
-                   "issuer_rl": verifier.issuer_rl.to_doc()})))
+        pack(_CHALLENGE, session_id=session_id, m=challenge.m,
+             n_pv=challenge.n_pv, sig_rl=verifier.sig_rl,
+             issuer_rl=verifier.issuer_rl)))
 
-    doc = doc_from_bytes(env.payload)
-    m = bytes.fromhex(doc["m"])
-    n_pv = bytes.fromhex(doc["n_pv"])
-    sig_rl = epid.RevocationList.from_doc(doc["sig_rl"])
-    issuer_rl = epid.RevocationList.from_doc(doc["issuer_rl"])
+    _, m, n_pv, sig_rl, issuer_rl = unpack(_CHALLENGE, env.payload)
 
     enrollment = user.enrollments.get(verifier.permissions_db.group_id)
     if enrollment is None:
@@ -428,12 +408,9 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
     share_user = pow(params.u, x, params.p)
     env = transcript.send(Envelope(
         ANON_ID, VERIFIER_ID, "step-6.4",
-        doc_bytes({"session_id": session_id, "sigma": sigma.to_doc(),
-                   "share": hex(share_user)})))
+        pack(_PROOF, session_id=session_id, sigma=sigma, share=share_user)))
 
-    doc = doc_from_bytes(env.payload)
-    delivered_sigma = epid.MembershipSignature.from_doc(doc["sigma"])
-    delivered_share = int(doc["share"], 16)
+    _, delivered_sigma, delivered_share = unpack(_PROOF, env.payload)
     challenge.used = True
     result = epid.verify_membership(gpk, challenge.m, challenge.n_pv,
                                     delivered_sigma, verifier.sig_rl,
@@ -450,20 +427,22 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
     confirm_pv = mac_tag(psk_pv, b"confirm-pv", [session_id.encode()])
     env = transcript.send(Envelope(
         VERIFIER_ID, ANON_ID, "step-6.5",
-        doc_bytes({"session_id": session_id, "share": hex(share_pv),
-                   "confirm": confirm_pv.hex()})))
+        pack(_SHARE_CONFIRM, session_id=session_id, share=share_pv,
+             confirm=confirm_pv)))
 
-    doc = doc_from_bytes(env.payload)
-    psk_user = _psk(pow(int(doc["share"], 16), x, gpk.p), sigma_hash, m, n_pv)
-    if not macs_equal(bytes.fromhex(doc["confirm"]),
+    _, delivered_share_pv, delivered_confirm = unpack(_SHARE_CONFIRM,
+                                                      env.payload)
+    psk_user = _psk(pow(delivered_share_pv, x, gpk.p), sigma_hash, m, n_pv)
+    if not macs_equal(delivered_confirm,
                       mac_tag(psk_user, b"confirm-pv", [session_id.encode()])):
         raise ProtocolError("key confirmation failed (user side)")
     env = transcript.send(Envelope(
         ANON_ID, VERIFIER_ID, "step-6.6",
-        doc_bytes({"session_id": session_id,
-                   "confirm": mac_tag(psk_user, b"confirm-user",
-                                      [session_id.encode()]).hex()})))
-    if not macs_equal(bytes.fromhex(doc_from_bytes(env.payload)["confirm"]),
+        pack(_CONFIRM, session_id=session_id,
+             confirm=mac_tag(psk_user, b"confirm-user",
+                             [session_id.encode()]))))
+    _, delivered_confirm = unpack(_CONFIRM, env.payload)
+    if not macs_equal(delivered_confirm,
                       mac_tag(psk_pv, b"confirm-user", [session_id.encode()])):
         raise ProtocolError("key confirmation failed (verifier side)")
 
@@ -482,6 +461,20 @@ def _channel_key(session: PskSession, purpose: bytes) -> bytes:
     return derive_key(purpose, [session.psk, session.session_id.encode()])
 
 
+def _seal(session: PskSession, purpose: bytes, plaintext: bytes, rng) -> bytes:
+    """Envelope payload carrying ``plaintext`` over the PSK channel."""
+    blob = seal(_channel_key(session, purpose), plaintext, rng,
+                aad=session.session_id.encode())
+    return pack(_SEALED, session_id=session.session_id, sealed=blob)
+
+
+def _open(session: PskSession, purpose: bytes, payload: bytes) -> bytes:
+    """Plaintext of a PSK-sealed envelope payload."""
+    _, blob = unpack(_SEALED, payload)
+    return open_sealed(_channel_key(session, purpose), blob,
+                       aad=session.session_id.encode())
+
+
 def register_transaction_key(user: UserActor, verifier: VerifierActor,
                              session_id: str, key_index: int,
                              transcript: Transcript, rng,
@@ -494,36 +487,26 @@ def register_transaction_key(user: UserActor, verifier: VerifierActor,
     if not 0 <= key_index < len(user.transaction_keys):
         raise ProtocolError("no such transaction key")
     public_key = user.transaction_keys[key_index].public
-    blob = seal(_channel_key(session, b"register"),
-                doc_bytes({"transaction_public_key": hex(public_key)}),
-                rng, aad=session_id.encode())
-    env = transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-6.7",
-                                   doc_bytes({"session_id": session_id,
-                                              "sealed": blob.hex()})))
+    env = transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-6.7", _seal(
+        session, b"register",
+        pack(_REGISTER, transaction_public_key=public_key), rng)))
 
     vsession = verifier.sessions.get(session_id)
     if vsession is None:
         raise ProtocolError("no established session")
-    doc = doc_from_bytes(env.payload)
-    plain = open_sealed(_channel_key(vsession, b"register"),
-                        bytes.fromhex(doc["sealed"]), aad=session_id.encode())
-    submitted = int(doc_from_bytes(plain)["transaction_public_key"], 16)
+    submitted, = unpack(_REGISTER,
+                        _open(vsession, b"register", env.payload))
     verifier.permissions_db.add(submitted, clock.now())
     vsession.registered_keys.append(submitted)
 
-    ack = seal(_channel_key(vsession, b"register-ack"),
-               doc_bytes({"registered": hex(submitted),
-                          "timestamp": clock.now()}), rng,
-               aad=session_id.encode())
-    env = transcript.send(Envelope(VERIFIER_ID, ANON_ID, "step-6.7",
-                                   doc_bytes({"session_id": session_id,
-                                              "sealed": ack.hex()})))
-    confirmed = doc_from_bytes(open_sealed(
-        _channel_key(session, b"register-ack"),
-        bytes.fromhex(doc_from_bytes(env.payload)["sealed"]),
-        aad=session_id.encode()))
-    session.registered_keys.append(int(confirmed["registered"], 16))
-    return (submitted, confirmed["timestamp"])
+    env = transcript.send(Envelope(VERIFIER_ID, ANON_ID, "step-6.7", _seal(
+        vsession, b"register-ack",
+        pack(_REGISTER_ACK, registered=submitted, timestamp=clock.now()),
+        rng)))
+    registered, timestamp = unpack(
+        _REGISTER_ACK, _open(session, b"register-ack", env.payload))
+    session.registered_keys.append(registered)
+    return (submitted, timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +530,7 @@ def pv_issue_anonymous_identity(verifier: VerifierActor, session_id: str,
                                         bound_key=transaction_key,
                                         issued_at=clock.now(),
                                         signature=(0, 0))
-    signature = schnorr.sign(verifier.identity_keypair, cert.body_bytes())
-    cert = AnonymousIdentityCertificate(anon_id=anon_id,
-                                        bound_key=transaction_key,
-                                        issued_at=cert.issued_at,
-                                        signature=signature)
+    cert.signature = schnorr.sign(verifier.identity_keypair, cert.body_bytes())
     verifier.issued_identities[anon_id] = cert
     return cert
 
@@ -564,32 +543,21 @@ def user_request_anonymous_identity(user: UserActor, verifier: VerifierActor,
     session = user.psk_sessions.get(session_id)
     if session is None:
         raise ProtocolError("no established session")
-    blob = seal(_channel_key(session, b"identity-request"),
-                doc_bytes({"bound_key": hex(transaction_key)}), rng,
-                aad=session_id.encode())
-    env = transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-7",
-                                   doc_bytes({"session_id": session_id,
-                                              "sealed": blob.hex()})))
+    env = transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-7", _seal(
+        session, b"identity-request",
+        pack(_IDENTITY_REQUEST, bound_key=transaction_key), rng)))
 
     vsession = verifier.sessions.get(session_id)
     if vsession is None:
         raise ProtocolError("no established session")
-    request = doc_from_bytes(open_sealed(
-        _channel_key(vsession, b"identity-request"),
-        bytes.fromhex(doc_from_bytes(env.payload)["sealed"]),
-        aad=session_id.encode()))
-    cert = pv_issue_anonymous_identity(verifier, session_id,
-                                       int(request["bound_key"], 16),
+    bound_key, = unpack(_IDENTITY_REQUEST,
+                        _open(vsession, b"identity-request", env.payload))
+    cert = pv_issue_anonymous_identity(verifier, session_id, bound_key,
                                        rng, clock)
-    reply = seal(_channel_key(vsession, b"identity-reply"),
-                 doc_bytes(cert.to_doc()), rng, aad=session_id.encode())
-    env = transcript.send(Envelope(VERIFIER_ID, ANON_ID, "step-7",
-                                   doc_bytes({"session_id": session_id,
-                                              "sealed": reply.hex()})))
+    env = transcript.send(Envelope(VERIFIER_ID, ANON_ID, "step-7", _seal(
+        vsession, b"identity-reply", doc_bytes(cert.to_doc()), rng)))
     delivered = AnonymousIdentityCertificate.from_doc(doc_from_bytes(
-        open_sealed(_channel_key(session, b"identity-reply"),
-                    bytes.fromhex(doc_from_bytes(env.payload)["sealed"]),
-                    aad=session_id.encode())))
+        _open(session, b"identity-reply", env.payload)))
     user.certificates.append(delivered)
     return delivered
 
@@ -620,7 +588,7 @@ def pv_revoke(verifier: VerifierActor, B: int, K: int, which: str):
     if which == "sig":
         verifier.sig_rl = epid.revoke_signature(verifier.sig_rl, B, K)
     elif which == "issuer":
-        verifier.issuer_rl = epid.revoke_by_issuer(verifier.issuer_rl, B, K)
+        verifier.issuer_rl = epid.revoke_signature(verifier.issuer_rl, B, K)
     else:
         raise ProtocolError(f"unknown revocation list {which!r}")
 
@@ -639,169 +607,20 @@ def user_disclose_key(user: UserActor, verifier: VerifierActor,
     if not pv_lookup(verifier, keypair.public):
         raise ProtocolError("key not registered")
     identity = user.internet_identity if reveal_identity else None
-    statement = doc_bytes({"disclosed_key": hex(keypair.public),
-                           "identity": identity})
+    statement = pack(_DISCLOSURE, disclosed_key=keypair.public,
+                     identity=identity)
     signature = schnorr.sign(keypair, statement)
     sender = identity if reveal_identity else ANON_ID
     env = transcript.send(Envelope(sender, VERIFIER_ID, "disclosure",
                                    statement, signature))
 
-    doc = doc_from_bytes(env.payload)
-    disclosed = int(doc["disclosed_key"], 16)
+    disclosed, claimed_identity = unpack(_DISCLOSURE, env.payload)
     group = signing_group_of(verifier.gpk)
     if env.signature is None or not schnorr.verify(group, disclosed,
                                                    env.payload, env.signature):
         raise ProtocolError("disclosure signature invalid")
     record = DisclosureRecord(disclosed_key=disclosed, statement=env.payload,
                               signature=env.signature,
-                              identity=doc["identity"])
+                              identity=claimed_identity)
     verifier.disclosures.append(record)
     return record
-
-
-# ---------------------------------------------------------------------------
-# actor state import/export
-
-def _keypair_doc(keypair):
-    return None if keypair is None else keypair.to_doc()
-
-
-def _keypair_from(doc):
-    return None if doc is None else schnorr.SchnorrKeypair.from_doc(doc)
-
-
-def issuer_to_doc(issuer: IssuerActor, include_secrets: bool = False) -> dict:
-    """Issuer state document.  The default (public) export never contains the
-    group issuing private key or the issuer's signing secret."""
-    groups = {}
-    for gid, group in sorted(issuer.groups.items()):
-        gdoc = {
-            "gpk": group.gpk.to_doc(),
-            "member_roster": sorted(group.member_roster),
-            "join_pseudonyms": {ident: [hex(b), hex(k)]
-                                for ident, (b, k)
-                                in sorted(group.join_pseudonyms.items())},
-        }
-        if include_secrets:
-            gdoc["gipk"] = group.gipk.to_doc()
-            gdoc["pending_join_nonces"] = {
-                ident: nonce.hex()
-                for ident, nonce in sorted(group.pending_join_nonces.items())}
-        groups[gid] = gdoc
-    doc = {
-        "actor_id": issuer.actor_id,
-        "accounts": {ident: hex(pk)
-                     for ident, pk in sorted(issuer.accounts.items())},
-        "groups": groups,
-    }
-    if include_secrets:
-        doc["identity_keypair"] = _keypair_doc(issuer.identity_keypair)
-    elif issuer.identity_keypair is not None:
-        doc["identity_public_key"] = hex(issuer.identity_keypair.public)
-    return doc
-
-
-def issuer_from_doc(doc: dict) -> IssuerActor:
-    issuer = IssuerActor(
-        identity_keypair=_keypair_from(doc.get("identity_keypair")),
-        accounts={ident: int(pk, 16)
-                  for ident, pk in doc["accounts"].items()})
-    for gid, gdoc in doc["groups"].items():
-        issuer.groups[gid] = IssuerGroup(
-            gpk=epid.GroupPublicKey.from_doc(gdoc["gpk"]),
-            gipk=epid.GroupIssuingPrivateKey.from_doc(gdoc["gipk"]),
-            member_roster=set(gdoc["member_roster"]),
-            pending_join_nonces={ident: bytes.fromhex(n) for ident, n
-                                 in gdoc["pending_join_nonces"].items()},
-            join_pseudonyms={ident: (int(b, 16), int(k, 16)) for ident, (b, k)
-                             in gdoc["join_pseudonyms"].items()})
-    return issuer
-
-
-def verifier_to_doc(verifier: VerifierActor, include_secrets: bool = False) -> dict:
-    doc = {
-        "actor_id": verifier.actor_id,
-        "domain": verifier.domain,
-        "pinned_issuer_key": (None if verifier.pinned_issuer_key is None
-                              else hex(verifier.pinned_issuer_key)),
-        "signing_group": (None if verifier.signing_group is None
-                          else verifier.signing_group.to_doc()),
-        "gpk": None if verifier.gpk is None else verifier.gpk.to_doc(),
-        "permissions_db": (None if verifier.permissions_db is None
-                           else verifier.permissions_db.to_doc()),
-        "sig_rl": verifier.sig_rl.to_doc(),
-        "issuer_rl": verifier.issuer_rl.to_doc(),
-        "issued_identities": {anon: cert.to_doc() for anon, cert
-                              in sorted(verifier.issued_identities.items())},
-        "disclosures": [d.to_doc() for d in verifier.disclosures],
-        "verified_pseudonyms": [[hex(b), hex(k), sid]
-                                for b, k, sid in verifier.verified_pseudonyms],
-    }
-    if include_secrets:
-        doc["identity_keypair"] = _keypair_doc(verifier.identity_keypair)
-        doc["pending_challenges"] = {
-            sid: ch.to_doc()
-            for sid, ch in sorted(verifier.pending_challenges.items())}
-        doc["sessions"] = {sid: s.to_doc()
-                           for sid, s in sorted(verifier.sessions.items())}
-    elif verifier.identity_keypair is not None:
-        doc["identity_public_key"] = hex(verifier.identity_keypair.public)
-    return doc
-
-
-def verifier_from_doc(doc: dict) -> VerifierActor:
-    return VerifierActor(
-        identity_keypair=_keypair_from(doc.get("identity_keypair")),
-        pinned_issuer_key=(None if doc["pinned_issuer_key"] is None
-                           else int(doc["pinned_issuer_key"], 16)),
-        signing_group=(None if doc["signing_group"] is None
-                       else schnorr.SigningGroup.from_doc(doc["signing_group"])),
-        gpk=(None if doc["gpk"] is None
-             else epid.GroupPublicKey.from_doc(doc["gpk"])),
-        permissions_db=(None if doc["permissions_db"] is None
-                        else PermissionsDatabase.from_doc(doc["permissions_db"])),
-        sig_rl=epid.RevocationList.from_doc(doc["sig_rl"]),
-        issuer_rl=epid.RevocationList.from_doc(doc["issuer_rl"]),
-        pending_challenges={sid: Challenge.from_doc(d) for sid, d
-                            in doc.get("pending_challenges", {}).items()},
-        sessions={sid: PskSession.from_doc(d) for sid, d
-                  in doc.get("sessions", {}).items()},
-        issued_identities={anon: AnonymousIdentityCertificate.from_doc(d)
-                           for anon, d in doc["issued_identities"].items()},
-        disclosures=[DisclosureRecord.from_doc(d) for d in doc["disclosures"]],
-        verified_pseudonyms=[(int(b, 16), int(k, 16), sid)
-                             for b, k, sid in doc["verified_pseudonyms"]],
-        domain=doc["domain"])
-
-
-def user_to_doc(user: UserActor) -> dict:
-    return {
-        "internet_identity": user.internet_identity,
-        "identity_keypair": user.identity_keypair.to_doc(),
-        "member_keys": [k.to_doc() for k in user.member_keys],
-        "transaction_keys": [k.to_doc() for k in user.transaction_keys],
-        "psk_sessions": {sid: s.to_doc()
-                         for sid, s in sorted(user.psk_sessions.items())},
-        "enrollments": {gid: {"gpk": e.gpk.to_doc(),
-                              "join_nonce": e.join_nonce.hex()}
-                        for gid, e in sorted(user.enrollments.items())},
-        "certificates": [c.to_doc() for c in user.certificates],
-    }
-
-
-def user_from_doc(doc: dict) -> UserActor:
-    return UserActor(
-        internet_identity=doc["internet_identity"],
-        identity_keypair=schnorr.SchnorrKeypair.from_doc(doc["identity_keypair"]),
-        member_keys=[epid.UserMemberPrivateKey.from_doc(d)
-                     for d in doc["member_keys"]],
-        transaction_keys=[schnorr.SchnorrKeypair.from_doc(d)
-                          for d in doc["transaction_keys"]],
-        psk_sessions={sid: PskSession.from_doc(d)
-                      for sid, d in doc["psk_sessions"].items()},
-        enrollments={gid: Enrollment(group_id=gid,
-                                     gpk=epid.GroupPublicKey.from_doc(d["gpk"]),
-                                     join_nonce=bytes.fromhex(d["join_nonce"]))
-                     for gid, d in doc["enrollments"].items()},
-        certificates=[AnonymousIdentityCertificate.from_doc(d)
-                      for d in doc["certificates"]])

@@ -19,10 +19,11 @@ from .groupmath import (
     bytes_to_int,
     rand_range,
 )
+from .serial import Record
 
 
 @dataclass(frozen=True)
-class SigningGroup:
+class SigningGroup(Record):
     """Public (p, q, u) parameters every plain signature lives in."""
 
     p: int
@@ -33,31 +34,12 @@ class SigningGroup:
         return canonical_encode(
             [int_to_bytes(self.p), int_to_bytes(self.q), int_to_bytes(self.u)])
 
-    def to_doc(self) -> dict:
-        return {"p": hex(self.p), "q": hex(self.q), "u": hex(self.u)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "SigningGroup":
-        return cls(int(doc["p"], 16), int(doc["q"], 16), int(doc["u"], 16))
-
 
 @dataclass(frozen=True)
-class SchnorrKeypair:
+class SchnorrKeypair(Record):
     group: SigningGroup
     public: int       # u^secret mod p
     secret: int
-
-    def public_bytes(self) -> bytes:
-        return int_to_bytes(self.public)
-
-    def to_doc(self) -> dict:
-        return {"group": self.group.to_doc(), "public": hex(self.public),
-                "secret": hex(self.secret)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "SchnorrKeypair":
-        return cls(SigningGroup.from_doc(doc["group"]),
-                   int(doc["public"], 16), int(doc["secret"], 16))
 
 
 def generate_keypair(group: SigningGroup, rng) -> SchnorrKeypair:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import os
+from dataclasses import dataclass, field
+from typing import Optional
 
 from . import epid, ledger, roles, schnorr
 from .channels import LogicalClock, Transcript
 from .errors import InvariantViolation, ProtocolError
 from .groupmath import ParameterProfile
 from .rng import DeterministicRng
-from .serial import doc_bytes, doc_from_bytes
+from .serial import JsonInt, decode, doc_bytes, doc_from_bytes, encode
 
 ISSUER_DOMAIN = "idp-issuer.com"
 OUTSIDER_DOMAIN = "external.example"
@@ -27,6 +29,17 @@ FORMAT_VERSION = 1
 
 def _identity(name: str) -> str:
     return f"{name}@{ISSUER_DOMAIN}"
+
+
+@dataclass
+class Progress:
+    """How far one user got through the protocol steps."""
+
+    enrolled: bool = False
+    joined: bool = False
+    pending_sessions: list[str] = field(default_factory=list)
+    sessions: list[str] = field(default_factory=list)
+    registered_key_indexes: list[JsonInt] = field(default_factory=list)
 
 
 class World:
@@ -43,7 +56,7 @@ class World:
         self.users: dict[str, roles.UserActor] = {}
         self.nodes: list[ledger.ConsensusNode] = []
         self.pool = None
-        self.progress: dict[str, dict] = {}
+        self.progress: dict[str, Progress] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -80,18 +93,15 @@ class World:
             raise ProtocolError(f"unknown user {name!r}")
         return user
 
-    def _progress(self, name: str) -> dict:
-        return self.progress.setdefault(
-            name, {"enrolled": False, "joined": False,
-                   "pending_sessions": [], "sessions": [],
-                   "registered_key_indexes": []})
+    def _progress(self, name: str) -> Progress:
+        return self.progress.setdefault(name, Progress())
 
     def _require(self, name: str, stage: str):
         state = self._progress(name)
-        if stage in ("joined", "enrolled") and not state["enrolled"]:
+        if stage in ("joined", "enrolled") and not state.enrolled:
             raise ProtocolError(
                 f"step 2 (enroll) not completed for {name!r}")
-        if stage == "joined" and not state["joined"]:
+        if stage == "joined" and not state.joined:
             raise ProtocolError(
                 f"steps 3-5 (join) not completed for {name!r}")
 
@@ -112,7 +122,7 @@ class World:
         self.users[name] = user
         roles.user_request_membership(user, self.issuer, self.group_id,
                                       self.transcript, self.rng)
-        self._progress(name)["enrolled"] = True
+        self._progress(name).enrolled = True
         self.log("step 2", f"{name} authenticated to issuer and was approved; "
                            f"group key and join nonce delivered")
 
@@ -124,7 +134,7 @@ class World:
         self.clock.tick()
         index = roles.user_join_group(user, self.issuer, self.group_id,
                                       self.transcript, self.rng)
-        self._progress(name)["joined"] = True
+        self._progress(name).joined = True
         self.log("step 3", f"{name} sent blinded commitment parameters")
         self.log("step 4", f"issuer returned member keying parameters")
         self.log("step 5", f"{name} holds member key #{index} and a fresh "
@@ -150,8 +160,8 @@ class World:
         if not psk_match:
             raise InvariantViolation("PSK mismatch between user and verifier")
         state = self._progress(name)
-        state["pending_sessions"].append(session_id)
-        state["sessions"].append(session_id)
+        state.pending_sessions.append(session_id)
+        state.sessions.append(session_id)
         self.log("step 6.6", f"anonymous membership proof accepted for "
                              f"session {session_id}; pairwise key "
                              f"established")
@@ -163,23 +173,23 @@ class World:
         self._require(name, "joined")
         user = self._user(name)
         state = self._progress(name)
-        if not state["pending_sessions"]:
+        if not state.pending_sessions:
             raise ProtocolError(
                 f"step 6 (prove) not completed for {name!r}: no open session")
         self.clock.tick()
         if key_index is None:
-            registered = set(state["registered_key_indexes"])
+            registered = set(state.registered_key_indexes)
             key_index = next((i for i in range(len(user.transaction_keys))
                               if i not in registered), None)
             if key_index is None:
                 user.transaction_keys.append(schnorr.generate_keypair(
                     roles.signing_group_of(self.verifier.gpk), self.rng))
                 key_index = len(user.transaction_keys) - 1
-        session_id = state["pending_sessions"].pop(0)
+        session_id = state.pending_sessions.pop(0)
         public_key, timestamp = roles.register_transaction_key(
             user, self.verifier, session_id, key_index,
             self.transcript, self.rng, self.clock)
-        state["registered_key_indexes"].append(key_index)
+        state.registered_key_indexes.append(key_index)
         self.log("step 6.7", f"transaction key #{key_index} registered in "
                              f"permissions database at t={timestamp} "
                              f"(session {session_id})")
@@ -284,44 +294,18 @@ class World:
     # -- serialization ------------------------------------------------------
 
     def to_doc(self) -> dict:
-        return {
-            "format": FORMAT_VERSION,
-            "group_id": self.group_id,
-            "profile": self.profile.to_doc(),
-            "seed": self.seed,
-            "rng": self.rng.to_doc(),
-            "clock": self.clock.time,
-            "issuer": roles.issuer_to_doc(self.issuer, include_secrets=True),
-            "verifier": roles.verifier_to_doc(self.verifier,
-                                              include_secrets=True),
-            "users": {name: roles.user_to_doc(u)
-                      for name, u in sorted(self.users.items())},
-            "nodes": [n.to_doc() for n in self.nodes],
-            "pool": None if self.pool is None else self.pool.to_doc(),
-            "transcript": self.transcript.to_doc(),
-            "lines": self.lines,
-            "progress": {name: self.progress[name]
-                         for name in sorted(self.progress)},
-        }
+        state = dict(vars(self), format=FORMAT_VERSION, clock=self.clock.time)
+        return encode(state, _DOC, secrets=True)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "World":
-        if doc.get("format") != FORMAT_VERSION:
+        if type(doc) is not dict or doc.get("format") != FORMAT_VERSION:
             raise ProtocolError("unsupported world file format")
-        world = cls(doc["group_id"],
-                    ParameterProfile.from_doc(doc["profile"]), doc["seed"])
-        world.rng = DeterministicRng.from_doc(doc["rng"])
-        world.clock = LogicalClock(doc["clock"])
-        world.issuer = roles.issuer_from_doc(doc["issuer"])
-        world.verifier = roles.verifier_from_doc(doc["verifier"])
-        world.users = {name: roles.user_from_doc(d)
-                       for name, d in doc["users"].items()}
-        world.nodes = [ledger.ConsensusNode.from_doc(d) for d in doc["nodes"]]
-        world.pool = (None if doc["pool"] is None
-                      else ledger.TransactionPool.from_doc(doc["pool"]))
-        world.transcript = Transcript.from_doc(doc["transcript"])
-        world.lines = list(doc["lines"])
-        world.progress = {name: dict(d) for name, d in doc["progress"].items()}
+        state = decode(_DOC, doc)
+        world = cls(state["group_id"], state["profile"], state["seed"])
+        del state["format"]
+        state["clock"] = LogicalClock(state["clock"])
+        vars(world).update(state)
         return world
 
     def state_hash(self) -> str:
@@ -339,3 +323,13 @@ class World:
     def load(cls, path: str) -> "World":
         with open(path, "rb") as fh:
             return cls.from_doc(doc_from_bytes(fh.read()))
+
+
+# The world file: every actor's full state, secrets included.
+_DOC = {"format": JsonInt, "group_id": str, "profile": ParameterProfile,
+        "seed": JsonInt, "rng": DeterministicRng, "clock": JsonInt,
+        "issuer": roles.IssuerActor, "verifier": roles.VerifierActor,
+        "users": dict[str, roles.UserActor],
+        "nodes": list[ledger.ConsensusNode],
+        "pool": Optional[ledger.TransactionPool], "transcript": Transcript,
+        "lines": list[str], "progress": dict[str, Progress]}

@@ -83,8 +83,7 @@ def test_criterion_03_one_key_verifies_many(accept_group):
     for user in users:
         session_id, _ = stage.prove(user)
         stage.register(user, session_id, 0)
-    state = doc_bytes(roles.verifier_to_doc(stage.verifier,
-                                            include_secrets=True)).decode()
+    state = doc_bytes(stage.verifier.to_doc(secrets=True)).decode()
     for user in users:
         assert user.internet_identity not in state
     rows = stage.verifier.permissions_db.entries
@@ -128,7 +127,7 @@ def test_criterion_05_soundness_sweep(accept_group):
         s = epid.sign_membership(victim, gpk, b"x", b"y", EMPTY, EMPTY, rng)
         sig_rl = epid.revoke_signature(sig_rl, s.B, s.K)
     s = epid.sign_membership(revoked_a, gpk, b"x", b"y2", EMPTY, EMPTY, rng)
-    issuer_rl = epid.revoke_by_issuer(EMPTY, s.B, s.K)
+    issuer_rl = epid.revoke_signature(EMPTY, s.B, s.K)
 
     sig = epid.sign_membership(signer, gpk, b"msg", b"npv", sig_rl, issuer_rl,
                                rng)

@@ -7,6 +7,7 @@ from chainanchor import epid
 from chainanchor.errors import CredentialError, ProtocolError, RevokedKeyError
 from chainanchor.groupmath import (
     fiat_shamir_challenge,
+    gen_prime,
     hash_to_subgroup,
     is_probable_prime,
     rand_bits,
@@ -58,6 +59,16 @@ def test_validate_rejects_composite_q(desk_gpk):
     bad = dataclasses.replace(desk_gpk, q=desk_gpk.q - 1)
     res = epid.validate_gpk(bad)
     assert not res and res.reason == "q not prime"
+
+
+def test_validate_names_p_without_order_q_subgroup(desk_gpk):
+    rng = random.Random(12)
+    while True:
+        p = gen_prime(desk_gpk.profile.l_p, rng)
+        if (p - 1) % desk_gpk.q != 0:
+            break
+    res = epid.validate_gpk(dataclasses.replace(desk_gpk, p=p))
+    assert not res and res.reason == "q does not divide p-1"
 
 
 def test_validate_rejects_tampered_proof(desk_gpk):
@@ -325,7 +336,7 @@ def test_issuer_revocation_by_join_pseudonym(desk_group):
     sk = epid.complete_join(
         state, epid.issue_credential(gpk, gipk, req, b"n", rng), gpk)
     B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q).value
-    issuer_rl = epid.revoke_by_issuer(EMPTY, B_I, req.K_I)
+    issuer_rl = epid.revoke_signature(EMPTY, B_I, req.K_I)
     with pytest.raises(RevokedKeyError):
         epid.sign_membership(sk, gpk, MSG, NONCE, EMPTY, issuer_rl, rng)
     other = make_member(gpk, gipk, rng, nonce=b"n2")

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from chainanchor import groupmath
 from chainanchor.groupmath import (
     DESK,
     FULL,
@@ -88,6 +89,22 @@ def test_safe_prime_attempt_cap_signals_bad_rng():
     # q is forced to 7, p = 15 is composite, so the search can never finish
     with pytest.raises(RuntimeError):
         gen_safe_prime(5, _StuckRng(0b0111), max_attempts=2)
+
+
+def test_safe_prime_search_outlasts_64_empty_windows(monkeypatch):
+    # 64 windows used to be the cap at every size, though an honest source
+    # runs dry that often (seed 6 needs 69 windows for the full profile)
+    sieve = groupmath._safe_prime_interval
+    calls = []
+
+    def empty_at_first(q0, bits, span):
+        calls.append(q0)
+        return bytearray(span) if len(calls) <= 64 else sieve(q0, bits, span)
+
+    monkeypatch.setattr(groupmath, "_safe_prime_interval", empty_at_first)
+    p = gen_safe_prime(256, random.Random(3))
+    assert len(calls) > 64 and p.bit_length() == 256
+    assert sympy.isprime(p) and sympy.isprime((p - 1) // 2)
 
 
 def test_challenge_length_bounds():

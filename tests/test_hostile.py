@@ -1,0 +1,187 @@
+"""Hostile input: tampered envelopes and corrupt world files must end in a
+ProtocolError (CLI exit code 1 or 2), never in a stray Python exception."""
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from chainanchor import cli
+from chainanchor.errors import ProtocolError
+from chainanchor.groupmath import DESK, hash_to_subgroup
+from chainanchor.serial import doc_bytes
+from chainanchor.world import World
+
+
+@pytest.fixture(scope="module")
+def base_doc():
+    """A fresh world whose sig-RL lists one pseudonym, so that proofs carry
+    a non-revocation proof that tampering can reach."""
+    world = World.create("hostile", DESK, seed=11)
+    gpk = world.verifier.gpk
+    B = hash_to_subgroup(b"revoked", gpk.p, gpk.q).value
+    world.revoke(B, pow(B, 2, gpk.p))
+    return world.to_doc()
+
+
+def _tamper_step(world, step, mutate):
+    """Rewrite the payload document of every ``step`` envelope in transit."""
+    def tamper(env):
+        if env.step != step:
+            return env
+        doc = json.loads(env.payload)
+        mutate(doc)
+        return dataclasses.replace(env, payload=doc_bytes(doc))
+    world.transcript.tamper = tamper
+
+
+def _joined(base_doc):
+    world = World.from_doc(base_doc)
+    world.enroll("alice")
+    world.join("alice")
+    return world
+
+
+def test_deleted_share_is_protocol_error(base_doc):
+    world = _joined(base_doc)
+    _tamper_step(world, "step-6.4", lambda doc: doc.pop("share"))
+    with pytest.raises(ProtocolError, match="share"):
+        world.prove("alice")
+
+
+def test_retyped_sigma_element_is_protocol_error(base_doc):
+    world = _joined(base_doc)
+    _tamper_step(world, "step-6.4", lambda doc: doc["sigma"].update(B=5))
+    with pytest.raises(ProtocolError, match="sigma.B"):
+        world.prove("alice")
+
+
+def test_malformed_join_commitment_is_protocol_error(base_doc):
+    world = World.from_doc(base_doc)
+    world.enroll("alice")
+    _tamper_step(world, "step-3", lambda doc: doc["join"].update(U="zz"))
+    with pytest.raises(ProtocolError, match="join.U"):
+        world.join("alice")
+
+
+def test_revocation_entry_outside_group_is_protocol_error(base_doc):
+    world = _joined(base_doc)
+    _tamper_step(world, "step-6.2",
+                 lambda doc: doc["sig_rl"].update(entries=[["0x2", "0x0"]]))
+    with pytest.raises(ProtocolError):
+        world.prove("alice")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one field of one envelope, anywhere in the member lifecycle
+
+def _locations(doc, prefix=()):
+    """Paths to every value inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out += _locations(value, prefix + (key,))
+    return out
+
+
+def _retyped(value):
+    if isinstance(value, str):
+        return 7
+    if isinstance(value, bool) or value is None:
+        return "7"
+    if isinstance(value, int):
+        return str(value)
+    return {} if isinstance(value, list) else []
+
+
+def _mutate(doc, path, action):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    value = parent[key]
+    if action == "delete":
+        del parent[key]
+    elif action == "truncate" and isinstance(value, (str, list)):
+        parent[key] = value[:len(value) // 2]
+    else:
+        parent[key] = _retyped(value)
+
+
+def _lifecycle(world):
+    world.enroll("alice")
+    world.join("alice")
+    world.prove("alice")
+    world.register("alice", with_identity=True)
+    world.disclose("alice", 0, reveal_identity=True)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_lifecycle_succeeds_or_raises_protocol_error(base_doc, data):
+    world = World.from_doc(base_doc)
+    target = data.draw(st.integers(0, 15), label="envelope")
+    action = data.draw(st.sampled_from(["delete", "retype", "truncate"]),
+                       label="action")
+    seen = []
+
+    def tamper(env):
+        seen.append(env.step)
+        if len(seen) - 1 != target:
+            return env
+        doc = json.loads(env.payload)
+        locations = _locations(doc)
+        if not locations:
+            return env
+        path = data.draw(st.sampled_from(locations), label="field")
+        _mutate(doc, path, action)
+        return dataclasses.replace(env, payload=doc_bytes(doc))
+
+    world.transcript.tamper = tamper
+    try:
+        _lifecycle(world)
+    except ProtocolError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# corrupt world files and bad CLI arguments
+
+def _run(capsys, *args):
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.err
+
+
+def test_world_file_of_wrong_shape_is_corrupt(tmp_path, capsys):
+    path = str(tmp_path / "w.json")
+    assert cli.main(["setup", "g", "--seed", "3", "--world", path]) == 0
+    doc = json.loads(open(path).read())
+    doc["users"] = None
+    bad = tmp_path / "null-users.json"
+    bad.write_text(json.dumps(doc))
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    capsys.readouterr()
+    for corrupt in (bad, empty):
+        code, err = _run(capsys, "show", "--world", str(corrupt))
+        assert code == 1 and "is corrupt" in err
+        assert "Traceback" not in err
+
+
+def test_revoke_rejects_non_hex_argument(tmp_path, capsys):
+    path = str(tmp_path / "w.json")
+    assert cli.main(["setup", "g", "--seed", "3", "--world", path]) == 0
+    capsys.readouterr()
+    code, err = _run(capsys, "revoke", "zz", "0x2", "--world", path)
+    assert code == 1 and "zz" in err

@@ -457,19 +457,19 @@ def test_actor_state_docs_round_trip(stage):
     session_id, _ = stage.prove(user)
     stage.register(user, session_id, 0)
 
-    issuer_doc = roles.issuer_to_doc(stage.issuer, include_secrets=True)
-    verifier_doc = roles.verifier_to_doc(stage.verifier, include_secrets=True)
-    user_doc = roles.user_to_doc(user)
-    assert roles.issuer_to_doc(roles.issuer_from_doc(issuer_doc),
-                               include_secrets=True) == issuer_doc
-    assert roles.verifier_to_doc(roles.verifier_from_doc(verifier_doc),
-                                 include_secrets=True) == verifier_doc
-    assert roles.user_to_doc(roles.user_from_doc(user_doc)) == user_doc
+    issuer_doc = stage.issuer.to_doc(secrets=True)
+    verifier_doc = stage.verifier.to_doc(secrets=True)
+    user_doc = user.to_doc()
+    assert roles.IssuerActor.from_doc(issuer_doc).to_doc(
+        secrets=True) == issuer_doc
+    assert roles.VerifierActor.from_doc(verifier_doc).to_doc(
+        secrets=True) == verifier_doc
+    assert roles.UserActor.from_doc(user_doc).to_doc() == user_doc
 
 
 def test_issuer_public_export_has_no_issuing_key(stage):
     # the public export must not carry the issuing private key or nonces
-    export = doc_bytes(roles.issuer_to_doc(stage.issuer)).decode()
+    export = doc_bytes(stage.issuer.to_doc()).decode()
     gipk = stage.issuer.groups[Stage.GROUP_ID].gipk
     for secret in (gipk.p_N, gipk.q_N, gipk.p_N_prime, gipk.q_N_prime):
         assert hex(secret) not in export
