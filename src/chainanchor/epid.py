@@ -79,9 +79,10 @@ def _dlog_challenge(label: str, N: int, base: int, value: int, t: int, l_H: int)
         _enc(b"generator-proof", label.encode(), N, base, value, t), l_H)
 
 
-def _prove_dlog(label, N, base, value, exponent, profile, rng) -> DlogProof:
+def _prove_dlog(label, N, base, value, exponent, profile, rng,
+                pow_N) -> DlogProof:
     r = rand_bits(rng, profile.l_N + profile.l_phi + profile.l_H)
-    t = pow(base, r, N)
+    t = pow_N(base, r)
     c = _dlog_challenge(label, N, base, value, t, profile.l_H)
     return DlogProof(label, c, r + c * exponent)
 
@@ -135,6 +136,28 @@ class GroupIssuingPrivateKey:
     def qr_order(self) -> int:
         return self.p_N_prime * self.q_N_prime
 
+    def pow_N(self, base: int, exp: int) -> int:
+        """``pow(base, exp, N)`` by the Chinese remainder theorem: two
+        half-size powers with the exponent reduced mod p_N-1 and q_N-1."""
+        x_p = _pow_mod_prime(base, exp, self.p_N)
+        x_q = _pow_mod_prime(base, exp, self.q_N)
+        h = (x_p - x_q) * pow(self.q_N, -1, self.p_N) % self.p_N
+        return x_q + h * self.q_N
+
+    def is_quadratic_residue(self, x: int) -> bool:
+        """Euler's criterion modulo both factors."""
+        return (pow(x, self.p_N_prime, self.p_N) == 1
+                and pow(x, self.q_N_prime, self.q_N) == 1)
+
+
+def _pow_mod_prime(base: int, exp: int, P: int) -> int:
+    # Invert first: a short negative exponent (a challenge) stays short.
+    if exp < 0:
+        base, exp = pow(base, -1, P), -exp
+    if base % P == 0:
+        return 0 if exp else 1
+    return pow(base, exp % (P - 1), P)
+
 
 def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
     """Create a fresh group: returns (GroupPublicKey, GroupIssuingPrivateKey).
@@ -145,7 +168,8 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
     """
     rsa = gen_rsa_group(profile, rng)
     N = rsa.N
-    order = (rsa.p_N - 1) // 2 * ((rsa.q_N - 1) // 2)
+    gipk = GroupIssuingPrivateKey(rsa.p_N, rsa.q_N, rsa.p_N_prime, rsa.q_N_prime)
+    order = gipk.qr_order
 
     while True:
         x = rand_range(rng, 2, N)
@@ -161,7 +185,7 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
             a = rand_range(rng, 1, order)
             if generator_needed and math.gcd(a, order) != 1:
                 continue
-            return pow(base, a, N), a
+            return gipk.pow_N(base, a), a
 
     g, exp_g = random_power(g_prime)
     h, exp_h = random_power(g_prime, generator_needed=True)
@@ -170,11 +194,11 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
     Z, exp_Z = random_power(h)
 
     proofs = (
-        _prove_dlog("g", N, g_prime, g, exp_g, profile, rng),
-        _prove_dlog("h", N, g_prime, h, exp_h, profile, rng),
-        _prove_dlog("R", N, h, R, exp_R, profile, rng),
-        _prove_dlog("S", N, h, S, exp_S, profile, rng),
-        _prove_dlog("Z", N, h, Z, exp_Z, profile, rng),
+        _prove_dlog("g", N, g_prime, g, exp_g, profile, rng, gipk.pow_N),
+        _prove_dlog("h", N, g_prime, h, exp_h, profile, rng, gipk.pow_N),
+        _prove_dlog("R", N, h, R, exp_R, profile, rng, gipk.pow_N),
+        _prove_dlog("S", N, h, S, exp_S, profile, rng, gipk.pow_N),
+        _prove_dlog("Z", N, h, Z, exp_Z, profile, rng, gipk.pow_N),
     )
 
     p, q, u = gen_schnorr_group(profile, rng)
@@ -182,14 +206,35 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
                          p=p, q=q, u=u.value, profile=profile,
                          issuer_basename=issuer_basename,
                          correctness_proofs=proofs)
-    gipk = GroupIssuingPrivateKey(rsa.p_N, rsa.q_N, rsa.p_N_prime, rsa.q_N_prime)
     check = validate_gpk(gpk)
     assert check, f"setup produced an invalid group key: {check.reason}"
     return gpk, gipk
 
 
+# Group keys this process has accepted, oldest first.  Keyed on the frozen
+# key itself, so a hit needs every field equal, proofs and profile included.
+_ACCEPTED_GPKS: dict[GroupPublicKey, None] = {}
+_ACCEPTED_GPKS_MAX = 8
+
+
 def validate_gpk(gpk: GroupPublicKey) -> Check:
-    """Check proofs, subgroup structure and parameter lengths of a group key."""
+    """Check proofs, subgroup structure and parameter lengths of a group key.
+
+    A key that passes is remembered for the life of the process, so a key
+    equal to one already accepted (a reload, a delivered copy) costs a hash
+    lookup; a rejected key is never remembered.
+    """
+    if gpk in _ACCEPTED_GPKS:
+        return OK
+    check = _check_gpk(gpk)
+    if check:
+        if len(_ACCEPTED_GPKS) >= _ACCEPTED_GPKS_MAX:
+            del _ACCEPTED_GPKS[next(iter(_ACCEPTED_GPKS))]
+        _ACCEPTED_GPKS[gpk] = None
+    return check
+
+
+def _check_gpk(gpk: GroupPublicKey) -> Check:
     prof = gpk.profile
     bases = {"g": (gpk.g_prime, gpk.g), "h": (gpk.g_prime, gpk.h),
              "R": (gpk.h, gpk.R), "S": (gpk.h, gpk.S), "Z": (gpk.h, gpk.Z)}
@@ -298,12 +343,18 @@ def join_request(gpk: GroupPublicKey, issuer_basename: bytes,
 
 
 def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
-                        issuer_nonce: bytes) -> Check:
+                        issuer_nonce: bytes,
+                        gipk: Optional[GroupIssuingPrivateKey] = None) -> Check:
+    """Check the join proof.  With the issuing key the mod-N powers run by
+    CRT and U must also be a quadratic residue, which only the issuer can
+    test: a non-residue U passes the proof whenever its challenge is even."""
     prof = gpk.profile
     if req.nonce_echo != issuer_nonce:
         return _fail("nonce")
     if not 1 <= req.U < gpk.N or math.gcd(req.U, gpk.N) != 1:
         return _fail("U range")
+    if gipk is not None and not gipk.is_quadratic_residue(req.U):
+        return _fail("U not a quadratic residue")
     if not 1 < req.K_I < gpk.p or pow(req.K_I, gpk.q, gpk.p) != 1:
         return _fail("K_I range")
     pr = req.proof
@@ -313,9 +364,9 @@ def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
         return _fail("s_f interval")
     if not 0 <= pr.s_v < (1 << (prof.l_v + prof.l_phi + prof.l_H + 1)):
         return _fail("s_v interval")
+    pow_N = gipk.pow_N if gipk is not None else lambda b, x: pow(b, x, gpk.N)
     B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
-    t1 = (pow(gpk.R, pr.s_f, gpk.N) * pow(gpk.S, pr.s_v, gpk.N)
-          * pow(req.U, -pr.c, gpk.N)) % gpk.N
+    t1 = pow_N(gpk.R, pr.s_f) * pow_N(gpk.S, pr.s_v) * pow_N(req.U, -pr.c) % gpk.N
     t2 = pow(B_I.value, pr.s_f, gpk.p) * pow(req.K_I, -pr.c, gpk.p) % gpk.p
     if _join_challenge(gpk, B_I.value, req.U, req.K_I, t1, t2,
                        issuer_nonce, prof.l_H) != pr.c:
@@ -338,7 +389,7 @@ def _e_interval(profile: ParameterProfile):
 def issue_credential(gpk: GroupPublicKey, gipk: GroupIssuingPrivateKey,
                      req: JoinRequest, issuer_nonce: bytes, rng) -> CredentialResponse:
     """Issue (A, e, v'') with A^e * U * S^v'' = Z (mod N) for a verified request."""
-    check = verify_join_request(gpk, req, issuer_nonce)
+    check = verify_join_request(gpk, req, issuer_nonce, gipk)
     if not check:
         raise ProtocolError(f"join request rejected: {check.reason}")
     order = gipk.qr_order
@@ -348,10 +399,11 @@ def issue_credential(gpk: GroupPublicKey, gipk: GroupIssuingPrivateKey,
         if math.gcd(e, order) == 1:
             break
     v_double_prime = rand_bits(rng, gpk.profile.l_v)
-    blinded = req.U * pow(gpk.S, v_double_prime, gpk.N) % gpk.N
-    A = pow(gpk.Z * pow(blinded, -1, gpk.N) % gpk.N,
-            pow(e, -1, order), gpk.N)
-    assert pow(A, e, gpk.N) * blinded % gpk.N == gpk.Z
+    blinded = req.U * gipk.pow_N(gpk.S, v_double_prime) % gpk.N
+    A = gipk.pow_N(gpk.Z * pow(blinded, -1, gpk.N) % gpk.N, pow(e, -1, order))
+    # A faulty A must never leave: gcd(A^e - x, N) would factor N.
+    if gipk.pow_N(A, e) * blinded % gpk.N != gpk.Z:
+        raise ProtocolError("issued credential failed its self-check")
     return CredentialResponse(A=A, e=e, v_double_prime=v_double_prime)
 
 
@@ -459,10 +511,11 @@ def _nonrevocation_challenge(tag, main_c, index, B_i, K_i, B, K, W,
         _enc(tag, main_c, index, B_i, K_i, B, K, W, t_a, t_b), l_H)
 
 
-def _prove_not_revoked(tag, index, B_i, K_i, B, K, f, main_c, gpk, rng):
+def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, f, main_c, gpk,
+                       rng):
     p, q = gpk.p, gpk.q
     mu = rand_range(rng, 1, q)
-    base = pow(B_i, f, p) * pow(K_i, -1, p) % p
+    base = B_i_f * pow(K_i, -1, p) % p
     if base == 1:
         raise RevokedKeyError()
     W = pow(base, mu, p)
@@ -519,10 +572,14 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     prof = gpk.profile
     p, q, N = gpk.p, gpk.q, gpk.N
 
+    # B_i^f per entry, sig-RL then issuer-RL; the non-revocation proofs
+    # reuse them.
+    B_i_f = []
     for B_i, K_i in sig_rl.entries + issuer_rl.entries:
         if not (1 < B_i < p and 1 < K_i < p):
             raise ProtocolError("revocation list entry out of range")
-        if pow(B_i, sk.f, p) == K_i:
+        B_i_f.append(pow(B_i, sk.f, p))
+        if B_i_f[-1] == K_i:
             raise RevokedKeyError()
 
     if basename is None:
@@ -547,11 +604,14 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     s_f = r_f + c * sk.f
     s_v = r_v + c * v_hat
 
+    n_sig = len(sig_rl.entries)
     sigma2 = tuple(
-        _prove_not_revoked(b"sig-rl", i, B_i, K_i, B, K, sk.f, c, gpk, rng)
+        _prove_not_revoked(b"sig-rl", i, B_i, K_i, B_i_f[i], B, K, sk.f, c,
+                           gpk, rng)
         for i, (B_i, K_i) in enumerate(sig_rl.entries))
     sigma3 = tuple(
-        _prove_not_revoked(b"issuer-rl", i, B_i, K_i, B, K, sk.f, c, gpk, rng)
+        _prove_not_revoked(b"issuer-rl", i, B_i, K_i, B_i_f[n_sig + i], B, K,
+                           sk.f, c, gpk, rng)
         for i, (B_i, K_i) in enumerate(issuer_rl.entries))
 
     return MembershipSignature(B=B, K=K, T=T, c=c, s_e=s_e, s_f=s_f, s_v=s_v,

@@ -9,6 +9,7 @@ global RNG state, so every function is reproducible under a seeded source.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -165,6 +166,8 @@ def load_profiles(path) -> dict:
     """Load extra profiles from a JSON file {name: {l_N: ..., ...}}."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("the top level must be an object of name -> lengths")
     profiles = {}
     for name, lengths in raw.items():
         profiles[name] = ParameterProfile(name=name, **lengths)
@@ -384,12 +387,14 @@ def gen_rsa_group(profile: ParameterProfile, rng) -> RsaGroup:
     return RsaGroup(N, p_N, q_N, (p_N - 1) // 2, (q_N - 1) // 2)
 
 
+@functools.lru_cache(maxsize=32)
 def hash_to_subgroup(basename: bytes, p: int, q: int) -> SubgroupElement:
     """Deterministically map a basename into the order-q subgroup of Z_p^*.
 
     Digest output is expanded, reduced mod p and raised to the cofactor
     (p-1)/q; a counter is appended and the derivation repeated until the
-    result is a non-identity subgroup element.
+    result is a non-identity subgroup element.  The map is pure, so results
+    are memoized: the issuer base B_I is needed several times per join.
     """
     if (p - 1) % q != 0:
         raise ValueError("q must divide p - 1")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from . import epid, ledger, roles, schnorr
@@ -306,6 +307,11 @@ class World:
         del state["format"]
         state["clock"] = LogicalClock(state["clock"])
         vars(world).update(state)
+        for path in _CREATED:
+            if attrgetter(path)(world) is None:
+                raise ProtocolError(f"{path} is missing")
+        if world.group_id not in world.issuer.groups:
+            raise ProtocolError(f"issuer.groups has no group {world.group_id!r}")
         return world
 
     def state_hash(self) -> str:
@@ -333,3 +339,9 @@ _DOC = {"format": JsonInt, "group_id": str, "profile": ParameterProfile,
         "nodes": list[ledger.ConsensusNode],
         "pool": Optional[ledger.TransactionPool], "transcript": Transcript,
         "lines": list[str], "progress": dict[str, Progress]}
+
+# State that World.create sets up before a world is first saved, and that
+# commands use without checking.
+_CREATED = ("issuer.identity_keypair", "verifier.identity_keypair",
+            "verifier.pinned_issuer_key", "verifier.signing_group",
+            "verifier.gpk", "verifier.permissions_db", "pool")

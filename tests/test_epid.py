@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import math
 import random
 
 import pytest
@@ -82,6 +84,95 @@ def test_validate_rejects_tampered_proof(desk_gpk):
 def test_validate_rejects_wrong_lengths(desk_gpk):
     bad = dataclasses.replace(desk_gpk, N=desk_gpk.N >> 1)
     assert not epid.validate_gpk(bad)
+
+
+# ---------------------------------------------------------------------------
+# the per-process record of accepted group keys
+
+def _spy_check(monkeypatch):
+    """Count the full validations that validate_gpk runs from now on."""
+    runs = []
+    check = epid._check_gpk
+
+    def spy(gpk):
+        runs.append(gpk)
+        return check(gpk)
+
+    monkeypatch.setattr(epid, "_check_gpk", spy)
+    return runs
+
+
+def test_validate_remembers_accepted_key_by_value(desk_gpk, monkeypatch):
+    assert epid.validate_gpk(desk_gpk)
+    runs = _spy_check(monkeypatch)
+    copy = epid.GroupPublicKey.from_doc(desk_gpk.to_doc())
+    assert copy is not desk_gpk
+    assert epid.validate_gpk(copy)
+    assert runs == []
+
+
+def _field_changes(gpk):
+    proofs = gpk.correctness_proofs
+    changes = {name: {name: getattr(gpk, name) + 1}
+               for name in ("N", "g_prime", "g", "h", "R", "S", "Z",
+                            "p", "q", "u")}
+    changes["proof s"] = {"correctness_proofs": (
+        dataclasses.replace(proofs[0], s=proofs[0].s + 1),) + proofs[1:]}
+    changes["proof label"] = {"correctness_proofs": (
+        dataclasses.replace(proofs[0], label="x"),) + proofs[1:]}
+    changes["profile"] = {"profile": dataclasses.replace(
+        gpk.profile, l_p=gpk.profile.l_p + 1)}
+    return changes
+
+
+def test_validate_reruns_and_rejects_any_changed_field(desk_gpk, monkeypatch):
+    assert epid.validate_gpk(desk_gpk)
+    runs = _spy_check(monkeypatch)
+    for name, change in _field_changes(desk_gpk).items():
+        bad = dataclasses.replace(desk_gpk, **change)
+        assert not epid.validate_gpk(bad), name
+        assert runs[-1] is bad, name
+
+
+def test_validate_never_records_rejected_key(desk_gpk, monkeypatch):
+    bad = dataclasses.replace(desk_gpk, u=desk_gpk.p - 1)
+    size = len(epid._ACCEPTED_GPKS)
+    runs = _spy_check(monkeypatch)
+    for _ in range(2):
+        res = epid.validate_gpk(bad)
+        assert not res and res.reason == "u order"
+    assert len(runs) == 2
+    assert len(epid._ACCEPTED_GPKS) == size
+
+
+def test_validate_record_stays_bounded(desk_gpk):
+    # The issuer basename is outside every validation clause, so each of
+    # these keys is distinct and valid.
+    for i in range(epid._ACCEPTED_GPKS_MAX + 3):
+        key = dataclasses.replace(desk_gpk, issuer_basename=b"bound-%d" % i)
+        assert epid.validate_gpk(key)
+        assert key in epid._ACCEPTED_GPKS
+    assert len(epid._ACCEPTED_GPKS) == epid._ACCEPTED_GPKS_MAX
+
+
+def test_issuer_crt_power_matches_builtin_pow(desk_group):
+    gpk, gipk = desk_group
+    N, order = gpk.N, gipk.qr_order
+    rng = random.Random(21)
+    exponents = [0, 1, -1, -rand_bits(rng, 600), order, order + 3,
+                 gipk.p_N - 1, N, rand_bits(rng, 2000)]
+    bases = [gpk.R, gpk.S, gpk.Z, N - 1]
+    while len(bases) < 12:
+        x = rand_bits(rng, gpk.profile.l_N) % N
+        if math.gcd(x, N) == 1:
+            bases.append(x)
+    for base in bases:
+        for exp in exponents:
+            assert gipk.pow_N(base, exp) == pow(base, exp, N), (base, exp)
+    for exp in (0, 1, 5, gipk.p_N - 1):
+        assert gipk.pow_N(gipk.p_N, exp) == pow(gipk.p_N, exp, N)
+    with pytest.raises(ValueError):
+        gipk.pow_N(gipk.q_N, -1)
 
 
 def test_gpk_doc_round_trip(desk_gpk):
@@ -193,6 +284,28 @@ def test_completeness_randomized(desk_group):
         nonce = rand_bits(rng, 128).to_bytes(16, "big")
         sig = epid.sign_membership(sk, gpk, msg, nonce, EMPTY, EMPTY, rng)
         assert epid.verify_membership(gpk, msg, nonce, sig, EMPTY, EMPTY)
+
+
+def test_signer_raises_each_revoked_base_to_f_once(desk_gpk, member_key,
+                                                  monkeypatch):
+    rng = random.Random(22)
+    entries = []
+    for _ in range(3):
+        B_i = random_subgroup_element(desk_gpk.p, desk_gpk.q, rng).value
+        entries.append((B_i, random_subgroup_element(desk_gpk.p, desk_gpk.q,
+                                                      rng).value))
+    rl = epid.RevocationList(entries=tuple(entries), epoch=1)
+    raised = []
+
+    def counting_pow(base, exp, mod=None):
+        if mod == desk_gpk.p and exp == member_key.f:
+            raised.append(base)
+        return builtins.pow(base, exp, mod)
+
+    monkeypatch.setattr(epid, "pow", counting_pow, raising=False)
+    sig = sign(member_key, desk_gpk, rng, sig_rl=rl)
+    assert sorted(raised) == sorted([B_i for B_i, _ in entries] + [sig.B])
+    assert verify(desk_gpk, sig, sig_rl=rl)
 
 
 def test_signature_doc_round_trip(desk_gpk, member_key):

@@ -183,6 +183,13 @@ def test_hash_to_subgroup_deterministic():
     assert pow(a.value, q, p) == 1 and a.value != 1
 
 
+def test_hash_to_subgroup_memo_equals_fresh_derivation(desk_gpk):
+    p, q = desk_gpk.p, desk_gpk.q
+    first = hash_to_subgroup(b"memo-check", p, q)
+    assert hash_to_subgroup(b"memo-check", p, q) is first
+    assert first == hash_to_subgroup.__wrapped__(b"memo-check", p, q)
+
+
 def test_hash_to_subgroup_distinct_basenames(desk_gpk):
     p, q = desk_gpk.p, desk_gpk.q
     values = {hash_to_subgroup(f"basename-{i}".encode(), p, q).value

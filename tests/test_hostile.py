@@ -3,14 +3,15 @@ ProtocolError (CLI exit code 1 or 2), never in a stray Python exception."""
 
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chainanchor import cli
+from chainanchor import cli, epid
 from chainanchor.errors import ProtocolError
-from chainanchor.groupmath import DESK, hash_to_subgroup
+from chainanchor.groupmath import DESK, hash_to_subgroup, rand_bits
 from chainanchor.serial import doc_bytes
 from chainanchor.world import World
 
@@ -185,3 +186,85 @@ def test_revoke_rejects_non_hex_argument(tmp_path, capsys):
     capsys.readouterr()
     code, err = _run(capsys, "revoke", "zz", "0x2", "--world", path)
     assert code == 1 and "zz" in err
+
+
+def test_world_file_without_verifier_group_key_is_corrupt(tmp_path, capsys):
+    path = str(tmp_path / "w.json")
+    assert cli.main(["setup", "g", "--seed", "7", "--world", path]) == 0
+    doc = json.loads(open(path).read())
+    doc["verifier"]["gpk"] = None
+    bad = tmp_path / "no-gpk.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, err = _run(capsys, "enroll", "x", "--world", str(bad))
+    assert code == 1 and "is corrupt" in err and "verifier.gpk" in err
+
+
+def test_profiles_file_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text("[]")
+    code, err = _run(capsys, "setup", "g", "--profiles-file", str(profiles),
+                     "--world", str(tmp_path / "w.json"))
+    assert code == 1 and "cannot load profiles" in err
+
+
+# ---------------------------------------------------------------------------
+# hostile join requests
+
+
+def _non_residue_join_request(gpk, nonce, rng):
+    """A join request whose U = -(R^f S^v') is not a quadratic residue mod N.
+
+    -1 is a non-residue modulo both safe-prime factors, so the proof of
+    knowledge only picks up a factor (-1)^c; regrinding the commitments
+    until the challenge c is even makes it verify without the factorization.
+    """
+    prof, N, p = gpk.profile, gpk.N, gpk.p
+    B_I = hash_to_subgroup(gpk.issuer_basename, p, gpk.q).value
+    f = rand_bits(rng, prof.l_f)
+    v = rand_bits(rng, prof.l_v)
+    U = N - pow(gpk.R, f, N) * pow(gpk.S, v, N) % N
+    K_I = pow(B_I, f, p)
+    while True:
+        r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
+        r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
+        t1 = pow(gpk.R, r_f, N) * pow(gpk.S, r_v, N) % N
+        c = epid._join_challenge(gpk, B_I, U, K_I, t1, pow(B_I, r_f, p),
+                                 nonce, prof.l_H)
+        if c % 2 == 0:
+            break
+    proof = epid.JoinProof(c=c, s_f=r_f + c * f, s_v=r_v + c * v)
+    return epid.JoinRequest(U=U, K_I=K_I, proof=proof, nonce_echo=nonce)
+
+
+def test_non_residue_join_request_is_protocol_error(desk_group):
+    gpk, gipk = desk_group
+    rng = random.Random(3)
+    for _ in range(4):
+        req = _non_residue_join_request(gpk, b"n", rng)
+        # Without the factorization the request looks well formed ...
+        assert epid.verify_join_request(gpk, req, b"n")
+        # ... but the issuer, which can tell residues apart, refuses it.
+        res = epid.verify_join_request(gpk, req, b"n", gipk)
+        assert not res and res.reason == "U not a quadratic residue"
+        with pytest.raises(ProtocolError, match="quadratic residue"):
+            epid.issue_credential(gpk, gipk, req, b"n", rng)
+
+
+class _CorruptOrder(epid.GroupIssuingPrivateKey):
+    """An issuing key whose group order is off: it inverts e wrongly."""
+
+    @property
+    def qr_order(self):
+        return super().qr_order + 2
+
+
+def test_issuer_withholds_credential_that_fails_its_self_check(desk_group):
+    # Releasing an A with A^e != Z / (U S^v'') could leak a factor of N
+    # through gcd(A^e - x, N), so the check must survive python -O.
+    gpk, gipk = desk_group
+    corrupt = _CorruptOrder(*dataclasses.astuple(gipk))
+    _, req = epid.join_request(gpk, gpk.issuer_basename, b"n",
+                               random.Random(5))
+    with pytest.raises(ProtocolError, match="self-check"):
+        epid.issue_credential(gpk, corrupt, req, b"n", random.Random(6))
