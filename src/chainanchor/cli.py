@@ -4,7 +4,8 @@ Every command reads and writes an explicit world file (no hidden state);
 with a fixed seed, repeated runs and reload-replay sequences produce
 byte-identical transcripts and state hashes.  Failed protocol steps still
 persist their side effects (burned challenges, consumed randomness): a
-rejected step is part of the simulated history.
+rejected step is part of the simulated history.  A proved PSK session is
+not burned; it stays open until a key is registered in it.
 
 Exit codes: 0 success, 1 usage, 2 protocol error, 3 invariant violation.
 """

@@ -160,7 +160,6 @@ class IssuerActor(Record):
     # identity -> identity public key
     accounts: dict[str, int] = field(default_factory=dict)
     groups: dict[str, IssuerGroup] = field(default_factory=dict)
-    actor_id: str = ISSUER_ID
 
 
 @dataclass
@@ -169,7 +168,6 @@ class VerifierActor(Record):
 
     identity_keypair: Optional[schnorr.SchnorrKeypair] = secret(default=None)
     pinned_issuer_key: Optional[int] = None
-    signing_group: Optional[schnorr.SigningGroup] = None
     gpk: Optional[epid.GroupPublicKey] = None
     permissions_db: Optional[PermissionsDatabase] = None
     sig_rl: epid.RevocationList = field(default_factory=epid.RevocationList)
@@ -184,7 +182,6 @@ class VerifierActor(Record):
     verified_pseudonyms: list[tuple[int, int, str]] = field(
         default_factory=list)
     domain: str = VERIFIER_DOMAIN
-    actor_id: str = VERIFIER_ID
 
 
 @dataclass
@@ -214,11 +211,11 @@ def make_user(identity: str, group: schnorr.SigningGroup, rng) -> UserActor:
 def wire_identity_keys(issuer: IssuerActor, verifier: VerifierActor,
                        group: schnorr.SigningGroup, rng):
     """Out-of-band provisioning of the long-term actor keys: the issuer and
-    verifier keypairs, plus the issuer key pinned at the verifier."""
+    verifier keypairs, plus the issuer key pinned at the verifier.  The
+    verifier checks the issuer's signatures in its own keypair's group."""
     issuer.identity_keypair = schnorr.generate_keypair(group, rng)
     verifier.identity_keypair = schnorr.generate_keypair(group, rng)
     verifier.pinned_issuer_key = issuer.identity_keypair.public
-    verifier.signing_group = group
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +231,7 @@ def pi_establish_group(issuer: IssuerActor, group_id: str,
 
 
 def pi_share_gpk(issuer: IssuerActor, verifier: VerifierActor, group_id: str,
-                 transcript: Transcript) -> dict:
+                 transcript: Transcript):
     """Signed delivery of the group public key to the verifier (Step 1)."""
     group = issuer.groups.get(group_id)
     if group is None:
@@ -244,10 +241,10 @@ def pi_share_gpk(issuer: IssuerActor, verifier: VerifierActor, group_id: str,
     env = transcript.send(Envelope(ISSUER_ID, VERIFIER_ID, "step-1",
                                    payload, signature))
 
-    if verifier.pinned_issuer_key is None or verifier.signing_group is None:
+    if verifier.pinned_issuer_key is None or verifier.identity_keypair is None:
         raise ProtocolError("verifier has no pinned issuer key")
     if env.signature is None or not schnorr.verify(
-            verifier.signing_group, verifier.pinned_issuer_key,
+            verifier.identity_keypair.group, verifier.pinned_issuer_key,
             env.payload, env.signature):
         raise ProtocolError("issuer signature on group key delivery invalid")
     delivered_id, gpk = unpack(_GPK_DELIVERY, env.payload)
@@ -256,7 +253,6 @@ def pi_share_gpk(issuer: IssuerActor, verifier: VerifierActor, group_id: str,
         raise ProtocolError(f"delivered group key invalid: {check.reason}")
     verifier.gpk = gpk
     verifier.permissions_db = PermissionsDatabase(group_id=delivered_id)
-    return {"group_id": delivered_id, "accepted": True}
 
 
 # ---------------------------------------------------------------------------

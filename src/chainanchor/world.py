@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
 
@@ -25,28 +24,16 @@ from .serial import JsonInt, decode, doc_bytes, doc_from_bytes, encode
 ISSUER_DOMAIN = "idp-issuer.com"
 OUTSIDER_DOMAIN = "external.example"
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _identity(name: str) -> str:
     return f"{name}@{ISSUER_DOMAIN}"
 
 
-@dataclass
-class Progress:
-    """How far one user got through the protocol steps."""
-
-    enrolled: bool = False
-    joined: bool = False
-    pending_sessions: list[str] = field(default_factory=list)
-    sessions: list[str] = field(default_factory=list)
-    registered_key_indexes: list[JsonInt] = field(default_factory=list)
-
-
 class World:
-    def __init__(self, group_id: str, profile: ParameterProfile, seed: int):
+    def __init__(self, group_id: str, seed: int):
         self.group_id = group_id
-        self.profile = profile
         self.seed = seed
         self.rng = DeterministicRng(seed)
         self.clock = LogicalClock()
@@ -57,7 +44,6 @@ class World:
         self.users: dict[str, roles.UserActor] = {}
         self.nodes: list[ledger.ConsensusNode] = []
         self.pool = None
-        self.progress: dict[str, Progress] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -65,7 +51,7 @@ class World:
     def create(cls, group_id: str, profile: ParameterProfile, seed: int) -> "World":
         """Steps 0-1: establish the group, wire actor keys, deliver the gpk,
         and stand up the default consensus nodes."""
-        world = cls(group_id, profile, seed)
+        world = cls(group_id, seed)
         gpk = roles.pi_establish_group(world.issuer, group_id, profile, world.rng)
         world.log("step 0", f"group {group_id} established "
                             f"(profile {profile.name}, N {profile.l_N} bits)")
@@ -82,6 +68,10 @@ class World:
 
     # -- bookkeeping --------------------------------------------------------
 
+    @property
+    def profile(self) -> ParameterProfile:
+        return self.verifier.gpk.profile
+
     def log(self, step: str, text: str):
         self.lines.append(f"[{step}] {text}")
 
@@ -94,17 +84,16 @@ class World:
             raise ProtocolError(f"unknown user {name!r}")
         return user
 
-    def _progress(self, name: str) -> Progress:
-        return self.progress.setdefault(name, Progress())
-
-    def _require(self, name: str, stage: str):
-        state = self._progress(name)
-        if stage in ("joined", "enrolled") and not state.enrolled:
+    def _member(self, name: str, joined: bool = True) -> roles.UserActor:
+        """User ``name``, who has enrolled and, if ``joined``, joined."""
+        user = self.users.get(name)
+        if user is None or self.group_id not in user.enrollments:
             raise ProtocolError(
                 f"step 2 (enroll) not completed for {name!r}")
-        if stage == "joined" and not state.joined:
+        if joined and not user.member_keys:
             raise ProtocolError(
                 f"steps 3-5 (join) not completed for {name!r}")
+        return user
 
     def db_view(self):
         return lambda pk: roles.pv_lookup(self.verifier, pk)
@@ -123,19 +112,16 @@ class World:
         self.users[name] = user
         roles.user_request_membership(user, self.issuer, self.group_id,
                                       self.transcript, self.rng)
-        self._progress(name).enrolled = True
         self.log("step 2", f"{name} authenticated to issuer and was approved; "
                            f"group key and join nonce delivered")
 
     def join(self, name: str):
         """Steps 3-5: blinded join; mints the member key and first
         transaction keypair."""
-        self._require(name, "enrolled")
-        user = self._user(name)
+        user = self._member(name, joined=False)
         self.clock.tick()
         index = roles.user_join_group(user, self.issuer, self.group_id,
                                       self.transcript, self.rng)
-        self._progress(name).joined = True
         self.log("step 3", f"{name} sent blinded commitment parameters")
         self.log("step 4", f"issuer returned member keying parameters")
         self.log("step 5", f"{name} holds member key #{index} and a fresh "
@@ -143,9 +129,9 @@ class World:
 
     def prove(self, name: str, member_index: int = 0) -> str:
         """Step 6: anonymous membership proof plus PSK agreement.  Returns
-        the session id and queues it for a later registration."""
-        self._require(name, "joined")
-        user = self._user(name)
+        the session id; the session stays open until a key is registered
+        in it."""
+        user = self._member(name)
         self.clock.tick()
         session_id, _, _ = roles.pv_challenge(self.verifier, self.rng, self.clock)
         self.log("step 6.2", f"verifier issued challenge session {session_id}")
@@ -160,9 +146,6 @@ class World:
                      self.verifier.sessions[session_id].psk)
         if not psk_match:
             raise InvariantViolation("PSK mismatch between user and verifier")
-        state = self._progress(name)
-        state.pending_sessions.append(session_id)
-        state.sessions.append(session_id)
         self.log("step 6.6", f"anonymous membership proof accepted for "
                              f"session {session_id}; pairwise key "
                              f"established")
@@ -170,27 +153,28 @@ class World:
 
     def register(self, name: str, key_index=None, with_identity: bool = False):
         """Step 6.7 (+ optional step 7): register a transaction key under the
-        PSK channel from the oldest unconsumed proof session."""
-        self._require(name, "joined")
-        user = self._user(name)
-        state = self._progress(name)
-        if not state.pending_sessions:
+        PSK channel from the oldest open proof session."""
+        user = self._member(name)
+        # Proof order is the verifier's: a saved world sorts sessions by id.
+        session_id = next((sid for _, _, sid in self.verifier.verified_pseudonyms
+                           if sid in user.psk_sessions
+                           and not user.psk_sessions[sid].registered_keys), None)
+        if session_id is None:
             raise ProtocolError(
                 f"step 6 (prove) not completed for {name!r}: no open session")
         self.clock.tick()
         if key_index is None:
-            registered = set(state.registered_key_indexes)
-            key_index = next((i for i in range(len(user.transaction_keys))
-                              if i not in registered), None)
+            registered = {key for session in user.psk_sessions.values()
+                          for key in session.registered_keys}
+            key_index = next((i for i, key in enumerate(user.transaction_keys)
+                              if key.public not in registered), None)
             if key_index is None:
                 user.transaction_keys.append(schnorr.generate_keypair(
                     roles.signing_group_of(self.verifier.gpk), self.rng))
                 key_index = len(user.transaction_keys) - 1
-        session_id = state.pending_sessions.pop(0)
         public_key, timestamp = roles.register_transaction_key(
             user, self.verifier, session_id, key_index,
             self.transcript, self.rng, self.clock)
-        state.registered_key_indexes.append(key_index)
         self.log("step 6.7", f"transaction key #{key_index} registered in "
                              f"permissions database at t={timestamp} "
                              f"(session {session_id})")
@@ -300,10 +284,8 @@ class World:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "World":
-        if type(doc) is not dict or doc.get("format") != FORMAT_VERSION:
-            raise ProtocolError("unsupported world file format")
-        state = decode(_DOC, doc)
-        world = cls(state["group_id"], state["profile"], state["seed"])
+        state = decode(_DOC, _upgrade(doc))
+        world = cls(state["group_id"], state["seed"])
         del state["format"]
         state["clock"] = LogicalClock(state["clock"])
         vars(world).update(state)
@@ -331,17 +313,35 @@ class World:
             return cls.from_doc(doc_from_bytes(fh.read()))
 
 
+def _upgrade(doc) -> dict:
+    """``doc`` in the current format.  Format 1 also stored the profile (in
+    the group key), per-user progress (derived from the user's own state),
+    the verifier's signing group (its keypair's group) and two actor ids."""
+    version = doc.get("format") if type(doc) is dict else None
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise ProtocolError("unsupported world file format")
+    if version == 1:
+        doc = {k: v for k, v in doc.items() if k not in ("profile", "progress")}
+        for actor, keys in (("issuer", ("actor_id",)),
+                            ("verifier", ("actor_id", "signing_group"))):
+            if type(doc.get(actor)) is dict:
+                doc[actor] = {k: v for k, v in doc[actor].items()
+                              if k not in keys}
+        doc["format"] = FORMAT_VERSION
+    return doc
+
+
 # The world file: every actor's full state, secrets included.
-_DOC = {"format": JsonInt, "group_id": str, "profile": ParameterProfile,
-        "seed": JsonInt, "rng": DeterministicRng, "clock": JsonInt,
+_DOC = {"format": JsonInt, "group_id": str, "seed": JsonInt,
+        "rng": DeterministicRng, "clock": JsonInt,
         "issuer": roles.IssuerActor, "verifier": roles.VerifierActor,
         "users": dict[str, roles.UserActor],
         "nodes": list[ledger.ConsensusNode],
         "pool": Optional[ledger.TransactionPool], "transcript": Transcript,
-        "lines": list[str], "progress": dict[str, Progress]}
+        "lines": list[str]}
 
 # State that World.create sets up before a world is first saved, and that
 # commands use without checking.
 _CREATED = ("issuer.identity_keypair", "verifier.identity_keypair",
-            "verifier.pinned_issuer_key", "verifier.signing_group",
-            "verifier.gpk", "verifier.permissions_db", "pool")
+            "verifier.pinned_issuer_key", "verifier.gpk",
+            "verifier.permissions_db", "pool")

@@ -87,6 +87,31 @@ def test_duplicate_registration_surfaces(ready_world, capsys):
     code, _, err = run(capsys, "register", "a", "--key-index", "0",
                        "--world", ready_world)
     assert code == 2 and "duplicate transaction key" in err
+    # the rejection leaves the proved session open for the next unused key
+    code, out, err = run(capsys, "register", "a", "--world", ready_world)
+    assert code == 0, err
+    assert "transaction key #1 registered" in out
+
+
+def test_rejected_register_keeps_session_open(ready_world, capsys):
+    for cmd in (("enroll", "alice"), ("join", "alice"), ("prove", "alice")):
+        assert run(capsys, *cmd, "--world", ready_world)[0] == 0
+    code, _, err = run(capsys, "register", "alice", "--key-index", "99",
+                       "--world", ready_world)
+    assert code == 2 and "no such transaction key" in err
+    code, _, err = run(capsys, "register", "alice", "--world", ready_world)
+    assert code == 0, err
+    world = World.load(ready_world)
+    assert roles.pv_lookup(world.verifier,
+                           world.users["alice"].transaction_keys[0].public)
+
+
+def test_rejected_unknown_user_leaves_world_file_unchanged(ready_world, capsys):
+    before = open(ready_world, "rb").read()
+    for cmd in (("join", "nobody"), ("prove", "ghost"), ("register", "ghost")):
+        code, _, err = run(capsys, *cmd, "--world", ready_world)
+        assert code == 2 and "step 2" in err
+        assert open(ready_world, "rb").read() == before, cmd
 
 
 def test_tx_mine_audit(ready_world, capsys):
@@ -234,6 +259,25 @@ def test_split_replay_matches_in_memory(tmp_path, capsys):
     world.tx("u", 0, b"ping")
     world.mine("node1")
     assert world.state_hash() == replayed.state_hash()
+
+
+def test_split_replay_registers_sessions_in_proof_order(tmp_path, capsys):
+    # two open sessions: a reload must not change which one registers first
+    path = str(tmp_path / "w.json")
+    steps = ["enroll", "join", "prove", "prove", "register", "register"]
+    assert run(capsys, "setup", "rep", "--seed", "3", "--world", path)[0] == 0
+    for step in steps:
+        assert run(capsys, step, "u", "--world", path)[0] == 0
+    replayed = World.load(path)
+
+    world = World.create("rep", DESK, 3)
+    for step in steps:
+        getattr(world, step)("u")
+    assert world.state_hash() == replayed.state_hash()
+    first, second = world.verifier.verified_pseudonyms
+    assert [world.verifier.sessions[sid].registered_keys
+            for _, _, sid in (first, second)] == [
+        [key.public] for key in world.users["u"].transaction_keys]
 
 
 def test_transcript_step_tags_in_protocol_order(ready_world, capsys):

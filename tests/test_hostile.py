@@ -4,6 +4,7 @@ ProtocolError (CLI exit code 1 or 2), never in a stray Python exception."""
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -198,6 +199,30 @@ def test_world_file_without_verifier_group_key_is_corrupt(tmp_path, capsys):
     capsys.readouterr()
     code, err = _run(capsys, "enroll", "x", "--world", str(bad))
     assert code == 1 and "is corrupt" in err and "verifier.gpk" in err
+
+
+@pytest.mark.parametrize("version", [True, 0, 3, "1"])
+def test_world_file_of_unknown_format_is_corrupt(tmp_path, capsys, version):
+    path = str(tmp_path / "w.json")
+    assert cli.main(["setup", "g", "--seed", "3", "--world", path]) == 0
+    doc = json.loads(open(path).read())
+    doc["format"] = version
+    bad = tmp_path / "bad-format.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, err = _run(capsys, "show", "--world", str(bad))
+    assert code == 1 and "unsupported world file format" in err
+
+
+def test_format_1_world_file_with_null_verifier_is_corrupt(tmp_path, capsys):
+    fixture = Path(__file__).parent / "data" / "world-v1-setup-seed7.json"
+    doc = json.loads(fixture.read_text())
+    doc["verifier"] = None
+    bad = tmp_path / "v1-null-verifier.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _run(capsys, "show", "--world", str(bad))
+    assert code == 1 and "is corrupt" in err and "verifier" in err
+    assert "Traceback" not in err
 
 
 def test_profiles_file_that_is_not_an_object_is_usage_error(tmp_path, capsys):
