@@ -13,8 +13,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
 from .errors import ProtocolError
 from .groupmath import canonical_encode, rand_bytes
 from .serial import Record, decode, encode, omit_if_none
@@ -37,11 +35,17 @@ def macs_equal(a: bytes, b: bytes) -> bool:
 
 def seal(key: bytes, plaintext: bytes, rng, aad: bytes = b"") -> bytes:
     """Authenticated encryption; framing is nonce || ciphertext+tag."""
+    # Imported here, not at the top: only the sealed steps need
+    # ``cryptography``, and importing it would slow every CLI start.
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
     nonce = rand_bytes(rng, AEAD_NONCE_LEN)
     return nonce + AESGCM(key).encrypt(nonce, plaintext, aad)
 
 
 def open_sealed(key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
     if len(blob) < AEAD_NONCE_LEN + 16:
         raise ProtocolError("sealed message too short")
     nonce, ct = blob[:AEAD_NONCE_LEN], blob[AEAD_NONCE_LEN:]

@@ -23,6 +23,7 @@ from .groupmath import (
     SubgroupElement,
     canonical_encode,
     fiat_shamir_challenge,
+    fixed_base_pow,
     gen_prime_in_range,
     gen_rsa_group,
     gen_schnorr_group,
@@ -33,6 +34,7 @@ from .groupmath import (
     rand_bits,
     rand_range,
     random_subgroup_element,
+    remember,
 )
 from .serial import JsonInt, Record
 
@@ -228,9 +230,7 @@ def validate_gpk(gpk: GroupPublicKey) -> Check:
         return OK
     check = _check_gpk(gpk)
     if check:
-        if len(_ACCEPTED_GPKS) >= _ACCEPTED_GPKS_MAX:
-            del _ACCEPTED_GPKS[next(iter(_ACCEPTED_GPKS))]
-        _ACCEPTED_GPKS[gpk] = None
+        remember(_ACCEPTED_GPKS, gpk, None, _ACCEPTED_GPKS_MAX)
     return check
 
 
@@ -327,12 +327,14 @@ def join_request(gpk: GroupPublicKey, issuer_basename: bytes,
     B_I = hash_to_subgroup(issuer_basename, gpk.p, gpk.q)
     f = rand_bits(rng, prof.l_f)
     v_prime = rand_bits(rng, prof.l_v)
-    U = pow(gpk.R, f, gpk.N) * pow(gpk.S, v_prime, gpk.N) % gpk.N
+    U = (fixed_base_pow(gpk.R, f, gpk.N)
+         * fixed_base_pow(gpk.S, v_prime, gpk.N) % gpk.N)
     K_I = pow(B_I.value, f, gpk.p)
 
     r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
     r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
-    t1 = pow(gpk.R, r_f, gpk.N) * pow(gpk.S, r_v, gpk.N) % gpk.N
+    t1 = (fixed_base_pow(gpk.R, r_f, gpk.N)
+          * fixed_base_pow(gpk.S, r_v, gpk.N) % gpk.N)
     t2 = pow(B_I.value, r_f, gpk.p)
     c = _join_challenge(gpk, B_I.value, U, K_I, t1, t2, issuer_nonce, prof.l_H)
     proof = JoinProof(c=c, s_f=r_f + c * f, s_v=r_v + c * v_prime)
@@ -364,9 +366,14 @@ def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
         return _fail("s_f interval")
     if not 0 <= pr.s_v < (1 << (prof.l_v + prof.l_phi + prof.l_H + 1)):
         return _fail("s_v interval")
-    pow_N = gipk.pow_N if gipk is not None else lambda b, x: pow(b, x, gpk.N)
+    N = gpk.N
+    if gipk is not None:
+        t1 = (gipk.pow_N(gpk.R, pr.s_f) * gipk.pow_N(gpk.S, pr.s_v)
+              * gipk.pow_N(req.U, -pr.c)) % N
+    else:
+        t1 = (fixed_base_pow(gpk.R, pr.s_f, N) * fixed_base_pow(gpk.S, pr.s_v, N)
+              * pow(req.U, -pr.c, N)) % N
     B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
-    t1 = pow_N(gpk.R, pr.s_f) * pow_N(gpk.S, pr.s_v) * pow_N(req.U, -pr.c) % gpk.N
     t2 = pow(B_I.value, pr.s_f, gpk.p) * pow(req.K_I, -pr.c, gpk.p) % gpk.p
     if _join_challenge(gpk, B_I.value, req.U, req.K_I, t1, t2,
                        issuer_nonce, prof.l_H) != pr.c:
@@ -418,9 +425,25 @@ class UserMemberPrivateKey:
 
 
 def key_relation_holds(gpk: GroupPublicKey, key: UserMemberPrivateKey) -> bool:
-    lhs = (pow(key.A, key.e, gpk.N) * pow(gpk.R, key.f, gpk.N)
-           * pow(gpk.S, key.v, gpk.N)) % gpk.N
+    lhs = (pow(key.A, key.e, gpk.N) * fixed_base_pow(gpk.R, key.f, gpk.N)
+           * fixed_base_pow(gpk.S, key.v, gpk.N)) % gpk.N
     return lhs == gpk.Z
+
+
+# (member key, group key) pairs whose relation this process has checked and
+# found to hold, oldest first.  A rejected pair is never recorded.
+_ACCEPTED_MEMBER_KEYS: dict[tuple[UserMemberPrivateKey, GroupPublicKey], None] = {}
+_ACCEPTED_MEMBER_KEYS_MAX = 16
+
+
+def _member_key_matches(gpk: GroupPublicKey, key: UserMemberPrivateKey) -> bool:
+    """``key_relation_holds``, run once per equal (key, gpk) pair."""
+    if (key, gpk) in _ACCEPTED_MEMBER_KEYS:
+        return True
+    if not key_relation_holds(gpk, key):
+        return False
+    remember(_ACCEPTED_MEMBER_KEYS, (key, gpk), None, _ACCEPTED_MEMBER_KEYS_MAX)
+    return True
 
 
 def complete_join(state: JoinState, resp: CredentialResponse,
@@ -431,7 +454,7 @@ def complete_join(state: JoinState, resp: CredentialResponse,
     key = UserMemberPrivateKey(A=resp.A, e=resp.e, f=state.f, v=v)
     if not (lo <= resp.e <= hi and is_probable_prime(resp.e)):
         raise CredentialError()
-    if not 1 <= resp.A < gpk.N or not key_relation_holds(gpk, key):
+    if not 1 <= resp.A < gpk.N or not _member_key_matches(gpk, key):
         raise CredentialError()
     return key
 
@@ -567,7 +590,7 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     base derives B from the verifier's basename, making K a stable pseudonym.
     Raises RevokedKeyError if the signer's pseudonym appears on either list.
     """
-    if not key_relation_holds(gpk, sk):
+    if not _member_key_matches(gpk, sk):
         raise ProtocolError("member key does not match group public key")
     prof = gpk.profile
     p, q, N = gpk.p, gpk.q, gpk.N
@@ -589,13 +612,14 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     K = pow(B, sk.f, p)
 
     w = rand_bits(rng, _blinding_width(prof))
-    T = sk.A * pow(gpk.S, w, N) % N
+    T = sk.A * fixed_base_pow(gpk.S, w, N) % N
     v_hat = sk.v - sk.e * w
 
     r_e = rand_bits(rng, prof.l_e_prime + prof.l_phi + prof.l_H)
     r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
     r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
-    t1 = (pow(T, r_e, N) * pow(gpk.R, r_f, N) * pow(gpk.S, r_v, N)) % N
+    t1 = (pow(T, r_e, N) * fixed_base_pow(gpk.R, r_f, N)
+          * fixed_base_pow(gpk.S, r_v, N)) % N
     t2 = pow(B, r_f, p)
     c = _sigma1_challenge(gpk, B, K, T, t1, t2, sig_rl.epoch, issuer_rl.epoch,
                           nonce_pv, message)
@@ -651,9 +675,10 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
         return _fail("s_v interval")
 
     try:
-        t1 = (pow(gpk.Z, -sig.c, N)
+        t1 = (fixed_base_pow(gpk.Z, -sig.c, N)
               * pow(sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), N)
-              * pow(gpk.R, sig.s_f, N) * pow(gpk.S, sig.s_v, N)) % N
+              * fixed_base_pow(gpk.R, sig.s_f, N)
+              * fixed_base_pow(gpk.S, sig.s_v, N)) % N
         t2 = pow(sig.B, sig.s_f, p) * pow(sig.K, -sig.c, p) % p
     except ValueError:
         return _fail("sigma1")

@@ -175,6 +175,70 @@ def load_profiles(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# fixed-base exponentiation
+
+def remember(record: dict, key, value, cap: int) -> None:
+    """Store ``key`` in a bounded per-process record, evicting the oldest."""
+    record.pop(key, None)
+    if len(record) >= cap:
+        del record[next(iter(record))]
+    record[key] = value
+
+
+# Lim-Lee comb (CRYPTO 1994) with h = 8 rows: the exponent is cut into 8
+# rows of ``cols`` bits, and entry i of the table is the product of
+# base^(2^(j*cols)) over the set bits j of i.  A power then costs ``cols``
+# squarings and at most ``cols`` multiplications instead of one squaring per
+# exponent bit.  Tables are built from ``*`` and ``%`` alone.
+_COMB_ROWS = 8
+# (base, mod) -> (cols, table), oldest first; one 2048-bit table is ~79 KB.
+_COMB_TABLES: dict[tuple[int, int], tuple[int, list[int]]] = {}
+_COMB_TABLES_MAX = 8
+
+
+def _comb_table(base: int, mod: int, cols: int) -> list[int]:
+    table = [1 % mod]
+    row = base % mod
+    for j in range(_COMB_ROWS):
+        for _ in range(cols if j else 0):
+            row = row * row % mod
+        table += [t * row % mod for t in table]
+    return table
+
+
+def fixed_base_pow(base: int, exp: int, mod: int) -> int:
+    """``pow(base, exp, mod)`` for a base that recurs, by a cached comb.
+
+    The table for (base, mod) is built on first use and rebuilt wider when
+    a longer exponent arrives.  A negative exponent inverts the result with
+    builtin ``pow``, which raises the same ``ValueError`` for a base that
+    has no inverse.  The result always equals ``pow``'s; like ``pow``, the
+    running time depends on the exponent.
+    """
+    if exp < 0:
+        return pow(fixed_base_pow(base, -exp, mod), -1, mod)
+    if exp == 0:
+        return 1 % mod
+    entry = _COMB_TABLES.get((base, mod))
+    if entry is None or entry[0] * _COMB_ROWS < exp.bit_length():
+        cols = -(-exp.bit_length() // _COMB_ROWS)
+        entry = (cols, _comb_table(base, mod, cols))
+        remember(_COMB_TABLES, (base, mod), entry, _COMB_TABLES_MAX)
+    cols, table = entry
+    # Row j of the exponent, most significant row first, as a bit string;
+    # reading the rows column by column gives each column's table index.
+    rows = [format(exp >> (j * cols) & ((1 << cols) - 1), f"0{cols}b")
+            for j in reversed(range(_COMB_ROWS))]
+    acc = 1
+    for column in zip(*rows):
+        acc = acc * acc % mod
+        index = int("".join(column), 2)
+        if index:
+            acc = acc * table[index] % mod
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # primality
 
 def _sieve(limit):

@@ -245,18 +245,29 @@ class World:
         return block
 
     def audit(self, block_hash: str) -> ledger.ValidatorReport:
-        """Validator-side re-check of one block against the database."""
+        """Validator-side re-check of one block against the database.
+
+        ``block_hash`` may be a prefix, but it must name exactly one block.
+        """
+        if not block_hash:
+            raise ProtocolError("empty block hash")
+        found = {}
         for node in self.nodes:
             for block in node.chain:
                 if block.block_hash.startswith(block_hash):
-                    report = ledger.validator_audit(self.db_view(), block)
-                    ids = ",".join(txid[:12] for txid, _ in report.violations)
-                    self.log("audit", f"block {block.block_hash[:12]} on "
-                                      f"{node.node_id}: "
-                                      f"{len(report.violations)} violations"
-                                      + (f" ({ids})" if ids else ""))
-                    return report
-        raise ProtocolError(f"unknown block {block_hash!r}")
+                    found.setdefault(block.block_hash, (node, block))
+        if not found:
+            raise ProtocolError(f"unknown block {block_hash!r}")
+        if len(found) > 1:
+            raise ProtocolError(f"block hash prefix {block_hash!r} is ambiguous: "
+                                f"{len(found)} blocks match")
+        (node, block), = found.values()
+        report = ledger.validator_audit(self.db_view(), block)
+        ids = ",".join(txid[:12] for txid, _ in report.violations)
+        self.log("audit", f"block {block.block_hash[:12]} on {node.node_id}: "
+                          f"{len(report.violations)} violations"
+                          + (f" ({ids})" if ids else ""))
+        return report
 
     def revoke(self, B: int, K: int, which: str = "sig"):
         before = (self.verifier.sig_rl.epoch, self.verifier.issuer_rl.epoch)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -135,6 +138,42 @@ def test_tx_mine_audit(ready_world, capsys):
     assert code == 2 and "unknown node" in err
     code, _, err = run(capsys, "audit", "ffff", "--world", ready_world)
     assert code == 2 and "unknown block" in err
+
+
+def test_audit_rejects_empty_or_ambiguous_prefix(ready_world, capsys):
+    world = World.load(ready_world)
+    world.add_outsider("mallory")
+    world.add_node("nodeD", dishonest=True)
+    # 17 blocks: two of them must share a first hex digit
+    for i in range(17):
+        world.tx("mallory", 0, b"tx %d" % i)
+        world.mine("nodeD")
+    world.save(ready_world)
+    hashes = [block.block_hash for block in world.nodes[-1].chain]
+    first, second = next((a, b) for i, a in enumerate(hashes)
+                         for b in hashes[i + 1:] if a[0] == b[0])
+    shared = first[:next(i for i, (x, y) in enumerate(zip(first, second))
+                         if x != y)]
+
+    before = open(ready_world, "rb").read()
+    code, out, err = run(capsys, "audit", "", "--world", ready_world)
+    assert code == 2 and "empty block hash" in err and "violations" not in out
+    code, out, err = run(capsys, "audit", shared, "--world", ready_world)
+    assert code == 2 and "ambiguous" in err and "violations" not in out
+    assert open(ready_world, "rb").read() == before
+    for prefix in (first, second[:len(shared) + 1]):
+        code, out, _ = run(capsys, "audit", prefix, "--world", ready_world)
+        assert code == 0 and "1 violations" in out
+
+
+def test_cli_import_leaves_out_cryptography():
+    # AES-GCM is imported by the sealed steps that use it, not at start-up.
+    code = ("import sys, chainanchor.cli; "
+            "sys.exit('cryptography' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_export_prints_chain_and_drops(ready_world, capsys):

@@ -387,6 +387,63 @@ def test_sign_rejects_mismatched_key(desk_gpk, member_key):
         sign(wrong, desk_gpk, random.Random(26))
 
 
+def _spy_key_relation(monkeypatch):
+    """Count the member-key relation checks run from now on."""
+    runs = []
+    holds = epid.key_relation_holds
+
+    def spy(gpk, key):
+        runs.append(key)
+        return holds(gpk, key)
+
+    monkeypatch.setattr(epid, "key_relation_holds", spy)
+    return runs
+
+
+def test_sign_checks_an_equal_member_key_once(desk_gpk, member_key,
+                                              monkeypatch):
+    rng = random.Random(29)
+    assert verify(desk_gpk, sign(member_key, desk_gpk, rng))
+    runs = _spy_key_relation(monkeypatch)
+    copy = dataclasses.replace(member_key)
+    assert copy is not member_key
+    assert verify(desk_gpk, sign(copy, desk_gpk, rng))
+    assert runs == []
+
+
+@pytest.mark.parametrize("field", ["A", "e", "f", "v"])
+def test_sign_rejects_a_member_key_changed_in_one_field(desk_gpk, member_key,
+                                                        field, monkeypatch):
+    sign(member_key, desk_gpk, random.Random(30))      # the pair is recorded
+    runs = _spy_key_relation(monkeypatch)
+    wrong = dataclasses.replace(member_key,
+                                **{field: getattr(member_key, field) + 1})
+    for _ in range(2):
+        with pytest.raises(ProtocolError,
+                           match="member key does not match group public key"):
+            sign(wrong, desk_gpk, random.Random(31))
+    assert runs == [wrong, wrong]
+    assert (wrong, desk_gpk) not in epid._ACCEPTED_MEMBER_KEYS
+
+
+def test_member_key_record_stays_bounded(desk_group):
+    gpk, gipk = desk_group
+    rng = random.Random(32)
+    for _ in range(epid._ACCEPTED_MEMBER_KEYS_MAX + 2):
+        key = make_member(gpk, gipk, rng)
+        assert (key, gpk) in epid._ACCEPTED_MEMBER_KEYS
+        assert len(epid._ACCEPTED_MEMBER_KEYS) <= epid._ACCEPTED_MEMBER_KEYS_MAX
+    assert len(epid._ACCEPTED_MEMBER_KEYS) == epid._ACCEPTED_MEMBER_KEYS_MAX
+
+
+def test_verify_answers_sigma1_for_a_non_invertible_Z(desk_group, member_key):
+    gpk, gipk = desk_group
+    sig = sign(member_key, gpk, random.Random(33))
+    bad = dataclasses.replace(gpk, Z=gipk.p_N)
+    res = verify(bad, sig)
+    assert not res and res.reason == "sigma1"
+
+
 def test_blinding_hides_secret_distribution(desk_gpk):
     # U = R^f S^v' over fresh v' should look the same for two different f:
     # compare mean bit frequency of the commitment bytes.

@@ -13,6 +13,7 @@ from chainanchor.groupmath import (
     SubgroupElement,
     canonical_encode,
     fiat_shamir_challenge,
+    fixed_base_pow,
     gen_prime_in_range,
     gen_rsa_group,
     gen_safe_prime,
@@ -283,3 +284,92 @@ def test_load_profiles_from_file(tmp_path):
     profiles = load_profiles(path)
     assert profiles["custom"].l_N == TINY.l_N
     assert profiles["custom"].name == "custom"
+
+
+# ---------------------------------------------------------------------------
+# fixed-base exponentiation: every answer must be builtin pow's
+
+def _pow_outcome(fn, base, exp, mod):
+    try:
+        return fn(base, exp, mod)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_fixed_base_pow_matches_pow_on_group_bases(desk_group):
+    gpk, gipk = desk_group
+    N, order = gpk.N, gipk.qr_order
+    rng = random.Random(40)
+    exps = [0, 1, 2, -1, -2, order, order + 1, 2 * order - 1, -order,
+            rng.getrandbits(DESK.l_v), -rng.getrandbits(DESK.l_v + 80),
+            rng.getrandbits(DESK.l_f), rng.getrandbits(DESK.l_H)]
+    for base in (gpk.R, gpk.S, gpk.Z):
+        for exp in exps:
+            assert fixed_base_pow(base, exp, N) == pow(base, exp, N), exp
+
+
+def test_fixed_base_pow_grows_for_a_longer_exponent(desk_gpk):
+    N = desk_gpk.N
+    base = desk_gpk.S
+    assert fixed_base_pow(base, 12345, N) == pow(base, 12345, N)
+    widest = max(cols for cols, _ in groupmath._COMB_TABLES.values())
+    longest = groupmath._COMB_ROWS * widest
+    exp = random.Random(41).getrandbits(longest + 8) | 1 << (longest + 8)
+    assert fixed_base_pow(base, exp, N) == pow(base, exp, N)
+    cols, _ = groupmath._COMB_TABLES[(base, N)]
+    assert cols * groupmath._COMB_ROWS >= exp.bit_length() > longest
+    # a shorter exponent keeps the wider table
+    assert fixed_base_pow(base, 7, N) == pow(base, 7, N)
+    assert groupmath._COMB_TABLES[(base, N)][0] == cols
+
+
+def test_fixed_base_pow_odd_bases(desk_group):
+    gpk, gipk = desk_group
+    N = gpk.N
+    for base in (0, N, N + gpk.R, 3 * N + 1, gipk.p_N, gipk.q_N * 5):
+        for exp in (0, 1, 5, 2 ** 200 + 3, -1, -7):
+            assert (_pow_outcome(fixed_base_pow, base, exp, N)
+                    == _pow_outcome(pow, base, exp, N)), (base, exp)
+    # a base with no inverse raises pow's own error
+    with pytest.raises(ValueError) as mine:
+        fixed_base_pow(gipk.p_N, -3, N)
+    with pytest.raises(ValueError) as builtin:
+        pow(gipk.p_N, -3, N)
+    assert str(mine.value) == str(builtin.value)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 80),
+       st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+       st.integers(min_value=1, max_value=2 ** 64))
+def test_fixed_base_pow_equals_pow(base, exp, mod):
+    assert (_pow_outcome(fixed_base_pow, base, exp, mod)
+            == _pow_outcome(pow, base, exp, mod))
+
+
+def test_fixed_base_pow_record_stays_bounded():
+    mod = (1 << 127) - 1
+    for base in range(2, groupmath._COMB_TABLES_MAX + 5):
+        assert fixed_base_pow(base, mod - 2, mod) == pow(base, mod - 2, mod)
+        assert (base, mod) in groupmath._COMB_TABLES
+        assert len(groupmath._COMB_TABLES) <= groupmath._COMB_TABLES_MAX
+    assert len(groupmath._COMB_TABLES) == groupmath._COMB_TABLES_MAX
+
+
+def test_fixed_base_pow_builds_tables_without_pow(monkeypatch):
+    # The benchmark's census counts calls to pow; a table must cost none,
+    # so the census reads the same whether the table is cold or warm.
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(groupmath, "pow", counting_pow, raising=False)
+    mod = (1 << 521) - 1
+    base = 0xC0FFEE
+    groupmath._COMB_TABLES.pop((base, mod), None)
+    for _ in range(2):                           # cold, then warm
+        assert fixed_base_pow(base, 3 ** 300, mod) == pow(base, 3 ** 300, mod)
+        assert calls == []
+    fixed_base_pow(base, -5, mod)
+    assert len(calls) == 1                       # the inversion only
