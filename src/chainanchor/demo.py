@@ -97,7 +97,7 @@ def _check_invariants(world: World, block_honest, report,
         failures.append("validator report does not list exactly the "
                         "violating transaction")
 
-    registered = {pk for pk, _ in world.verifier.permissions_db.entries}
+    registered = world.verifier.permissions_db.entries.keys()
     if len(registered) != 5:
         failures.append("permissions database should hold 5 registered keys")
 

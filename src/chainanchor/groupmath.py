@@ -241,6 +241,7 @@ def fixed_base_pow(base: int, exp: int, mod: int) -> int:
 # ---------------------------------------------------------------------------
 # primality
 
+@functools.cache
 def _sieve(limit):
     flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"
@@ -252,8 +253,9 @@ def _sieve(limit):
 
 _SMALL_PRIMES = _sieve(4096)
 # Wider sieve for safe-prime search at deployment sizes, where every saved
-# Miller-Rabin call on a ~1024-bit candidate is worth it.
-_SIEVE_PRIMES_WIDE = _sieve(1 << 16)
+# Miller-Rabin call on a ~1024-bit candidate is worth it.  Built on the first
+# such search, not at import: most processes never run one.
+_WIDE_SIEVE_LIMIT = 1 << 16
 
 
 def _mr_witnesses(n: int):
@@ -318,7 +320,7 @@ def gen_prime_in_range(lo: int, hi: int, rng, max_attempts: int = 100000) -> int
 def _safe_prime_interval(q0: int, bits: int, span: int):
     """Indices i where neither q0+2i nor 2(q0+2i)+1 has a small factor."""
     ok = bytearray([1]) * span
-    sieve = _SIEVE_PRIMES_WIDE if bits >= 512 else _SMALL_PRIMES
+    sieve = _sieve(_WIDE_SIEVE_LIMIT) if bits >= 512 else _SMALL_PRIMES
     for sp in sieve[1:]:
         inv2 = (sp + 1) // 2
         # q0 + 2i ≡ 0 (mod sp)

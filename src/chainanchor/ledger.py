@@ -21,6 +21,7 @@ from .serial import JsonInt, Record, decode, encode
 GENESIS_HASH = "0" * 64
 
 NOT_A_MEMBER = "not-a-member"
+REPLAY = "replay"
 
 
 @dataclass(frozen=True)
@@ -126,13 +127,18 @@ def make_block(height, prev_hash, transactions, proposer_id) -> Block:
 @dataclass
 class ConsensusNode(Record):
     """One miner; ``dishonest`` (test fixture flag) skips the membership
-    filter to exercise validator auditing."""
+    and replay filters to exercise validator auditing."""
 
     node_id: str
     chain: list[Block] = field(default_factory=list)
     dishonest: bool = False
     # (txid, reason)
     drop_log: list[tuple[str, str]] = field(default_factory=list)
+
+    def __post_init__(self):
+        # Txids on the chain: derived from it, never stored.
+        self.mined = {tx.txid for block in self.chain
+                      for tx in block.transactions}
 
     def tip_hash(self) -> str:
         return self.chain[-1].block_hash if self.chain else GENESIS_HASH
@@ -147,9 +153,9 @@ def node_check_membership(db_view, tx: Transaction) -> bool:
 def node_process(node: ConsensusNode, pool: TransactionPool, db_view, clock):
     """Drain the pool into a new block on the node's chain.
 
-    An honest node includes member transactions and drop-logs the rest with
-    a reason; a dishonest node includes everything.  Returns the new block,
-    or None when nothing was includable.
+    An honest node includes member transactions not yet on its chain and
+    drop-logs the rest with a reason; a dishonest node includes everything.
+    Returns the new block, or None when nothing was includable.
     """
     fetched = list(pool.pending.values())
     if not fetched:
@@ -157,7 +163,11 @@ def node_process(node: ConsensusNode, pool: TransactionPool, db_view, clock):
     pool.pending.clear()
     included = []
     for tx in fetched:
-        if node.dishonest or node_check_membership(db_view, tx):
+        if node.dishonest:
+            included.append(tx)
+        elif tx.txid in node.mined:
+            node.drop_log.append((tx.txid, REPLAY))
+        elif node_check_membership(db_view, tx):
             included.append(tx)
         else:
             node.drop_log.append((tx.txid, NOT_A_MEMBER))
@@ -166,6 +176,7 @@ def node_process(node: ConsensusNode, pool: TransactionPool, db_view, clock):
         return None
     block = make_block(len(node.chain), node.tip_hash(), included, node.node_id)
     node.chain.append(block)
+    node.mined.update(tx.txid for tx in included)
     return block
 
 

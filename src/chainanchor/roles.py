@@ -84,20 +84,20 @@ _DISCLOSURE = {"disclosed_key": int, "identity": Optional[str]}
 # state records
 
 @dataclass
-class PermissionsDatabase:
+class PermissionsDatabase(Record):
     """Registered transaction public keys and timestamps; nothing else."""
 
     group_id: str
-    # (public key, timestamp)
-    entries: list[tuple[int, JsonInt]] = field(default_factory=list)
+    # public key -> timestamp, in registration order
+    entries: dict[int, JsonInt] = field(default_factory=dict)
 
     def contains(self, public_key: int) -> bool:
-        return any(pk == public_key for pk, _ in self.entries)
+        return public_key in self.entries
 
     def add(self, public_key: int, timestamp: int):
         if self.contains(public_key):
             raise ProtocolError("duplicate transaction key")
-        self.entries.append((public_key, timestamp))
+        self.entries[public_key] = timestamp
 
 
 @dataclass

@@ -5,6 +5,8 @@ Used for everything that is *not* a membership proof: actor identity keys,
 self-generated transaction keys, and disclosure statements.  Nonces are
 derived from the secret key and message, so signing is deterministic and the
 simulation stays replayable without consuming the world randomness stream.
+Powers of the fixed generator ``u`` run on a cached comb; powers of a
+public key stay builtin ``pow``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from .groupmath import (
     canonical_encode,
     fiat_shamir_challenge,
+    fixed_base_pow,
     hash_expand,
     int_to_bytes,
     bytes_to_int,
@@ -44,7 +47,8 @@ class SchnorrKeypair(Record):
 
 def generate_keypair(group: SigningGroup, rng) -> SchnorrKeypair:
     secret = rand_range(rng, 1, group.q)
-    return SchnorrKeypair(group, pow(group.u, secret, group.p), secret)
+    return SchnorrKeypair(group, fixed_base_pow(group.u, secret, group.p),
+                          secret)
 
 
 def sign(keypair: SchnorrKeypair, message: bytes):
@@ -53,7 +57,7 @@ def sign(keypair: SchnorrKeypair, message: bytes):
     nonce_seed = canonical_encode(
         [b"schnorr-nonce", int_to_bytes(keypair.secret), message])
     r = 1 + bytes_to_int(hash_expand(nonce_seed, (g.q.bit_length() + 128) // 8)) % (g.q - 1)
-    t = pow(g.u, r, g.p)
+    t = fixed_base_pow(g.u, r, g.p)
     c = _challenge(g, keypair.public, t, message)
     s = (r + c * keypair.secret) % g.q
     return (c, s)
@@ -66,7 +70,8 @@ def verify(group: SigningGroup, public: int, message: bytes, signature) -> bool:
     if pow(public, group.q, group.p) != 1:
         return False
     try:
-        t = pow(group.u, s, group.p) * pow(public, -c, group.p) % group.p
+        t = (fixed_base_pow(group.u, s, group.p) * pow(public, -c, group.p)
+             % group.p)
     except ValueError:
         return False
     return _challenge(group, public, t, message) == c

@@ -5,9 +5,11 @@ Dataclass field annotations, or a shape (a dict of field name -> type),
 drive it: an ``int`` is ``hex(n)`` (``-0x...`` when negative) and a
 :data:`JsonInt` a JSON int; ``bytes`` are hex; a dataclass or shape is an
 object; ``Optional`` is ``null`` when unset; ``list``/``tuple`` are arrays, a
-``set`` a sorted array, ``dict[str, T]`` an object; a non-dataclass class
-codes itself with ``to_doc``/``from_doc``.  Decoding checks every field, and
-a missing, unexpected or malformed one raises a ProtocolError naming it.
+``set`` a sorted array, ``dict[str, T]`` an object and any other dict an
+array of ``[key, value]`` pairs in insertion order, whose decoding refuses a
+repeated key; a non-dataclass class codes itself with ``to_doc``/``from_doc``.
+Decoding checks every field, and a missing, unexpected or malformed one
+raises a ProtocolError naming it.
 ``doc_bytes`` fixes key order and spacing, so equal documents are equal
 bytes (state hashes, envelope payloads, golden transcripts).
 """
@@ -125,6 +127,19 @@ def _build(tp, secrets):
         enc, dec = _codec(args[1], secrets)
         return (lambda v: {k: enc(x) for k, x in v.items()},
                 _checked(dict, lambda d: {k: dec(x) for k, x in d.items()}))
+    if origin is dict:
+        enc, dec = _codec(tuple[args], secrets)
+
+        def decode_pairs(doc):
+            # Pair by pair, so a large map never has a second copy.
+            value = {}
+            for key, item in map(dec, doc):
+                if key in value:
+                    raise _Malformed("duplicate key")
+                value[key] = item
+            return value
+        return (lambda v: list(map(enc, v.items())),
+                _checked(list, decode_pairs))
     if origin is tuple and args[-1] is not Ellipsis:
         encs, decs = zip(*(_codec(t, secrets) for t in args))
         what = f"an array of {len(args)}"

@@ -86,7 +86,7 @@ def test_criterion_03_one_key_verifies_many(accept_group):
     state = doc_bytes(stage.verifier.to_doc(secrets=True)).decode()
     for user in users:
         assert user.internet_identity not in state
-    rows = stage.verifier.permissions_db.entries
+    rows = list(stage.verifier.permissions_db.entries.items())
     assert len(rows) == 5 and all(len(row) == 2 for row in rows)
 
 
@@ -287,7 +287,7 @@ def test_criterion_08_identity_separation():
     assert len(enrolled) == 3
     for user in enrolled:
         assert user.internet_identity.encode() not in verifier_bytes
-    registered = {pk for pk, _ in world.verifier.permissions_db.entries}
+    registered = {pk for pk, _ in world.verifier.permissions_db.entries.items()}
     assert len(registered) == 5
     for pk in registered:
         assert int_to_bytes(pk) not in issuer_bytes

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
@@ -106,6 +109,26 @@ def test_safe_prime_search_outlasts_64_empty_windows(monkeypatch):
     p = gen_safe_prime(256, random.Random(3))
     assert len(calls) > 64 and p.bit_length() == 256
     assert sympy.isprime(p) and sympy.isprime((p - 1) // 2)
+
+
+def test_wide_sieve_is_built_by_the_first_wide_search():
+    # Importing the module sieves only below 4096; the primes below 65536
+    # are sieved when a search of 512 bits or more first needs them.
+    code = ("from chainanchor import groupmath as g\n"
+            "sizes = [g._sieve.cache_info().currsize]\n"
+            "g._safe_prime_interval(2 ** 255 + 1, 256, 64)\n"
+            "sizes.append(g._sieve.cache_info().currsize)\n"
+            "g._safe_prime_interval(2 ** 511 + 1, 512, 64)\n"
+            "sizes.append(g._sieve.cache_info().currsize)\n"
+            "print(*sizes)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1", "1", "2"]
+    wide = groupmath._sieve(groupmath._WIDE_SIEVE_LIMIT)
+    assert wide == list(sympy.primerange(groupmath._WIDE_SIEVE_LIMIT))
 
 
 def test_challenge_length_bounds():

@@ -201,6 +201,25 @@ def test_world_file_without_verifier_group_key_is_corrupt(tmp_path, capsys):
     assert code == 1 and "is corrupt" in err and "verifier.gpk" in err
 
 
+
+def test_world_file_listing_a_key_twice_is_corrupt(tmp_path, capsys):
+    path = str(tmp_path / "w.json")
+    for cmd in (("setup", "g", "--seed", "7"), ("enroll", "a"), ("join", "a"),
+                ("prove", "a"), ("register", "a")):
+        assert cli.main([*cmd, "--world", path]) == 0
+    doc = json.loads(open(path).read())
+    rows = doc["verifier"]["permissions_db"]["entries"]
+    assert len(rows) == 1
+    rows.append([rows[0][0], rows[0][1] + 1])
+    with pytest.raises(ProtocolError, match="entries: duplicate key"):
+        World.from_doc(doc)
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, err = _run(capsys, "show", "--world", str(bad))
+    assert code == 1 and "is corrupt" in err
+    assert "verifier.permissions_db.entries" in err
+
 @pytest.mark.parametrize("version", [True, 0, 3, "1"])
 def test_world_file_of_unknown_format_is_corrupt(tmp_path, capsys, version):
     path = str(tmp_path / "w.json")

@@ -5,6 +5,8 @@ import pytest
 from chainanchor import ledger, schnorr
 from chainanchor.channels import LogicalClock
 from chainanchor.errors import ProtocolError
+from chainanchor.groupmath import DESK
+from chainanchor.world import World
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +217,49 @@ def test_node_doc_round_trip(group, env):
     again = ledger.ConsensusNode.from_doc(node.to_doc())
     assert again.to_doc() == node.to_doc()
     assert again.chain == node.chain
+
+
+def test_honest_node_drops_replay(group, env):
+    _, clock, members, _, db_view = env
+    pool, txs = _fill_pool(group, clock, members, "once")
+    honest = ledger.ConsensusNode("n0")
+    cheater = ledger.ConsensusNode("c0", dishonest=True)
+    assert ledger.node_process(honest, pool, db_view, clock) is not None
+    for tx in txs:
+        assert ledger.submit(pool, tx)      # the pool does not know chains
+    assert ledger.node_process(honest, pool, db_view, clock) is None
+    assert len(honest.chain) == 1
+    assert honest.drop_log == [(tx.txid, ledger.REPLAY) for tx in txs]
+
+    # the index is derived from the chain: a reloaded node keeps it, and
+    # the node's document holds nothing beyond its fields
+    doc = honest.to_doc()
+    assert doc.keys() == {"node_id", "chain", "dishonest", "drop_log"}
+    again = ledger.ConsensusNode.from_doc(doc)
+    ledger.submit(pool, txs[0])
+    assert ledger.node_process(again, pool, db_view, clock) is None
+    assert again.drop_log[-1] == (txs[0].txid, ledger.REPLAY)
+
+    # the dishonest fixture node mines whatever the pool holds
+    for _ in range(2):
+        ledger.submit(pool, txs[0])
+        assert ledger.node_process(cheater, pool, db_view, clock)
+    assert len(cheater.chain) == 2 and cheater.drop_log == []
+
+
+def test_world_replay_is_not_mined_twice():
+    world = World.create("replay", DESK, 7)
+    for step in (world.enroll, world.join, world.prove, world.register):
+        step("a")
+    txid = world.tx("a", 0, b"pay once")
+    tx = world.pool.pending[txid]
+    assert world.mine("node0") is not None
+    assert ledger.submit(world.pool, tx)
+    assert world.mine("node0") is None
+    assert [len(b.transactions) for b in world.nodes[0].chain] == [1]
+    assert world.nodes[0].drop_log == [(txid, ledger.REPLAY)]
+    assert f"dropped {txid[:12]}: replay" in world.transcript_text()
+    reloaded = World.from_doc(world.to_doc())
+    assert reloaded.state_hash() == world.state_hash()
+    ledger.submit(reloaded.pool, tx)
+    assert reloaded.mine("node0") is None

@@ -323,12 +323,26 @@ def test_multiple_keys_share_no_linkage(stage):
     for index in range(3):
         session_id, _ = stage.prove(user)
         stage.register(user, session_id, index)
-    entries = stage.verifier.permissions_db.entries
+    entries = stage.verifier.permissions_db.entries.items()
     assert len(entries) == 3
     # identical schema: a key and a timestamp, nothing more
     assert all(len(row) == 2 for row in entries)
     keys = {row[0] for row in entries}
     assert len(keys) == 3
+
+
+def test_permissions_database_round_trip_keeps_registration_order():
+    db = roles.PermissionsDatabase("g")
+    for key, timestamp in ((0x30, 7), (0x10, 8), (0x20, 9)):
+        db.add(key, timestamp)
+    with pytest.raises(ProtocolError, match="duplicate transaction key"):
+        db.add(0x10, 10)
+    doc = db.to_doc()
+    assert doc == {"group_id": "g",
+                   "entries": [["0x30", 7], ["0x10", 8], ["0x20", 9]]}
+    again = roles.PermissionsDatabase.from_doc(doc)
+    assert list(again.entries.items()) == [(0x30, 7), (0x10, 8), (0x20, 9)]
+    assert again == db and again.contains(0x20) and not again.contains(0x40)
 
 
 def test_registration_ciphertext_tamper_rejected(stage):
@@ -344,7 +358,7 @@ def test_registration_ciphertext_tamper_rejected(stage):
     stage.transcript.tamper = corrupt
     with pytest.raises(ProtocolError, match="authentication"):
         stage.register(user, session_id, 0)
-    assert stage.verifier.permissions_db.entries == []
+    assert stage.verifier.permissions_db.entries == {}
 
 
 def test_register_requires_session(stage):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainanchor import schnorr
 from chainanchor.channels import (
@@ -14,6 +16,7 @@ from chainanchor.channels import (
     seal,
 )
 from chainanchor.errors import ProtocolError
+from chainanchor.groupmath import bytes_to_int, canonical_encode, hash_expand, int_to_bytes
 from chainanchor.rng import DeterministicRng
 
 
@@ -43,6 +46,65 @@ def test_signing_deterministic(group):
 def test_keypair_doc_round_trip(group):
     kp = schnorr.generate_keypair(group, random.Random(3))
     assert schnorr.SchnorrKeypair.from_doc(kp.to_doc()) == kp
+
+
+class _Draws:
+    """An rng whose draws are all ``x``; ``generate_keypair`` then picks the
+    secret 1 + x."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def getrandbits(self, _bits):
+        return self.x
+
+
+def _reference_sign(kp, message):
+    """``schnorr.sign`` with builtin ``pow`` for the power of ``u``."""
+    g = kp.group
+    nonce_seed = canonical_encode(
+        [b"schnorr-nonce", int_to_bytes(kp.secret), message])
+    r = 1 + bytes_to_int(hash_expand(nonce_seed, (g.q.bit_length() + 128) // 8)) % (g.q - 1)
+    c = schnorr._challenge(g, kp.public, pow(g.u, r, g.p), message)
+    return c, (r + c * kp.secret) % g.q
+
+
+def _reference_verify(group, public, message, signature):
+    """``schnorr.verify`` with builtin ``pow`` for every power."""
+    c, s = signature
+    if not (1 <= public < group.p and 0 <= s < group.q):
+        return False
+    if pow(public, group.q, group.p) != 1:
+        return False
+    try:
+        t = pow(group.u, s, group.p) * pow(public, -c, group.p) % group.p
+    except ValueError:
+        return False
+    return schnorr._challenge(group, public, t, message) == c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_schnorr_matches_builtin_pow_reference(group, data):
+    p, q = group.p, group.q
+    secret = data.draw(st.one_of(st.sampled_from([1, q - 1]),
+                                 st.integers(1, q - 1)), label="secret")
+    message = data.draw(st.binary(max_size=40), label="message")
+    kp = schnorr.generate_keypair(group, _Draws(secret - 1))
+    assert kp.secret == secret
+    assert kp.public == pow(group.u, secret, p)
+    sig = schnorr.sign(kp, message)
+    assert sig == _reference_sign(kp, message)
+
+    c, s = sig
+    outside = 2 if pow(2, q, p) != 1 else p - 1
+    assert pow(outside, q, p) != 1
+    cases = [(kp.public, sig, True),
+             (kp.public, (c + 1, s), False), (kp.public, (c, (s + 1) % q), False),
+             (0, sig, False), (p, sig, False), (outside, sig, False)]
+    for public, signature, verdict in cases:
+        assert schnorr.verify(group, public, message, signature) is verdict
+        assert _reference_verify(group, public, message, signature) is verdict
 
 
 def test_seal_open_round_trip():
