@@ -17,7 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CredentialError, ProtocolError, RevokedKeyError
+from .errors import (
+    CredentialError,
+    InvariantViolation,
+    ProtocolError,
+    RevokedKeyError,
+)
 from .groupmath import (
     ParameterProfile,
     SubgroupElement,
@@ -30,6 +35,7 @@ from .groupmath import (
     hash_to_subgroup,
     int_to_bytes,
     is_probable_prime,
+    jacobi,
     rand_below,
     rand_bits,
     rand_range,
@@ -138,21 +144,28 @@ class GroupIssuingPrivateKey:
     def qr_order(self) -> int:
         return self.p_N_prime * self.q_N_prime
 
-    def pow_N(self, base: int, exp: int) -> int:
+    def pow_N(self, base: int, exp: int, bits: Optional[int] = None) -> int:
         """``pow(base, exp, N)`` by the Chinese remainder theorem: two
-        half-size powers with the exponent reduced mod p_N-1 and q_N-1."""
-        x_p = _pow_mod_prime(base, exp, self.p_N)
-        x_q = _pow_mod_prime(base, exp, self.q_N)
+        half-size powers with the exponent reduced mod p_N-1 and q_N-1.
+
+        ``bits`` marks a fixed base (R, S) and bounds its exponents: the
+        half-size powers then run on comb tables, which hold powers modulo
+        the secret factors and so stay in this process's memory.
+        """
+        x_p = _pow_mod_prime(base, exp, self.p_N, bits)
+        x_q = _pow_mod_prime(base, exp, self.q_N, bits)
         h = (x_p - x_q) * pow(self.q_N, -1, self.p_N) % self.p_N
         return x_q + h * self.q_N
 
     def is_quadratic_residue(self, x: int) -> bool:
-        """Euler's criterion modulo both factors."""
-        return (pow(x, self.p_N_prime, self.p_N) == 1
-                and pow(x, self.q_N_prime, self.q_N) == 1)
+        """Legendre symbol 1 modulo both factors."""
+        return jacobi(x, self.p_N) == 1 and jacobi(x, self.q_N) == 1
 
 
-def _pow_mod_prime(base: int, exp: int, P: int) -> int:
+def _pow_mod_prime(base: int, exp: int, P: int,
+                   bits: Optional[int] = None) -> int:
+    if bits is not None and base % P:
+        return fixed_base_pow(base, exp % (P - 1), P, min(bits, P.bit_length()))
     # Invert first: a short negative exponent (a challenge) stays short.
     if exp < 0:
         base, exp = pow(base, -1, P), -exp
@@ -209,7 +222,9 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
                          issuer_basename=issuer_basename,
                          correctness_proofs=proofs)
     check = validate_gpk(gpk)
-    assert check, f"setup produced an invalid group key: {check.reason}"
+    if not check:
+        raise InvariantViolation(
+            f"setup produced an invalid group key: {check.reason}")
     return gpk, gipk
 
 
@@ -276,6 +291,32 @@ def _check_gpk(gpk: GroupPublicKey) -> Check:
 
 
 # ---------------------------------------------------------------------------
+# fixed-base powers
+
+# The widest exponents of the fixed bases are the responses: s_f for R and
+# B_I, s_v for S, one bit longer than r_f and r_v.  A comb table sized for
+# them on first use is never rebuilt.
+def _f_bits(prof: ParameterProfile) -> int:
+    return prof.l_f + prof.l_phi + prof.l_H + 1
+
+
+def _v_bits(prof: ParameterProfile) -> int:
+    return prof.l_v + prof.l_phi + prof.l_H + 1
+
+
+def _R_pow(gpk: GroupPublicKey, exp: int) -> int:
+    return fixed_base_pow(gpk.R, exp, gpk.N, _f_bits(gpk.profile))
+
+
+def _S_pow(gpk: GroupPublicKey, exp: int) -> int:
+    return fixed_base_pow(gpk.S, exp, gpk.N, _v_bits(gpk.profile))
+
+
+def _B_I_pow(gpk: GroupPublicKey, B_I: SubgroupElement, exp: int) -> int:
+    return fixed_base_pow(B_I.value, exp, gpk.p, _f_bits(gpk.profile))
+
+
+# ---------------------------------------------------------------------------
 # join protocol
 
 @dataclass(frozen=True)
@@ -327,15 +368,13 @@ def join_request(gpk: GroupPublicKey, issuer_basename: bytes,
     B_I = hash_to_subgroup(issuer_basename, gpk.p, gpk.q)
     f = rand_bits(rng, prof.l_f)
     v_prime = rand_bits(rng, prof.l_v)
-    U = (fixed_base_pow(gpk.R, f, gpk.N)
-         * fixed_base_pow(gpk.S, v_prime, gpk.N) % gpk.N)
-    K_I = pow(B_I.value, f, gpk.p)
+    U = _R_pow(gpk, f) * _S_pow(gpk, v_prime) % gpk.N
+    K_I = _B_I_pow(gpk, B_I, f)
 
     r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
     r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
-    t1 = (fixed_base_pow(gpk.R, r_f, gpk.N)
-          * fixed_base_pow(gpk.S, r_v, gpk.N) % gpk.N)
-    t2 = pow(B_I.value, r_f, gpk.p)
+    t1 = _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % gpk.N
+    t2 = _B_I_pow(gpk, B_I, r_f)
     c = _join_challenge(gpk, B_I.value, U, K_I, t1, t2, issuer_nonce, prof.l_H)
     proof = JoinProof(c=c, s_f=r_f + c * f, s_v=r_v + c * v_prime)
 
@@ -362,19 +401,20 @@ def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
     pr = req.proof
     if not 0 <= pr.c < (1 << prof.l_H):
         return _fail("challenge range")
-    if not 0 <= pr.s_f < (1 << (prof.l_f + prof.l_phi + prof.l_H + 1)):
+    if not 0 <= pr.s_f < (1 << _f_bits(prof)):
         return _fail("s_f interval")
-    if not 0 <= pr.s_v < (1 << (prof.l_v + prof.l_phi + prof.l_H + 1)):
+    if not 0 <= pr.s_v < (1 << _v_bits(prof)):
         return _fail("s_v interval")
     N = gpk.N
     if gipk is not None:
-        t1 = (gipk.pow_N(gpk.R, pr.s_f) * gipk.pow_N(gpk.S, pr.s_v)
+        t1 = (gipk.pow_N(gpk.R, pr.s_f, _f_bits(prof))
+              * gipk.pow_N(gpk.S, pr.s_v, _v_bits(prof))
               * gipk.pow_N(req.U, -pr.c)) % N
     else:
-        t1 = (fixed_base_pow(gpk.R, pr.s_f, N) * fixed_base_pow(gpk.S, pr.s_v, N)
+        t1 = (_R_pow(gpk, pr.s_f) * _S_pow(gpk, pr.s_v)
               * pow(req.U, -pr.c, N)) % N
     B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
-    t2 = pow(B_I.value, pr.s_f, gpk.p) * pow(req.K_I, -pr.c, gpk.p) % gpk.p
+    t2 = _B_I_pow(gpk, B_I, pr.s_f) * pow(req.K_I, -pr.c, gpk.p) % gpk.p
     if _join_challenge(gpk, B_I.value, req.U, req.K_I, t1, t2,
                        issuer_nonce, prof.l_H) != pr.c:
         return _fail("proof")
@@ -406,7 +446,8 @@ def issue_credential(gpk: GroupPublicKey, gipk: GroupIssuingPrivateKey,
         if math.gcd(e, order) == 1:
             break
     v_double_prime = rand_bits(rng, gpk.profile.l_v)
-    blinded = req.U * gipk.pow_N(gpk.S, v_double_prime) % gpk.N
+    blinded = req.U * gipk.pow_N(gpk.S, v_double_prime,
+                                 _v_bits(gpk.profile)) % gpk.N
     A = gipk.pow_N(gpk.Z * pow(blinded, -1, gpk.N) % gpk.N, pow(e, -1, order))
     # A faulty A must never leave: gcd(A^e - x, N) would factor N.
     if gipk.pow_N(A, e) * blinded % gpk.N != gpk.Z:
@@ -425,8 +466,8 @@ class UserMemberPrivateKey:
 
 
 def key_relation_holds(gpk: GroupPublicKey, key: UserMemberPrivateKey) -> bool:
-    lhs = (pow(key.A, key.e, gpk.N) * fixed_base_pow(gpk.R, key.f, gpk.N)
-           * fixed_base_pow(gpk.S, key.v, gpk.N)) % gpk.N
+    lhs = (pow(key.A, key.e, gpk.N) * _R_pow(gpk, key.f)
+           * _S_pow(gpk, key.v)) % gpk.N
     return lhs == gpk.Z
 
 
@@ -612,14 +653,13 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     K = pow(B, sk.f, p)
 
     w = rand_bits(rng, _blinding_width(prof))
-    T = sk.A * fixed_base_pow(gpk.S, w, N) % N
+    T = sk.A * _S_pow(gpk, w) % N
     v_hat = sk.v - sk.e * w
 
     r_e = rand_bits(rng, prof.l_e_prime + prof.l_phi + prof.l_H)
     r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
     r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
-    t1 = (pow(T, r_e, N) * fixed_base_pow(gpk.R, r_f, N)
-          * fixed_base_pow(gpk.S, r_v, N)) % N
+    t1 = pow(T, r_e, N) * _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % N
     t2 = pow(B, r_f, p)
     c = _sigma1_challenge(gpk, B, K, T, t1, t2, sig_rl.epoch, issuer_rl.epoch,
                           nonce_pv, message)
@@ -669,16 +709,15 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
         return _fail("challenge range")
     if not 0 <= sig.s_e < (1 << (prof.l_e_prime + prof.l_phi + prof.l_H + 1)):
         return _fail("s_e interval")
-    if not 0 <= sig.s_f < (1 << (prof.l_f + prof.l_phi + prof.l_H + 1)):
+    if not 0 <= sig.s_f < (1 << _f_bits(prof)):
         return _fail("s_f interval")
-    if not abs(sig.s_v) < (1 << (prof.l_v + prof.l_phi + prof.l_H + 1)):
+    if not abs(sig.s_v) < (1 << _v_bits(prof)):
         return _fail("s_v interval")
 
     try:
-        t1 = (fixed_base_pow(gpk.Z, -sig.c, N)
+        t1 = (fixed_base_pow(gpk.Z, -sig.c, N, prof.l_H)
               * pow(sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), N)
-              * fixed_base_pow(gpk.R, sig.s_f, N)
-              * fixed_base_pow(gpk.S, sig.s_v, N)) % N
+              * _R_pow(gpk, sig.s_f) * _S_pow(gpk, sig.s_v)) % N
         t2 = pow(sig.B, sig.s_f, p) * pow(sig.K, -sig.c, p) % p
     except ValueError:
         return _fail("sigma1")

@@ -192,8 +192,10 @@ def remember(record: dict, key, value, cap: int) -> None:
 # exponent bit.  Tables are built from ``*`` and ``%`` alone.
 _COMB_ROWS = 8
 # (base, mod) -> (cols, table), oldest first; one 2048-bit table is ~79 KB.
+# One group key uses 9 tables (R, S, Z mod N; u, B_I mod p; the issuer's R
+# and S mod each factor of N), so the cap leaves room for a second key.
 _COMB_TABLES: dict[tuple[int, int], tuple[int, list[int]]] = {}
-_COMB_TABLES_MAX = 8
+_COMB_TABLES_MAX = 16
 
 
 def _comb_table(base: int, mod: int, cols: int) -> list[int]:
@@ -206,22 +208,24 @@ def _comb_table(base: int, mod: int, cols: int) -> list[int]:
     return table
 
 
-def fixed_base_pow(base: int, exp: int, mod: int) -> int:
+def fixed_base_pow(base: int, exp: int, mod: int, bits: int = 0) -> int:
     """``pow(base, exp, mod)`` for a base that recurs, by a cached comb.
 
-    The table for (base, mod) is built on first use and rebuilt wider when
-    a longer exponent arrives.  A negative exponent inverts the result with
-    builtin ``pow``, which raises the same ``ValueError`` for a base that
-    has no inverse.  The result always equals ``pow``'s; like ``pow``, the
-    running time depends on the exponent.
+    The table for (base, mod) is built on first use for exponents of up to
+    ``bits`` bits, or of ``exp``'s length if that is longer, and rebuilt
+    wider when a longer exponent arrives: a caller that passes the widest
+    exponent the base will take never pays for a second table.  A negative
+    exponent inverts the result with builtin ``pow``, which raises the same
+    ``ValueError`` for a base that has no inverse.  The result always equals
+    ``pow``'s; like ``pow``, the running time depends on the exponent.
     """
     if exp < 0:
-        return pow(fixed_base_pow(base, -exp, mod), -1, mod)
+        return pow(fixed_base_pow(base, -exp, mod, bits), -1, mod)
     if exp == 0:
         return 1 % mod
     entry = _COMB_TABLES.get((base, mod))
     if entry is None or entry[0] * _COMB_ROWS < exp.bit_length():
-        cols = -(-exp.bit_length() // _COMB_ROWS)
+        cols = -(-max(bits, exp.bit_length()) // _COMB_ROWS)
         entry = (cols, _comb_table(base, mod, cols))
         remember(_COMB_TABLES, (base, mod), entry, _COMB_TABLES_MAX)
     cols, table = entry
@@ -236,6 +240,26 @@ def fixed_base_pow(base: int, exp: int, mod: int) -> int:
         if index:
             acc = acc * table[index] % mod
     return acc
+
+
+# ---------------------------------------------------------------------------
+# quadratic residuosity
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for an odd n > 0; the Legendre symbol if n is prime."""
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("the Jacobi symbol needs an odd positive modulus")
+    a %= n
+    result = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos % 2 and n % 8 in (3, 5):
+            result = -result
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +473,9 @@ def gen_rsa_group(profile: ParameterProfile, rng) -> RsaGroup:
         if q_N != p_N:
             break
     N = p_N * q_N
-    assert N.bit_length() == profile.l_N
+    if N.bit_length() != profile.l_N:
+        raise RuntimeError(f"modulus has {N.bit_length()} bits, "
+                           f"not {profile.l_N}")
     return RsaGroup(N, p_N, q_N, (p_N - 1) // 2, (q_N - 1) // 2)
 
 

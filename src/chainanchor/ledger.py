@@ -150,22 +150,25 @@ def node_check_membership(db_view, tx: Transaction) -> bool:
     return bool(db_view(tx.sender_key))
 
 
-def node_process(node: ConsensusNode, pool: TransactionPool, db_view, clock):
+def node_process(node: ConsensusNode, pool: TransactionPool, db_view, clock,
+                 peers=()):
     """Drain the pool into a new block on the node's chain.
 
-    An honest node includes member transactions not yet on its chain and
-    drop-logs the rest with a reason; a dishonest node includes everything.
-    Returns the new block, or None when nothing was includable.
+    An honest node includes member transactions that are on neither its own
+    chain nor the chain of an honest node among ``peers``, and drop-logs the
+    rest with a reason; a dishonest node includes everything.  Returns the
+    new block, or None when nothing was includable.
     """
     fetched = list(pool.pending.values())
     if not fetched:
         raise ProtocolError("transaction pool is empty")
     pool.pending.clear()
+    mined = [n.mined for n in (node, *peers) if not n.dishonest]
     included = []
     for tx in fetched:
         if node.dishonest:
             included.append(tx)
-        elif tx.txid in node.mined:
+        elif any(tx.txid in txids for txids in mined):
             node.drop_log.append((tx.txid, REPLAY))
         elif node_check_membership(db_view, tx):
             included.append(tx)

@@ -45,10 +45,14 @@ class SchnorrKeypair(Record):
     secret: int
 
 
+def _u_pow(group: SigningGroup, exp: int) -> int:
+    # Every exponent of u is below q; a table sized for q is built once.
+    return fixed_base_pow(group.u, exp, group.p, group.q.bit_length())
+
+
 def generate_keypair(group: SigningGroup, rng) -> SchnorrKeypair:
     secret = rand_range(rng, 1, group.q)
-    return SchnorrKeypair(group, fixed_base_pow(group.u, secret, group.p),
-                          secret)
+    return SchnorrKeypair(group, _u_pow(group, secret), secret)
 
 
 def sign(keypair: SchnorrKeypair, message: bytes):
@@ -57,7 +61,7 @@ def sign(keypair: SchnorrKeypair, message: bytes):
     nonce_seed = canonical_encode(
         [b"schnorr-nonce", int_to_bytes(keypair.secret), message])
     r = 1 + bytes_to_int(hash_expand(nonce_seed, (g.q.bit_length() + 128) // 8)) % (g.q - 1)
-    t = fixed_base_pow(g.u, r, g.p)
+    t = _u_pow(g, r)
     c = _challenge(g, keypair.public, t, message)
     s = (r + c * keypair.secret) % g.q
     return (c, s)
@@ -70,8 +74,7 @@ def verify(group: SigningGroup, public: int, message: bytes, signature) -> bool:
     if pow(public, group.q, group.p) != 1:
         return False
     try:
-        t = (fixed_base_pow(group.u, s, group.p) * pow(public, -c, group.p)
-             % group.p)
+        t = _u_pow(group, s) * pow(public, -c, group.p) % group.p
     except ValueError:
         return False
     return _challenge(group, public, t, message) == c

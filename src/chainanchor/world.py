@@ -227,11 +227,13 @@ class World:
                                                dishonest=dishonest))
 
     def mine(self, node_id: str):
-        """Steps 9-12: the node drains the pool, filters by membership
-        lookup, and appends a block to its chain."""
+        """Steps 9-12: the node drains the pool, drops transactions already
+        on an honest chain and those failing the membership lookup, and
+        appends a block to its chain."""
         node = self._node(node_id)
         drops_before = len(node.drop_log)
-        block = ledger.node_process(node, self.pool, self.db_view(), self.clock)
+        block = ledger.node_process(node, self.pool, self.db_view(), self.clock,
+                                    self.nodes)
         for txid, reason in node.drop_log[drops_before:]:
             self.log("step 10", f"{node_id} dropped {txid[:12]}: {reason}")
         if block is None:

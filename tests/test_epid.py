@@ -6,7 +6,12 @@ import random
 import pytest
 
 from chainanchor import epid
-from chainanchor.errors import CredentialError, ProtocolError, RevokedKeyError
+from chainanchor.errors import (
+    CredentialError,
+    InvariantViolation,
+    ProtocolError,
+    RevokedKeyError,
+)
 from chainanchor.groupmath import (
     fiat_shamir_challenge,
     gen_prime,
@@ -15,7 +20,7 @@ from chainanchor.groupmath import (
     rand_bits,
     random_subgroup_element,
 )
-from conftest import make_member
+from conftest import TINY, make_member
 
 EMPTY = epid.RevocationList()
 MSG = b"challenge message m"
@@ -173,6 +178,41 @@ def test_issuer_crt_power_matches_builtin_pow(desk_group):
         assert gipk.pow_N(gipk.p_N, exp) == pow(gipk.p_N, exp, N)
     with pytest.raises(ValueError):
         gipk.pow_N(gipk.q_N, -1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_issuer_fixed_base_crt_power_matches_builtin_pow(desk_group):
+    # The comb path reduces the exponent mod P-1; a base divisible by a
+    # factor must still give pow's 0, 1 or ValueError on that side.
+    gpk, gipk = desk_group
+    N, order = gpk.N, gipk.qr_order
+    p_N, q_N = gipk.p_N, gipk.q_N
+    rng = random.Random(22)
+    bits = epid._v_bits(gpk.profile)
+    exponents = [0, 1, 2, -1, -rand_bits(rng, 300), order, order + 1,
+                 2 * order, p_N - 1, 3 * (p_N - 1), q_N - 1,
+                 (p_N - 1) * (q_N - 1), N, rand_bits(rng, bits)]
+    bases = [gpk.R, gpk.S, p_N, q_N, 3 * p_N, q_N * (N - 1), N - 1, N + gpk.S]
+    for base in bases:
+        for exp in exponents:
+            assert (_outcome(gipk.pow_N, base, exp, bits)
+                    == _outcome(pow, base, exp, N)), (base, exp)
+    # an exponent longer than the stated bound still gets a right answer
+    long_exp = rand_bits(rng, 3 * gpk.profile.l_N)
+    assert gipk.pow_N(gpk.Z, long_exp, 8) == pow(gpk.Z, long_exp, N)
+
+
+def test_setup_group_raises_if_its_key_fails_validation(monkeypatch):
+    # A check, not an assert: it must hold under python -O too.
+    monkeypatch.setattr(epid, "validate_gpk", lambda gpk: epid._fail("probe"))
+    with pytest.raises(InvariantViolation, match="invalid group key: probe"):
+        epid.setup_group(TINY, b"tiny", random.Random(3))
 
 
 def test_gpk_doc_round_trip(desk_gpk):

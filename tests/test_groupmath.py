@@ -24,9 +24,11 @@ from chainanchor.groupmath import (
     hash_to_subgroup,
     int_to_bytes,
     is_probable_prime,
+    jacobi,
     load_profiles,
     random_subgroup_element,
 )
+from chainanchor.world import World
 from conftest import TINY
 
 
@@ -196,6 +198,15 @@ def test_rsa_group_tiny():
         assert sympy.isprime(factor)
 
 
+def test_rsa_group_of_the_wrong_length_raises(monkeypatch):
+    # A check, not an assert: it must hold under python -O too.
+    primes = iter([23, 47])
+    monkeypatch.setattr(groupmath, "gen_safe_prime",
+                        lambda bits, rng, _top_two: next(primes))
+    with pytest.raises(RuntimeError, match="modulus has 11 bits, not 64"):
+        gen_rsa_group(TINY, random.Random(0))
+
+
 # ---------------------------------------------------------------------------
 # subgroup maps
 
@@ -346,6 +357,38 @@ def test_fixed_base_pow_grows_for_a_longer_exponent(desk_gpk):
     assert groupmath._COMB_TABLES[(base, N)][0] == cols
 
 
+def test_fixed_base_pow_sizes_a_new_table_for_the_stated_bits():
+    mod = (1 << 89) - 1
+    base = 0xFACADE
+    groupmath._COMB_TABLES.pop((base, mod), None)
+    assert fixed_base_pow(base, 5, mod, 200) == pow(base, 5, mod)
+    assert groupmath._COMB_TABLES[(base, mod)][0] == 25
+    for exp in (2 ** 199 + 1, -(2 ** 150), 2 ** 260 + 7):
+        assert fixed_base_pow(base, exp, mod, 200) == pow(base, exp, mod)
+    assert groupmath._COMB_TABLES[(base, mod)][0] == 33   # 261 bits
+
+
+def test_member_lifecycles_build_each_comb_table_once(monkeypatch):
+    # One group key needs 9 tables: R, S, Z mod N; u, B_I mod p; the
+    # issuer's R and S mod p_N and mod q_N.  Each is sized for its widest
+    # exponent and the record holds them all, so two lifecycles in one
+    # process build each table exactly once.
+    monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
+    comb_table = groupmath._comb_table
+    builds = []
+
+    def counting_table(base, mod, cols):
+        builds.append((base, mod))
+        return comb_table(base, mod, cols)
+
+    monkeypatch.setattr(groupmath, "_comb_table", counting_table)
+    world = World.create("tables", DESK, 5)
+    for name in ("a", "b"):
+        for step in (world.enroll, world.join, world.prove, world.register):
+            step(name)
+    assert len(builds) == len(set(builds)) == 9
+
+
 def test_fixed_base_pow_odd_bases(desk_group):
     gpk, gipk = desk_group
     N = gpk.N
@@ -396,3 +439,33 @@ def test_fixed_base_pow_builds_tables_without_pow(monkeypatch):
         assert calls == []
     fixed_base_pow(base, -5, mod)
     assert len(calls) == 1                       # the inversion only
+
+
+# ---------------------------------------------------------------------------
+# Jacobi symbol: the issuer's quadratic-residue test
+
+_PRIMES = (3, 5, 7, 11, 13, 8191, 2 ** 61 - 1, 2 ** 127 - 1,
+           sympy.nextprime(2 ** 200))
+
+
+def _euler(a, P):
+    r = pow(a, (P - 1) // 2, P)
+    return -1 if r == P - 1 else r
+
+
+@given(st.integers(min_value=0, max_value=2 ** 200),
+       st.integers(min_value=-2 ** 210, max_value=2 ** 210),
+       st.integers(min_value=-3, max_value=3),
+       st.sampled_from(_PRIMES))
+def test_jacobi_matches_sympy_and_euler(k, a, m, P):
+    n = 2 * k + 1
+    for x in (a, 0, 1, -1, n - 1, m * n, a + m * n, a * n):
+        assert jacobi(x, n) == sympy.jacobi_symbol(x, n), (x, n)
+    for x in (a, 0, 1, -1, P - 1, m * P, a + m * P):
+        assert jacobi(x, P) == _euler(x, P) == sympy.legendre_symbol(x % P, P)
+
+
+def test_jacobi_rejects_even_or_nonpositive_moduli():
+    for n in (0, -3, 2, 10):
+        with pytest.raises(ValueError, match="odd positive"):
+            jacobi(5, n)

@@ -1,6 +1,7 @@
 """Hostile input: tampered envelopes and corrupt world files must end in a
 ProtocolError (CLI exit code 1 or 2), never in a stray Python exception."""
 
+import ast
 import dataclasses
 import json
 import random
@@ -312,3 +313,13 @@ def test_issuer_withholds_credential_that_fails_its_self_check(desk_group):
                                random.Random(5))
     with pytest.raises(ProtocolError, match="self-check"):
         epid.issue_credential(gpk, corrupt, req, b"n", random.Random(6))
+
+
+def test_no_assert_guards_a_check_in_the_package():
+    # python -O strips asserts, so a check written as one would vanish.
+    package = Path(epid.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -263,3 +263,31 @@ def test_world_replay_is_not_mined_twice():
     assert reloaded.state_hash() == world.state_hash()
     ledger.submit(reloaded.pool, tx)
     assert reloaded.mine("node0") is None
+
+
+def test_world_replay_is_not_mined_by_another_honest_node():
+    # A tx on node0's chain, resubmitted, must not land on node1's chain;
+    # a tx on the dishonest node's chain only is not a replay.
+    world = World.create("replay", DESK, 7)
+    for step in (world.enroll, world.join, world.prove, world.register):
+        step("a")
+    txid = world.tx("a", 0, b"pay once")
+    tx = world.pool.pending[txid]
+    assert world.mine("node0") is not None
+    assert ledger.submit(world.pool, tx)
+    assert world.mine("node1") is None
+    assert world.nodes[1].chain == []
+    assert world.nodes[1].drop_log == [(txid, ledger.REPLAY)]
+    assert f"node1 dropped {txid[:12]}: replay" in world.transcript_text()
+
+    world.add_node("node2", dishonest=True)
+    other = world.pool.pending[world.tx("a", 0, b"pay twice")]
+    assert world.mine("node2") is not None
+    ledger.submit(world.pool, other)
+    assert [t.txid for t in world.mine("node1").transactions] == [other.txid]
+
+    reloaded = World.from_doc(world.to_doc())
+    assert reloaded.state_hash() == world.state_hash()
+    ledger.submit(reloaded.pool, tx)
+    assert reloaded.mine("node1") is None
+    assert reloaded.nodes[1].drop_log[-1] == (txid, ledger.REPLAY)
