@@ -138,7 +138,7 @@ def _resolve_profile(args, parser):
     if getattr(args, "profiles_file", None):
         try:
             profiles.update(load_profiles(args.profiles_file))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot load profiles: {exc}")
     if args.profile not in profiles:
         parser.error(f"unknown profile {args.profile!r} "

@@ -9,12 +9,14 @@ global RNG state, so every function is reproducible under a seeded source.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
 
+from .errors import ProtocolError
 from .serial import JsonInt, Record
 
 # Single fixed hash for Fiat-Shamir challenges, basename derivation and key
@@ -130,6 +132,9 @@ class ParameterProfile(Record):
     l_q: JsonInt
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            if field.name != "name" and getattr(self, field.name) < 1:
+                raise ValueError(f"{field.name} must be at least 1")
         if self.l_v != self.l_N + self.l_f + self.l_phi:
             raise ValueError("l_v must equal l_N + l_f + l_phi")
         if self.l_e <= self.l_f + 2:
@@ -170,7 +175,11 @@ def load_profiles(path) -> dict:
         raise ValueError("the top level must be an object of name -> lengths")
     profiles = {}
     for name, lengths in raw.items():
-        profiles[name] = ParameterProfile(name=name, **lengths)
+        doc = dict(lengths, name=name) if isinstance(lengths, dict) else lengths
+        try:
+            profiles[name] = ParameterProfile.from_doc(doc)
+        except ProtocolError as exc:
+            raise ValueError(f"profile {name!r}: {exc}") from None
     return profiles
 
 
@@ -292,8 +301,16 @@ def _mr_witnesses(n: int):
         counter += 1
 
 
+@functools.lru_cache(maxsize=32)
 def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
-    """Miller-Rabin after trial division by all primes below 4096."""
+    """Miller-Rabin after trial division by all primes below 4096.
+
+    The witnesses are derived from ``n``, so the verdict is a pure function
+    of ``(n, rounds)`` and is memoized: when the issuer and the member share
+    a process, the member's test of the credential exponent ``e`` that the
+    issuer has just accepted is a lookup.  The memo keys on the arguments as
+    passed, so every caller passes ``n`` alone for the default rounds.
+    """
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -301,6 +318,11 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
             return True
         if n % sp == 0:
             return False
+    return _miller_rabin(n, rounds)
+
+
+def _miller_rabin(n: int, rounds: int) -> bool:
+    """Miller-Rabin rounds alone, for an odd n with no factor below 4096."""
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -399,11 +421,12 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
             if q.bit_length() != bits - 1:
                 break
             # One round each on q and p weeds out nearly everything before
-            # paying for the full confirmation.
-            if not is_probable_prime(q, rounds=1):
+            # paying for the full confirmation.  The sieve has already done
+            # the trial division, so the pre-test is Miller-Rabin alone.
+            if not _miller_rabin(q, 1):
                 continue
             p = 2 * q + 1
-            if not is_probable_prime(p, rounds=1):
+            if not _miller_rabin(p, 1):
                 continue
             if is_probable_prime(q) and is_probable_prime(p):
                 return p

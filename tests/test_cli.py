@@ -62,6 +62,26 @@ def test_profiles_file(tmp_path, capsys):
     assert World.load(world_path).profile.l_N == TINY.l_N
 
 
+@pytest.mark.parametrize("overrides, reason", [
+    ({"l_N": 512.0}, "malformed field l_N: expected an integer, got float"),
+    ({"l_f": -5, "l_v": DESK.l_N - 5 + DESK.l_phi}, "l_f must be at least 1"),
+    ({"l_N": True}, "malformed field l_N: expected an integer, got bool"),
+    ({"l_q": "160"}, "malformed field l_q: expected an integer, got str"),
+])
+def test_profiles_file_with_bad_length_is_usage_error(tmp_path, capsys,
+                                                      overrides, reason):
+    lengths = {k: v for k, v in DESK.to_doc().items() if k != "name"}
+    lengths.update(overrides)
+    prof_path = tmp_path / "profiles.json"
+    prof_path.write_text(json.dumps({"bad": lengths}))
+    world_path = str(tmp_path / "w.json")
+    code, _, err = run(capsys, "setup", "g", "--profile", "bad",
+                       "--profiles-file", str(prof_path), "--world", world_path)
+    assert code == 1 and "cannot load profiles: profile 'bad': " in err
+    assert reason in err
+    assert not os.path.exists(world_path)
+
+
 def test_enroll_join_prove_register_flow(ready_world, capsys):
     for cmd in (("enroll", "alice"), ("join", "alice"), ("prove", "alice"),
                 ("register", "alice", "--identity")):

@@ -1,11 +1,13 @@
 import builtins
 import dataclasses
+import functools
 import math
 import random
 
 import pytest
+import sympy
 
-from chainanchor import epid
+from chainanchor import epid, groupmath
 from chainanchor.errors import (
     CredentialError,
     InvariantViolation,
@@ -20,6 +22,7 @@ from chainanchor.groupmath import (
     rand_bits,
     random_subgroup_element,
 )
+from chainanchor.world import World
 from conftest import TINY, make_member
 
 EMPTY = epid.RevocationList()
@@ -304,6 +307,54 @@ def test_complete_join_checks_credential(desk_group):
     tampered = dataclasses.replace(resp, A=resp.A + 1)
     with pytest.raises(CredentialError, match="credential invalid"):
         epid.complete_join(state, tampered, gpk)
+
+
+def test_join_tests_its_e_once_in_one_process(monkeypatch):
+    # The issuer accepts e and the member checks it again; in one process
+    # the member's check is a memo hit, so the uncached test runs on e once.
+    uncached = is_probable_prime.__wrapped__
+    tested = []
+
+    def counting(n, rounds=groupmath.MR_ROUNDS):
+        tested.append(n)
+        return uncached(n, rounds)
+
+    memo = functools.lru_cache(
+        maxsize=is_probable_prime.cache_info().maxsize)(counting)
+    for module in (groupmath, epid):
+        monkeypatch.setattr(module, "is_probable_prime", memo)
+    world = World.create("memo", groupmath.DESK, 11)
+    world.enroll("a")
+    hits = memo.cache_info().hits
+    world.join("a")
+    e = world.users["a"].member_keys[0].e
+    assert tested.count(e) == 1
+    assert memo.cache_info().hits == hits + 1
+
+
+def test_composite_e_rejected_after_a_join_memoized_its_prime(desk_group,
+                                                              monkeypatch):
+    gpk, gipk = desk_group
+    rng = random.Random(18)
+    state, req = epid.join_request(gpk, gpk.issuer_basename, b"n", rng)
+    resp = epid.issue_credential(gpk, gipk, req, b"n", rng)
+    epid.complete_join(state, resp, gpk)
+    # A dishonest issuer picks a composite e in the interval with no factor
+    # below 4096 and builds a consistent A for it, so only the primality
+    # test stands between it and the member key.
+    lo, hi = epid._e_interval(gpk.profile)
+    small = 4099
+    composite = small * sympy.nextprime(lo // small + 1)
+    assert lo <= composite <= hi and math.gcd(composite, gipk.qr_order) == 1
+    monkeypatch.setattr(epid, "gen_prime_in_range", lambda lo, hi, rng: composite)
+    state, req = epid.join_request(gpk, gpk.issuer_basename, b"m", rng)
+    forged = epid.issue_credential(gpk, gipk, req, b"m", rng)
+    assert forged.e == composite
+    key = epid.UserMemberPrivateKey(A=forged.A, e=composite, f=state.f,
+                                    v=state.v_prime + forged.v_double_prime)
+    assert epid.key_relation_holds(gpk, key)
+    with pytest.raises(CredentialError, match="credential invalid"):
+        epid.complete_join(state, forged, gpk)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,44 @@ def test_miller_rabin_agrees_with_oracle():
         assert not is_probable_prime(n)
 
 
+# Primes below 4096 and n < 2 decide in trial division; the rest reach
+# Miller-Rabin: Carmichael numbers, strong base-2 pseudoprimes, an RSA-style
+# product and a prime of the credential exponent's size.
+_P184 = sympy.nextprime(3 << 182)
+_Q184 = sympy.nextprime(5 << 181)
+_P368 = sympy.nextprime(3 << 366)
+MEMO_INPUTS = ([-7, 0, 1] + list(sympy.primerange(4096))
+               + [561, 41041, 825265, 321197185]
+               + [2047, 3215031751, 3825123056546413051]
+               + [_P184 * _Q184, _P368])
+
+
+def _memo_agrees(n):
+    for rounds in (1, groupmath.MR_ROUNDS):
+        verdict = is_probable_prime.__wrapped__(n, rounds)
+        assert is_probable_prime(n, rounds) == verdict, (n, rounds)
+        assert is_probable_prime(n, rounds) == verdict, (n, rounds)
+    return verdict
+
+
+def test_memoized_prime_test_equals_uncached():
+    for n in MEMO_INPUTS:
+        assert _memo_agrees(n) == sympy.isprime(n), n
+
+
+@given(st.integers(min_value=0, max_value=2 ** 400).map(lambda k: 2 * k + 1))
+def test_memoized_prime_test_equals_uncached_on_odd_n(n):
+    _memo_agrees(n)
+
+
+def test_prime_test_memo_is_bounded():
+    maxsize = is_probable_prime.cache_info().maxsize
+    assert maxsize == 32
+    for n in range(10 ** 6 + 1, 10 ** 6 + 1 + 4 * maxsize, 2):
+        is_probable_prime(n)
+    assert is_probable_prime.cache_info().currsize == maxsize
+
+
 def test_prime_in_range():
     rng = random.Random(5)
     lo, hi = 1 << 19, (1 << 19) + (1 << 10)
@@ -303,6 +341,9 @@ def test_builtin_profiles_valid():
     {"l_e_prime": 40},          # must stay below l_e
     {"l_q": 40},                # must stay below l_p
     {"l_H": 512},               # hash output is 256 bits
+    {"l_f": -5, "l_v": TINY.l_N - 5 + TINY.l_phi},   # lengths are >= 1
+    {"l_phi": 0, "l_v": TINY.l_N + TINY.l_f},
+    {"l_e_prime": 0},
 ])
 def test_invalid_profiles_rejected(overrides):
     fields = TINY.to_doc()
