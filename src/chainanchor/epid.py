@@ -25,7 +25,6 @@ from .errors import (
 )
 from .groupmath import (
     ParameterProfile,
-    SubgroupElement,
     canonical_encode,
     fiat_shamir_challenge,
     fixed_base_pow,
@@ -33,6 +32,7 @@ from .groupmath import (
     gen_rsa_group,
     gen_schnorr_group,
     hash_to_subgroup,
+    in_subgroup,
     int_to_bytes,
     is_probable_prime,
     jacobi,
@@ -41,6 +41,7 @@ from .groupmath import (
     rand_range,
     random_subgroup_element,
     remember,
+    subgroup_pow,
 )
 from .serial import JsonInt, Record
 
@@ -218,7 +219,7 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
 
     p, q, u = gen_schnorr_group(profile, rng)
     gpk = GroupPublicKey(N=N, g_prime=g_prime, g=g, h=h, R=R, S=S, Z=Z,
-                         p=p, q=q, u=u.value, profile=profile,
+                         p=p, q=q, u=u, profile=profile,
                          issuer_basename=issuer_basename,
                          correctness_proofs=proofs)
     check = validate_gpk(gpk)
@@ -274,7 +275,7 @@ def _check_gpk(gpk: GroupPublicKey) -> Check:
         return _fail("q square")
     if not 1 < gpk.u < gpk.p:
         return _fail("u range")
-    if gpk.u == 1 or pow(gpk.u, gpk.q, gpk.p) != 1:
+    if not in_subgroup(gpk.u, gpk.p, gpk.q):
         return _fail("u order")
 
     if gpk.N.bit_length() != prof.l_N:
@@ -293,9 +294,9 @@ def _check_gpk(gpk: GroupPublicKey) -> Check:
 # ---------------------------------------------------------------------------
 # fixed-base powers
 
-# The widest exponents of the fixed bases are the responses: s_f for R and
-# B_I, s_v for S, one bit longer than r_f and r_v.  A comb table sized for
-# them on first use is never rebuilt.
+# The widest exponents of R and S are the responses: s_f for R, s_v for S,
+# one bit longer than r_f and r_v.  A comb table sized for them on first use
+# is never rebuilt.  (B_I's exponents reduce mod q: see subgroup_pow.)
 def _f_bits(prof: ParameterProfile) -> int:
     return prof.l_f + prof.l_phi + prof.l_H + 1
 
@@ -310,10 +311,6 @@ def _R_pow(gpk: GroupPublicKey, exp: int) -> int:
 
 def _S_pow(gpk: GroupPublicKey, exp: int) -> int:
     return fixed_base_pow(gpk.S, exp, gpk.N, _v_bits(gpk.profile))
-
-
-def _B_I_pow(gpk: GroupPublicKey, B_I: SubgroupElement, exp: int) -> int:
-    return fixed_base_pow(B_I.value, exp, gpk.p, _f_bits(gpk.profile))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +330,7 @@ class JoinState:
     f: int
     v_prime: int
     basename_I: bytes
-    B_I: SubgroupElement
+    B_I: int
     U: int
     K_I: int
 
@@ -369,13 +366,13 @@ def join_request(gpk: GroupPublicKey, issuer_basename: bytes,
     f = rand_bits(rng, prof.l_f)
     v_prime = rand_bits(rng, prof.l_v)
     U = _R_pow(gpk, f) * _S_pow(gpk, v_prime) % gpk.N
-    K_I = _B_I_pow(gpk, B_I, f)
+    K_I = subgroup_pow(B_I, f, gpk.p, gpk.q)
 
     r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
     r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
     t1 = _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % gpk.N
-    t2 = _B_I_pow(gpk, B_I, r_f)
-    c = _join_challenge(gpk, B_I.value, U, K_I, t1, t2, issuer_nonce, prof.l_H)
+    t2 = subgroup_pow(B_I, r_f, gpk.p, gpk.q)
+    c = _join_challenge(gpk, B_I, U, K_I, t1, t2, issuer_nonce, prof.l_H)
     proof = JoinProof(c=c, s_f=r_f + c * f, s_v=r_v + c * v_prime)
 
     state = JoinState(f=f, v_prime=v_prime, basename_I=issuer_basename,
@@ -396,7 +393,7 @@ def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
         return _fail("U range")
     if gipk is not None and not gipk.is_quadratic_residue(req.U):
         return _fail("U not a quadratic residue")
-    if not 1 < req.K_I < gpk.p or pow(req.K_I, gpk.q, gpk.p) != 1:
+    if not in_subgroup(req.K_I, gpk.p, gpk.q):
         return _fail("K_I range")
     pr = req.proof
     if not 0 <= pr.c < (1 << prof.l_H):
@@ -414,8 +411,9 @@ def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
         t1 = (_R_pow(gpk, pr.s_f) * _S_pow(gpk, pr.s_v)
               * pow(req.U, -pr.c, N)) % N
     B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
-    t2 = _B_I_pow(gpk, B_I, pr.s_f) * pow(req.K_I, -pr.c, gpk.p) % gpk.p
-    if _join_challenge(gpk, B_I.value, req.U, req.K_I, t1, t2,
+    t2 = (subgroup_pow(B_I, pr.s_f, gpk.p, gpk.q)
+          * pow(req.K_I, -pr.c, gpk.p) % gpk.p)
+    if _join_challenge(gpk, B_I, req.U, req.K_I, t1, t2,
                        issuer_nonce, prof.l_H) != pr.c:
         return _fail("proof")
     return OK
@@ -598,10 +596,10 @@ def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, f, main_c, gpk,
 def _verify_not_revoked(tag, index, B_i, K_i, B, K, proof, main_c, gpk) -> Check:
     p, q = gpk.p, gpk.q
     label = f"{tag.decode()} entry {index}"
-    if not 1 <= proof.W < p or pow(proof.W, q, p) != 1:
-        return _fail(f"{label} W subgroup")
     if proof.W == 1:
         return _fail(f"{label} W identity")
+    if not in_subgroup(proof.W, p, q):
+        return _fail(f"{label} W subgroup")
     if not (0 <= proof.s_alpha < q and 0 <= proof.s_beta < q):
         return _fail(f"{label} response range")
     if not 0 <= proof.c < (1 << gpk.profile.l_H):
@@ -640,16 +638,17 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     # reuse them.
     B_i_f = []
     for B_i, K_i in sig_rl.entries + issuer_rl.entries:
-        if not (1 < B_i < p and 1 < K_i < p):
+        # B_i outside the subgroup would make B_i^f == K_i leak f (Lim-Lee).
+        if not (in_subgroup(B_i, p, q) and 1 < K_i < p):
             raise ProtocolError("revocation list entry out of range")
         B_i_f.append(pow(B_i, sk.f, p))
         if B_i_f[-1] == K_i:
             raise RevokedKeyError()
 
     if basename is None:
-        B = random_subgroup_element(p, q, rng).value
+        B = random_subgroup_element(p, q, rng)
     else:
-        B = hash_to_subgroup(basename, p, q).value
+        B = hash_to_subgroup(basename, p, q)
     K = pow(B, sk.f, p)
 
     w = rand_bits(rng, _blinding_width(prof))
@@ -701,7 +700,7 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
         return _fail("issuer-rl length")
 
     for name, value in (("B", sig.B), ("K", sig.K)):
-        if not 1 < value < p or pow(value, q, p) != 1:
+        if not in_subgroup(value, p, q):
             return _fail(f"{name} subgroup")
     if not 1 <= sig.T < N:
         return _fail("T range")

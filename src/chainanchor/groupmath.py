@@ -436,19 +436,22 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
 # ---------------------------------------------------------------------------
 # groups
 
-@dataclass(frozen=True)
-class SubgroupElement:
-    """Element of the order-q subgroup of Z_p^*; membership checked on build."""
+def in_subgroup(x: int, p: int, q: int) -> bool:
+    """Whether ``x`` is a non-identity element of the order-q subgroup of
+    Z_p^*.  The one membership test for every value that comes from outside;
+    for a prime q such an element generates the subgroup."""
+    return 1 < x < p and pow(x, q, p) == 1
 
-    value: int
-    p: int
-    q: int
 
-    def __post_init__(self):
-        if not 1 <= self.value < self.p:
-            raise ValueError("subgroup element out of range")
-        if pow(self.value, self.q, self.p) != 1:
-            raise ValueError("value is not in the order-q subgroup")
+def subgroup_pow(base: int, exp: int, p: int, q: int) -> int:
+    """``pow(base, exp, p)`` for a recurring ``base`` of order q (u, B_I).
+
+    The exponent is reduced mod q, so one comb table sized from q serves
+    every exponent, a negative one included, and is never rebuilt.  The
+    result equals ``pow``'s only because ``base^q = 1``: callers pass bases
+    built in, or checked against, the subgroup.
+    """
+    return fixed_base_pow(base, exp % q, p, q.bit_length())
 
 
 def gen_schnorr_group(profile: ParameterProfile, rng):
@@ -459,21 +462,10 @@ def gen_schnorr_group(profile: ParameterProfile, rng):
     hi = ((1 << profile.l_p) - 1) // q
     while True:
         k = rand_range(rng, lo, hi + 1) & ~1  # k even so p is odd
-        if k < lo or k % q == 0:
-            continue
         p = k * q + 1
-        if p.bit_length() != profile.l_p:
-            continue
-        if not is_probable_prime(p):
-            continue
-        break
-    cofactor = (p - 1) // q
-    while True:
-        x = rand_range(rng, 2, p - 1)
-        u = pow(x, cofactor, p)
-        if u != 1:
-            break
-    return p, q, SubgroupElement(u, p, q)
+        if (k >= lo and k % q and p.bit_length() == profile.l_p
+                and is_probable_prime(p)):
+            return p, q, random_subgroup_element(p, q, rng)
 
 
 @dataclass(frozen=True)
@@ -503,7 +495,7 @@ def gen_rsa_group(profile: ParameterProfile, rng) -> RsaGroup:
 
 
 @functools.lru_cache(maxsize=32)
-def hash_to_subgroup(basename: bytes, p: int, q: int) -> SubgroupElement:
+def hash_to_subgroup(basename: bytes, p: int, q: int) -> int:
     """Deterministically map a basename into the order-q subgroup of Z_p^*.
 
     Digest output is expanded, reduced mod p and raised to the cofactor
@@ -525,10 +517,10 @@ def hash_to_subgroup(basename: bytes, p: int, q: int) -> SubgroupElement:
             continue
         value = pow(x, cofactor, p)
         if value != 1:
-            return SubgroupElement(value, p, q)
+            return value
 
 
-def random_subgroup_element(p: int, q: int, rng) -> SubgroupElement:
+def random_subgroup_element(p: int, q: int, rng) -> int:
     """Uniform non-identity element of the order-q subgroup of Z_p^*."""
     if (p - 1) % q != 0:
         raise ValueError("q must divide p - 1")
@@ -537,4 +529,4 @@ def random_subgroup_element(p: int, q: int, rng) -> SubgroupElement:
         x = rand_range(rng, 2, p - 1)
         value = pow(x, cofactor, p)
         if value != 1:
-            return SubgroupElement(value, p, q)
+            return value

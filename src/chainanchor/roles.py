@@ -29,9 +29,9 @@ from .errors import ProtocolError
 from .groupmath import (
     ParameterProfile,
     hash_to_subgroup,
+    in_subgroup,
     int_to_bytes,
     rand_bytes,
-    rand_range,
 )
 from .serial import (
     JsonInt,
@@ -327,7 +327,7 @@ def user_join_group(user: UserActor, issuer: IssuerActor, group_id: str,
                                      nonce, rng)
     del group.pending_join_nonces[requester]
     base = hash_to_subgroup(group.gpk.issuer_basename, group.gpk.p, group.gpk.q)
-    group.join_pseudonyms[requester] = (base.value, received.K_I)
+    group.join_pseudonyms[requester] = (base, received.K_I)
 
     env = transcript.send(Envelope(ISSUER_ID, identity, "step-4",
                                    pack(_CREDENTIAL, credential=response)))
@@ -400,11 +400,11 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
     sigma = epid.sign_membership(user.member_keys[key_index], enrollment.gpk,
                                  m, n_pv, sig_rl, issuer_rl, rng)
     sigma_hash = hashlib.sha256(sigma.transcript_bytes()).digest()
-    x = rand_range(rng, 1, params.q)
-    share_user = pow(params.u, x, params.p)
+    share_user = schnorr.generate_keypair(params, rng)
     env = transcript.send(Envelope(
         ANON_ID, VERIFIER_ID, "step-6.4",
-        pack(_PROOF, session_id=session_id, sigma=sigma, share=share_user)))
+        pack(_PROOF, session_id=session_id, sigma=sigma,
+             share=share_user.public)))
 
     _, delivered_sigma, delivered_share = unpack(_PROOF, env.payload)
     challenge.used = True
@@ -413,22 +413,22 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
                                     verifier.issuer_rl)
     if not result:
         raise ProtocolError(f"membership proof rejected: {result.reason}")
-    if not 1 < delivered_share < gpk.p or pow(delivered_share, gpk.q, gpk.p) != 1:
+    if not in_subgroup(delivered_share, gpk.p, gpk.q):
         raise ProtocolError("key agreement share invalid")
     delivered_hash = hashlib.sha256(delivered_sigma.transcript_bytes()).digest()
-    y = rand_range(rng, 1, params.q)
-    share_pv = pow(params.u, y, gpk.p)
-    psk_pv = _psk(pow(delivered_share, y, gpk.p), delivered_hash,
+    share_pv = schnorr.generate_keypair(params, rng)
+    psk_pv = _psk(pow(delivered_share, share_pv.secret, gpk.p), delivered_hash,
                   challenge.m, challenge.n_pv)
     confirm_pv = mac_tag(psk_pv, b"confirm-pv", [session_id.encode()])
     env = transcript.send(Envelope(
         VERIFIER_ID, ANON_ID, "step-6.5",
-        pack(_SHARE_CONFIRM, session_id=session_id, share=share_pv,
+        pack(_SHARE_CONFIRM, session_id=session_id, share=share_pv.public,
              confirm=confirm_pv)))
 
     _, delivered_share_pv, delivered_confirm = unpack(_SHARE_CONFIRM,
                                                       env.payload)
-    psk_user = _psk(pow(delivered_share_pv, x, gpk.p), sigma_hash, m, n_pv)
+    psk_user = _psk(pow(delivered_share_pv, share_user.secret, gpk.p),
+                    sigma_hash, m, n_pv)
     if not macs_equal(delivered_confirm,
                       mac_tag(psk_user, b"confirm-pv", [session_id.encode()])):
         raise ProtocolError("key confirmation failed (user side)")
@@ -578,9 +578,8 @@ def pv_revoke(verifier: VerifierActor, B: int, K: int, which: str):
     gpk = verifier.gpk
     if gpk is None:
         raise ProtocolError("verifier has no group key")
-    for value in (B, K):
-        if not 1 < value < gpk.p or pow(value, gpk.q, gpk.p) != 1:
-            raise ProtocolError("pseudonym pair is not in the group")
+    if not (in_subgroup(B, gpk.p, gpk.q) and in_subgroup(K, gpk.p, gpk.q)):
+        raise ProtocolError("pseudonym pair is not in the group")
     if which == "sig":
         verifier.sig_rl = epid.revoke_signature(verifier.sig_rl, B, K)
     elif which == "issuer":

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from .groupmath import (
     canonical_encode,
     fiat_shamir_challenge,
-    fixed_base_pow,
     hash_expand,
+    in_subgroup,
     int_to_bytes,
     bytes_to_int,
     rand_range,
+    subgroup_pow,
 )
 from .serial import Record
 
@@ -45,14 +46,10 @@ class SchnorrKeypair(Record):
     secret: int
 
 
-def _u_pow(group: SigningGroup, exp: int) -> int:
-    # Every exponent of u is below q; a table sized for q is built once.
-    return fixed_base_pow(group.u, exp, group.p, group.q.bit_length())
-
-
 def generate_keypair(group: SigningGroup, rng) -> SchnorrKeypair:
     secret = rand_range(rng, 1, group.q)
-    return SchnorrKeypair(group, _u_pow(group, secret), secret)
+    return SchnorrKeypair(group, subgroup_pow(group.u, secret, group.p,
+                                              group.q), secret)
 
 
 def sign(keypair: SchnorrKeypair, message: bytes):
@@ -61,7 +58,7 @@ def sign(keypair: SchnorrKeypair, message: bytes):
     nonce_seed = canonical_encode(
         [b"schnorr-nonce", int_to_bytes(keypair.secret), message])
     r = 1 + bytes_to_int(hash_expand(nonce_seed, (g.q.bit_length() + 128) // 8)) % (g.q - 1)
-    t = _u_pow(g, r)
+    t = subgroup_pow(g.u, r, g.p, g.q)
     c = _challenge(g, keypair.public, t, message)
     s = (r + c * keypair.secret) % g.q
     return (c, s)
@@ -69,14 +66,10 @@ def sign(keypair: SchnorrKeypair, message: bytes):
 
 def verify(group: SigningGroup, public: int, message: bytes, signature) -> bool:
     c, s = signature
-    if not (1 <= public < group.p and 0 <= s < group.q):
+    if not (0 <= s < group.q and in_subgroup(public, group.p, group.q)):
         return False
-    if pow(public, group.q, group.p) != 1:
-        return False
-    try:
-        t = _u_pow(group, s) * pow(public, -c, group.p) % group.p
-    except ValueError:
-        return False
+    t = (subgroup_pow(group.u, s, group.p, group.q)
+         * pow(public, -c, group.p) % group.p)
     return _challenge(group, public, t, message) == c
 
 

@@ -165,7 +165,7 @@ def _forge_signature_around_revocation(gpk, sk, sig_rl, message, nonce, rng,
     p, q, N = gpk.p, gpk.q, gpk.N
     from chainanchor.groupmath import random_subgroup_element
 
-    B = random_subgroup_element(p, q, rng).value
+    B = random_subgroup_element(p, q, rng)
     K = pow(B, sk.f, p)
     w = rand_bits(rng, prof.l_v + prof.l_phi - prof.l_e)
     T = sk.A * pow(gpk.S, w, N) % N

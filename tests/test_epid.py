@@ -234,7 +234,7 @@ def test_join_round_trip(desk_group):
     assert epid.verify_join_request(gpk, req, b"n-1")
     # blinded commitment recomputes from the retained secrets
     assert req.U == pow(gpk.R, state.f, gpk.N) * pow(gpk.S, state.v_prime, gpk.N) % gpk.N
-    assert req.K_I == pow(state.B_I.value, state.f, gpk.p)
+    assert req.K_I == pow(state.B_I, state.f, gpk.p)
 
 
 def test_join_deterministic_under_seed(desk_gpk):
@@ -382,9 +382,9 @@ def test_signer_raises_each_revoked_base_to_f_once(desk_gpk, member_key,
     rng = random.Random(22)
     entries = []
     for _ in range(3):
-        B_i = random_subgroup_element(desk_gpk.p, desk_gpk.q, rng).value
+        B_i = random_subgroup_element(desk_gpk.p, desk_gpk.q, rng)
         entries.append((B_i, random_subgroup_element(desk_gpk.p, desk_gpk.q,
-                                                      rng).value))
+                                                      rng)))
     rl = epid.RevocationList(entries=tuple(entries), epoch=1)
     raised = []
 
@@ -450,7 +450,7 @@ def test_verify_rejects_oversized_response(desk_gpk, member_key):
     prof = gpk.profile
     rng = random.Random(25)
     p, q, N = gpk.p, gpk.q, gpk.N
-    B = random_subgroup_element(p, q, rng).value
+    B = random_subgroup_element(p, q, rng)
     K = pow(B, sk.f, p)
     w = rand_bits(rng, prof.l_v + prof.l_phi - prof.l_e)
     T = sk.A * pow(gpk.S, w, N) % N
@@ -596,7 +596,7 @@ def test_issuer_revocation_by_join_pseudonym(desk_group):
     state, req = epid.join_request(gpk, gpk.issuer_basename, b"n", rng)
     sk = epid.complete_join(
         state, epid.issue_credential(gpk, gipk, req, b"n", rng), gpk)
-    B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q).value
+    B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
     issuer_rl = epid.revoke_signature(EMPTY, B_I, req.K_I)
     with pytest.raises(RevokedKeyError):
         epid.sign_membership(sk, gpk, MSG, NONCE, EMPTY, issuer_rl, rng)
@@ -625,7 +625,7 @@ def test_forged_nonrevocation_entry_fails(desk_group):
 
     honest = epid.sign_membership(victim, gpk, MSG, NONCE, EMPTY, EMPTY, rng)
     fake_entry = epid.NonRevocationProof(
-        W=random_subgroup_element(gpk.p, gpk.q, rng).value,
+        W=random_subgroup_element(gpk.p, gpk.q, rng),
         c=fiat_shamir_challenge([b"fake"], gpk.profile.l_H),
         s_alpha=rand_bits(rng, gpk.profile.l_q - 1),
         s_beta=rand_bits(rng, gpk.profile.l_q - 1))

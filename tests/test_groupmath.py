@@ -13,7 +13,6 @@ from chainanchor.groupmath import (
     DESK,
     FULL,
     ParameterProfile,
-    SubgroupElement,
     canonical_encode,
     fiat_shamir_challenge,
     fixed_base_pow,
@@ -22,11 +21,13 @@ from chainanchor.groupmath import (
     gen_safe_prime,
     gen_schnorr_group,
     hash_to_subgroup,
+    in_subgroup,
     int_to_bytes,
     is_probable_prime,
     jacobi,
     load_profiles,
     random_subgroup_element,
+    subgroup_pow,
 )
 from chainanchor.world import World
 from conftest import TINY
@@ -203,7 +204,7 @@ def test_schnorr_group_tiny_profile():
     assert p.bit_length() == 32 and q.bit_length() == 16
     assert (p - 1) % q == 0
     assert ((p - 1) // q) % q != 0
-    assert u.value != 1 and pow(u.value, q, p) == 1
+    assert u != 1 and pow(u, q, p) == 1
 
 
 def test_schnorr_group_desk_profile():
@@ -211,7 +212,7 @@ def test_schnorr_group_desk_profile():
     p, q, u = gen_schnorr_group(DESK, rng)
     assert p.bit_length() == DESK.l_p and q.bit_length() == DESK.l_q
     assert (p - 1) % q == 0 and ((p - 1) // q) % q != 0
-    assert pow(u.value, q, p) == 1 and u.value != 1
+    assert pow(u, q, p) == 1 and u != 1
 
 
 def test_known_small_subgroup_values():
@@ -219,9 +220,11 @@ def test_known_small_subgroup_values():
     assert pow(2, 11, 23) == 1 and 11 % 11 == 0 and (23 - 1) % 11 == 0
     assert 2 % 11 != 0  # 11 does not divide (p-1)/q = 2
     assert pow(22, 2, 23) == 1 and pow(22, 11, 23) != 1
-    SubgroupElement(2, 23, 11)
-    with pytest.raises(ValueError):
-        SubgroupElement(22, 23, 11)
+    # so 2^1..2^10 are the whole subgroup but the identity
+    subgroup = {pow(2, k, 23) for k in range(1, 11)}
+    assert len(subgroup) == 10 and 1 not in subgroup
+    for x in range(-1, 25):
+        assert in_subgroup(x, 23, 11) == (x in subgroup), x
 
 
 def test_rsa_group_tiny():
@@ -253,7 +256,7 @@ def test_hash_to_subgroup_deterministic():
     a = hash_to_subgroup(b"idp-pi:group", p, q)
     b = hash_to_subgroup(b"idp-pi:group", p, q)
     assert a == b
-    assert pow(a.value, q, p) == 1 and a.value != 1
+    assert pow(a, q, p) == 1 and a != 1
 
 
 def test_hash_to_subgroup_memo_equals_fresh_derivation(desk_gpk):
@@ -265,7 +268,7 @@ def test_hash_to_subgroup_memo_equals_fresh_derivation(desk_gpk):
 
 def test_hash_to_subgroup_distinct_basenames(desk_gpk):
     p, q = desk_gpk.p, desk_gpk.q
-    values = {hash_to_subgroup(f"basename-{i}".encode(), p, q).value
+    values = {hash_to_subgroup(f"basename-{i}".encode(), p, q)
               for i in range(100)}
     assert len(values) == 100
 
@@ -279,9 +282,9 @@ def test_random_subgroup_element_covers_subgroup():
     counts = {}
     for _ in range(1000):
         el = random_subgroup_element(p, q, rng)
-        assert el.value in subgroup
-        seen.add(el.value)
-        counts[el.value] = counts.get(el.value, 0) + 1
+        assert el in subgroup
+        seen.add(el)
+        counts[el] = counts.get(el, 0) + 1
     assert seen == subgroup
     # crude chi-square sanity: each of the 10 elements expected 100 times
     chi2 = sum((n - 100) ** 2 / 100 for n in counts.values())
@@ -381,6 +384,21 @@ def test_fixed_base_pow_matches_pow_on_group_bases(desk_group):
     for base in (gpk.R, gpk.S, gpk.Z):
         for exp in exps:
             assert fixed_base_pow(base, exp, N) == pow(base, exp, N), exp
+
+
+def test_subgroup_pow_matches_pow_on_u_and_B_I(desk_gpk, monkeypatch):
+    monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
+    p, q = desk_gpk.p, desk_gpk.q
+    B_I = hash_to_subgroup(desk_gpk.issuer_basename, p, q)
+    rng = random.Random(42)
+    c = rng.getrandbits(DESK.l_H)
+    s_f = rng.getrandbits(441) | 1 << 440
+    for base in (desk_gpk.u, B_I):
+        for exp in (0, 1, q - 1, q, q + 1, -1, -c, s_f):
+            assert subgroup_pow(base, exp, p, q) == pow(base, exp, p), exp
+    # one table per base, sized from q and never widened by a longer exponent
+    assert groupmath._COMB_TABLES[(B_I, p)][0] == -(-DESK.l_q // 8)
+    assert len(groupmath._COMB_TABLES) == 2
 
 
 def test_fixed_base_pow_grows_for_a_longer_exponent(desk_gpk):

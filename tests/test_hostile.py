@@ -24,7 +24,7 @@ def base_doc():
     a non-revocation proof that tampering can reach."""
     world = World.create("hostile", DESK, seed=11)
     gpk = world.verifier.gpk
-    B = hash_to_subgroup(b"revoked", gpk.p, gpk.q).value
+    B = hash_to_subgroup(b"revoked", gpk.p, gpk.q)
     world.revoke(B, pow(B, 2, gpk.p))
     return world.to_doc()
 
@@ -75,6 +75,31 @@ def test_revocation_entry_outside_group_is_protocol_error(base_doc):
                  lambda doc: doc["sig_rl"].update(entries=[["0x2", "0x0"]]))
     with pytest.raises(ProtocolError):
         world.prove("alice")
+
+
+def test_revocation_base_of_order_two_is_refused_for_either_parity(base_doc):
+    # With (p-1, p-1) on the sig-RL, B_i^f == K_i exactly when f is odd, so
+    # a signer that raised B_i to f would show the verifier f's parity
+    # (Lim & Lee, CRYPTO 1997).  Both parities get the same refusal, and
+    # neither sends a proof.
+    world = World.from_doc(base_doc)
+    by_parity = {}
+    for name in "abcdefgh":
+        world.enroll(name)
+        world.join(name)
+        by_parity.setdefault(world.users[name].member_keys[0].f % 2, name)
+    assert len(by_parity) == 2
+    p = world.verifier.gpk.p
+    world.verifier.sig_rl = epid.RevocationList(
+        entries=((p - 1, p - 1),), epoch=world.verifier.sig_rl.epoch + 1)
+    for name in by_parity.values():
+        sent = len(world.transcript.envelopes)
+        with pytest.raises(ProtocolError,
+                           match="revocation list entry out of range") as exc:
+            world.prove(name)
+        assert not isinstance(exc.value, epid.RevokedKeyError)
+        assert "step-6.4" not in [env.step for env
+                                  in world.transcript.envelopes[sent:]]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +290,7 @@ def _non_residue_join_request(gpk, nonce, rng):
     until the challenge c is even makes it verify without the factorization.
     """
     prof, N, p = gpk.profile, gpk.N, gpk.p
-    B_I = hash_to_subgroup(gpk.issuer_basename, p, gpk.q).value
+    B_I = hash_to_subgroup(gpk.issuer_basename, p, gpk.q)
     f = rand_bits(rng, prof.l_f)
     v = rand_bits(rng, prof.l_v)
     U = N - pow(gpk.R, f, N) * pow(gpk.S, v, N) % N

@@ -291,3 +291,25 @@ def test_world_replay_is_not_mined_by_another_honest_node():
     ledger.submit(reloaded.pool, tx)
     assert reloaded.mine("node1") is None
     assert reloaded.nodes[1].drop_log[-1] == (txid, ledger.REPLAY)
+
+
+def test_forged_transaction_under_a_registered_identity_key_is_refused():
+    # A member registers 1 as its transaction key.  Signing under 1 needs no
+    # secret, so an outsider's forgery must not reach the pool.
+    world = World.create("forge", DESK, 42)
+    for step in (world.enroll, world.join, world.prove):
+        step("alice")
+    group = world.pool.group
+    keys = world.users["alice"].transaction_keys
+    keys.append(schnorr.SchnorrKeypair(group, public=1, secret=0))
+    world.register("alice", key_index=len(keys) - 1)
+    assert world.db_view()(1)
+    body = ledger.Transaction(1, b"forged", world.clock.now(), (0, 0),
+                              "").body_bytes()
+    s = 12345
+    c = schnorr._challenge(group, 1, pow(group.u, s, group.p), body)
+    forged = ledger.Transaction(1, b"forged", world.clock.now(), (c, s),
+                                ledger._txid(body, (c, s)))
+    with pytest.raises(ProtocolError, match="transaction signature invalid"):
+        ledger.submit(world.pool, forged)
+    assert not world.pool.pending

@@ -37,6 +37,13 @@ def test_sign_verify(group):
     assert not schnorr.verify(group, other.public, b"hello", sig)
 
 
+def test_identity_public_key_never_verifies(group):
+    # Under the public key 1, t = u^s for every s: anyone could sign.
+    s = 12345
+    c = schnorr._challenge(group, 1, pow(group.u, s, group.p), b"m")
+    assert not schnorr.verify(group, 1, b"m", (c, s))
+
+
 def test_signing_deterministic(group):
     kp = schnorr.generate_keypair(group, random.Random(2))
     assert schnorr.sign(kp, b"m") == schnorr.sign(kp, b"m")
