@@ -9,11 +9,14 @@ global RNG state, so every function is reproducible under a seeded source.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 from .errors import ProtocolError
@@ -276,19 +279,20 @@ def jacobi(a: int, n: int) -> int:
 
 @functools.cache
 def _sieve(limit):
+    """The primes below ``limit``, as a compact ``array('I')``."""
     flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
-            flags[i * i::i] = b"\x00" * len(flags[i * i::i])
-    return [i for i in range(limit) if flags[i]]
+            flags[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return array("I", itertools.compress(range(limit), flags))
 
 
 _SMALL_PRIMES = _sieve(4096)
 # Wider sieve for safe-prime search at deployment sizes, where every saved
 # Miller-Rabin call on a ~1024-bit candidate is worth it.  Built on the first
 # such search, not at import: most processes never run one.
-_WIDE_SIEVE_LIMIT = 1 << 16
+_WIDE_SIEVE_LIMIT = 1 << 20
 
 
 def _mr_witnesses(n: int):
@@ -367,15 +371,27 @@ def _safe_prime_interval(q0: int, bits: int, span: int):
     """Indices i where neither q0+2i nor 2(q0+2i)+1 has a small factor."""
     ok = bytearray([1]) * span
     sieve = _sieve(_WIDE_SIEVE_LIMIT) if bits >= 512 else _SMALL_PRIMES
-    for sp in sieve[1:]:
-        inv2 = (sp + 1) // 2
-        # q0 + 2i ≡ 0 (mod sp)
-        i0 = (-q0 * inv2) % sp
-        ok[i0::sp] = b"\x00" * len(ok[i0::sp])
-        # 2(q0 + 2i) + 1 ≡ 0 (mod sp)
-        inv4 = pow(4, -1, sp)
-        i1 = (-(2 * q0 + 1) * inv4) % sp
-        ok[i1::sp] = b"\x00" * len(ok[i1::sp])
+    # One big-int reduction per prime; the rest is small-int arithmetic.
+    cut = bisect.bisect_right(sieve, 4 * span)
+    for sp in itertools.islice(sieve, 1, cut):
+        # q0 + 2i ≡ 0 (mod sp) at i0 = -r/2; 2(q0 + 2i) + 1 ≡ 0 at
+        # i1 = -(2r + 1)/4 = i0 - 1/4.
+        inv2 = (sp + 1) >> 1
+        i0 = (sp - q0 % sp) * inv2 % sp
+        ok[i0::sp] = bytes(len(range(i0, span, sp)))
+        i1 = (i0 - inv2 * inv2) % sp
+        ok[i1::sp] = bytes(len(range(i1, span, sp)))
+    # Above 4 * span, 2i and 4i are below sp, so each is a residue itself:
+    # with t = -q0 mod sp, q0 + 2i ≡ 0 iff 2i = t, and 2(q0 + 2i) + 1 ≡ 0
+    # iff 4i = (2t - 1) mod sp.  Each marks at most one index.
+    neg_q0 = -q0
+    for sp in itertools.islice(sieve, cut, None):
+        t = neg_q0 % sp
+        if t < 2 * span and not t & 1:
+            ok[t >> 1] = 0
+        t = (2 * t - 1) % sp
+        if t < 4 * span and not t & 3:
+            ok[t >> 2] = 0
     return ok
 
 
@@ -383,6 +399,8 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
                    _top_two: bool = False) -> int:
     """Random safe prime P = 2P' + 1 (P' prime) with exactly ``bits`` bits.
 
+    P' passes ``MR_ROUNDS`` rounds of Miller-Rabin; from 20 bits up, P is
+    then proved prime by Pocklington's theorem rather than tested.
     ``_top_two`` additionally forces the two top bits, so that the product of
     two such primes has exactly twice their bit length (RSA modulus shaping).
     Below 20 bits the search draws ``max_attempts * 1000`` candidates, above
@@ -420,15 +438,16 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
             q = q0 + 2 * i
             if q.bit_length() != bits - 1:
                 break
-            # One round each on q and p weeds out nearly everything before
-            # paying for the full confirmation.  The sieve has already done
-            # the trial division, so the pre-test is Miller-Rabin alone.
+            # One round on q and a base-2 Fermat test on p weed out nearly
+            # everything before q's full confirmation.  The sieve has
+            # already done the trial division, so the pre-test on q is
+            # Miller-Rabin alone.  Once q is prime, the Fermat test is
+            # Pocklington's proof that p is prime: q > sqrt(p), and
+            # gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1 because 3 is sieved.
             if not _miller_rabin(q, 1):
                 continue
             p = 2 * q + 1
-            if not _miller_rabin(p, 1):
-                continue
-            if is_probable_prime(q) and is_probable_prime(p):
+            if pow(2, p - 1, p) == 1 and is_probable_prime(q):
                 return p
     raise RuntimeError(f"no {bits}-bit safe prime after {windows} windows")
 

@@ -476,7 +476,8 @@ def register_transaction_key(user: UserActor, verifier: VerifierActor,
                              transcript: Transcript, rng,
                              clock: LogicalClock):
     """Deliver a transaction public key under the PSK channel; the verifier
-    appends (key, timestamp) to the permissions database."""
+    checks that it lies in the order-q subgroup and appends (key, timestamp)
+    to the permissions database."""
     session = user.psk_sessions.get(session_id)
     if session is None:
         raise ProtocolError("no established session")
@@ -492,6 +493,8 @@ def register_transaction_key(user: UserActor, verifier: VerifierActor,
         raise ProtocolError("no established session")
     submitted, = unpack(_REGISTER,
                         _open(vsession, b"register", env.payload))
+    if not in_subgroup(submitted, verifier.gpk.p, verifier.gpk.q):
+        raise ProtocolError("transaction key invalid")
     verifier.permissions_db.add(submitted, clock.now())
     vsession.registered_keys.append(submitted)
 

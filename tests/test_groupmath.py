@@ -114,8 +114,88 @@ def test_safe_prime_search_outlasts_64_empty_windows(monkeypatch):
     assert sympy.isprime(p) and sympy.isprime((p - 1) // 2)
 
 
+# gen_safe_prime(512, random.Random(seed)): the wide-sieve path.  A sieve
+# only removes candidates with a small factor and a proof only confirms a
+# prime, so a change to either keeps these.
+SAFE_512 = {seed: int(digits, 16) for seed, digits in (
+    (1, "afbd67f8c32d339fc33115b3e0d8289404b6827f1534043d4c914fba0d073d72"
+        "0b6dcdc60fa97db8a2862327cd87e67234571e3fe3fa85452eaba9827521467f"),
+    (2, "bd143fa96e284218ccbae86b820cd265e8ecfe4c5286cb64e43bd477ec7e47a1"
+        "b7ca7f95f6428fbeb9492bf4b52391372fdd56c99459cd78ba7fb30786992a17"),
+    (3, "f81f9c59acc8bf53d150a53e06bdf44b3611247a218cffb3296571fb405e694c"
+        "f2b7253d353501fbd4f6b7eabd6ac34842c6c6d316a536952f6ea12479d6845b"),
+)}
+
+
+@pytest.mark.parametrize("seed", sorted(SAFE_512))
+def test_safe_prime_512_pinned(seed):
+    assert gen_safe_prime(512, random.Random(seed)) == SAFE_512[seed]
+
+
+def odd_primes_below(limit):
+    # sympy's sieve, extended once; primerange is then a slice of it
+    sympy.sieve.extend(limit)
+    return list(sympy.sieve.primerange(3, limit))
+
+
+class _FirstDrawRng:
+    # hands out one chosen draw, then the draws of random.Random(seed)
+    def __init__(self, first, seed):
+        self.first, self.rest = first, random.Random(seed)
+
+    def getrandbits(self, k):
+        if self.first is None:
+            return self.rest.getrandbits(k)
+        value, self.first = self.first, None
+        return value
+
+
+def test_safe_prime_search_skips_prime_q_with_composite_p(monkeypatch):
+    # A 511-bit prime q whose 2q + 1 is composite with no factor below the
+    # wide sieve's limit, so only the test on p itself can refuse it.
+    primes = odd_primes_below(groupmath._WIDE_SIEVE_LIMIT)
+    q = (1 << 510) | (1 << 400)
+    while True:
+        q = sympy.nextprime(q)
+        p = 2 * q + 1
+        if not sympy.isprime(p) and all(p % sp for sp in primes):
+            break
+    sieve = groupmath._safe_prime_interval
+    windows = []
+
+    def offer_q_first(q0, bits, span):
+        windows.append(q0)
+        if len(windows) > 1:
+            return sieve(q0, bits, span)
+        ok = bytearray(span)
+        ok[0] = 1
+        return ok
+
+    monkeypatch.setattr(groupmath, "_safe_prime_interval", offer_q_first)
+    # after the refused window the draws are seed 1's, so is the prime
+    assert gen_safe_prime(512, _FirstDrawRng(q, 1)) == SAFE_512[1]
+    assert windows[0] == q and len(windows) > 1
+
+
+@pytest.mark.parametrize("bits", [512, 1024])
+def test_safe_prime_interval_matches_trial_division(bits):
+    # ok[i] is set exactly when neither q0 + 2i nor 2(q0 + 2i) + 1 has a
+    # prime factor below the wide sieve's limit.
+    primes = odd_primes_below(groupmath._WIDE_SIEVE_LIMIT)
+    rng = random.Random(bits)
+    span = 48
+    for _ in range(3):
+        q0 = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
+        ok = groupmath._safe_prime_interval(q0, bits, span)
+        assert len(ok) == span
+        for i in range(span):
+            q = q0 + 2 * i
+            rough = all(q % sp and (2 * q + 1) % sp for sp in primes)
+            assert ok[i] == rough, (q0, i)
+
+
 def test_wide_sieve_is_built_by_the_first_wide_search():
-    # Importing the module sieves only below 4096; the primes below 65536
+    # Importing the module sieves only below 4096; the primes below 2^20
     # are sieved when a search of 512 bits or more first needs them.
     code = ("from chainanchor import groupmath as g\n"
             "sizes = [g._sieve.cache_info().currsize]\n"
@@ -131,7 +211,7 @@ def test_wide_sieve_is_built_by_the_first_wide_search():
                          capture_output=True, text=True).stdout
     assert out.split() == ["1", "1", "2"]
     wide = groupmath._sieve(groupmath._WIDE_SIEVE_LIMIT)
-    assert wide == list(sympy.primerange(groupmath._WIDE_SIEVE_LIMIT))
+    assert list(wide) == list(sympy.primerange(groupmath._WIDE_SIEVE_LIMIT))
 
 
 def test_challenge_length_bounds():

@@ -294,15 +294,12 @@ def test_world_replay_is_not_mined_by_another_honest_node():
 
 
 def test_forged_transaction_under_a_registered_identity_key_is_refused():
-    # A member registers 1 as its transaction key.  Signing under 1 needs no
-    # secret, so an outsider's forgery must not reach the pool.
+    # The identity 1 sits in the permissions database.  Registration refuses
+    # it, so it is put there directly.  Signing under 1 needs no secret, so
+    # an outsider's forgery must not reach the pool.
     world = World.create("forge", DESK, 42)
-    for step in (world.enroll, world.join, world.prove):
-        step("alice")
     group = world.pool.group
-    keys = world.users["alice"].transaction_keys
-    keys.append(schnorr.SchnorrKeypair(group, public=1, secret=0))
-    world.register("alice", key_index=len(keys) - 1)
+    world.verifier.permissions_db.add(1, world.clock.now())
     assert world.db_view()(1)
     body = ledger.Transaction(1, b"forged", world.clock.now(), (0, 0),
                               "").body_bytes()

@@ -361,6 +361,26 @@ def test_registration_ciphertext_tamper_rejected(stage):
     assert stage.verifier.permissions_db.entries == {}
 
 
+def test_register_refuses_keys_outside_the_subgroup(stage):
+    # Every Schnorr check refuses a key outside the order-q subgroup, so the
+    # verifier refuses to register one: no entry, and the session stays open.
+    user = stage.enroll_and_join("alice")
+    session_id, session = stage.prove(user)
+    p, q = stage.group.p, stage.group.q
+    non_residue = next(x for x in range(2, p) if pow(x, q, p) != 1)
+    good = user.transaction_keys[0]
+    for bad in (1, 0, p - 1, p, non_residue):
+        user.transaction_keys[0] = schnorr.SchnorrKeypair(stage.group, bad, 0)
+        with pytest.raises(ProtocolError, match="transaction key invalid"):
+            stage.register(user, session_id, 0)
+        assert stage.verifier.permissions_db.entries == {}
+        assert stage.verifier.sessions[session_id].registered_keys == []
+        assert session.registered_keys == []
+    user.transaction_keys[0] = good
+    pk, _ = stage.register(user, session_id, 0)
+    assert pk == good.public and roles.pv_lookup(stage.verifier, pk)
+
+
 def test_register_requires_session(stage):
     user = stage.enroll_and_join("alice")
     with pytest.raises(ProtocolError, match="no established session"):
