@@ -16,6 +16,9 @@ import hashlib
 import itertools
 import json
 import math
+import operator
+import os
+import threading
 from array import array
 from dataclasses import dataclass
 
@@ -367,13 +370,99 @@ def gen_prime_in_range(lo: int, hi: int, rng, max_attempts: int = 100000) -> int
     raise RuntimeError(f"no prime found in [{lo}, {hi}]")
 
 
+# At most this many processes share one window of a safe-prime search,
+# however many CPUs the host offers: each is a copy of the calling process.
+_MAX_SEARCH_WORKERS = 4
+
+
+def _search_workers(bits: int) -> int:
+    """How many processes share each window of a ``bits``-bit search.
+
+    One per CPU this process may run on, up to ``_MAX_SEARCH_WORKERS``, from
+    the wide-sieve size up, where a window's work pays for the forks many
+    times over.  Forking copies only the calling thread, so a process
+    running other threads (whose locks could be held at the fork) searches
+    alone, as does a platform without ``fork``.
+    """
+    if (bits < 512 or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_SEARCH_WORKERS)
+
+
+def _across_workers(task, workers: int) -> list[bytes]:
+    """``[task(0), ..., task(workers - 1)]``: ``task(0)`` runs in this
+    process, the others in forked children that send back their bytes.
+
+    ``task`` returns non-empty bytes, so a child that exits without a report
+    (it raised, or was killed) raises RuntimeError here.  No child outlives
+    the call: one still running when this process raises is killed, and
+    every child is reaped.
+    """
+    children = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # The child leaves by os._exit alone, on every path: it must
+                # not run the caller's cleanup or flush its inherited
+                # buffers.  A child that raises exits 1 without a report.
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(task(w))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [task(0)]
+        for pid, pipe in children:
+            report = pipe.read()
+            if not report:
+                raise RuntimeError(f"safe-prime worker {pid} exited "
+                                   f"without a result")
+            results.append(report)
+    finally:
+        if children:
+            import signal  # only a forking search needs it
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
 def _safe_prime_interval(q0: int, bits: int, span: int):
-    """Indices i where neither q0+2i nor 2(q0+2i)+1 has a small factor."""
-    ok = bytearray([1]) * span
+    """Indices i where neither q0+2i nor 2(q0+2i)+1 has a small factor.
+
+    The sieving primes are dealt out among the search's workers, and an
+    index survives only if every worker's share of the primes left it.
+    """
     sieve = _sieve(_WIDE_SIEVE_LIMIT) if bits >= 512 else _SMALL_PRIMES
+    workers = _search_workers(bits)
+    shares = _across_workers(
+        lambda w: _sieve_share(q0, sieve, span, w, workers), workers)
+    ok = functools.reduce(
+        operator.and_, (int.from_bytes(share, "big") for share in shares))
+    return bytearray(ok.to_bytes(span, "big"))
+
+
+def _sieve_share(q0: int, sieve, span: int, share: int, workers: int):
+    """The sieve of :func:`_safe_prime_interval` by the odd primes of
+    ``sieve`` at positions ``share``, ``share + workers``, ... alone."""
+    ok = bytearray([1]) * span
     # One big-int reduction per prime; the rest is small-int arithmetic.
     cut = bisect.bisect_right(sieve, 4 * span)
-    for sp in itertools.islice(sieve, 1, cut):
+    for sp in itertools.islice(sieve, 1 + share, cut, workers):
         # q0 + 2i ≡ 0 (mod sp) at i0 = -r/2; 2(q0 + 2i) + 1 ≡ 0 at
         # i1 = -(2r + 1)/4 = i0 - 1/4.
         inv2 = (sp + 1) >> 1
@@ -385,7 +474,7 @@ def _safe_prime_interval(q0: int, bits: int, span: int):
     # with t = -q0 mod sp, q0 + 2i ≡ 0 iff 2i = t, and 2(q0 + 2i) + 1 ≡ 0
     # iff 4i = (2t - 1) mod sp.  Each marks at most one index.
     neg_q0 = -q0
-    for sp in itertools.islice(sieve, cut, None):
+    for sp in itertools.islice(sieve, cut + share, None, workers):
         t = neg_q0 % sp
         if t < 2 * span and not t & 1:
             ok[t >> 1] = 0
@@ -393,6 +482,38 @@ def _safe_prime_interval(q0: int, bits: int, span: int):
         if t < 4 * span and not t & 3:
             ok[t >> 2] = 0
     return ok
+
+
+def _first_safe(qs: list[int], workers: int):
+    """The safe prime 2q + 1 for the first q in the sieved candidates
+    ``qs`` that gives one, or None.
+
+    Worker w tests qs[w], qs[w + workers], ... and reports the index of its
+    first pass.  Each test is a pure function of its candidate, so the
+    lowest reported index is the one a scan in order finds, for any number
+    of workers.
+    """
+    workers = max(1, min(workers, len(qs)))
+
+    def first_passing(w: int) -> bytes:
+        for k in range(w, len(qs), workers):
+            q = qs[k]
+            # One round on q and a base-2 Fermat test on p weed out nearly
+            # everything before q's full confirmation.  The sieve has
+            # already done the trial division, so the pre-test on q is
+            # Miller-Rabin alone.  Once q is prime, the Fermat test is
+            # Pocklington's proof that p is prime: q > sqrt(p), and
+            # gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1 because 3 is sieved.
+            if not _miller_rabin(q, 1):
+                continue
+            p = 2 * q + 1
+            if pow(2, p - 1, p) == 1 and is_probable_prime(q):
+                return b"%d" % k
+        return b"-1"
+
+    hits = [k for k in map(int, _across_workers(first_passing, workers))
+            if k >= 0]
+    return 2 * qs[min(hits)] + 1 if hits else None
 
 
 def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
@@ -406,6 +527,9 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
     Below 20 bits the search draws ``max_attempts * 1000`` candidates, above
     it sieves a number of windows derived from ``bits``; running out of
     either raises RuntimeError and means the randomness source is broken.
+    From 512 bits each window is sieved and tested by forked worker
+    processes (:func:`_search_workers`), which leave no process behind; the
+    prime found does not depend on how many there are.
     """
     if bits < 4:
         raise ValueError("need bits >= 4")
@@ -425,6 +549,8 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
     # 1024 bits and the density falls as 1/bits^2 (241 extra at 1024 bits).
     # Keeping the first 64 keeps every draw that finds a prime in them.
     windows = 64 + math.ceil(math.log(1e9) / (0.086 * (1024 / bits) ** 2))
+    workers = _search_workers(bits)
+    top = 1 << (bits - 1)
     for _ in range(windows):
         # q is (bits-1) bits; force its top bit (and next, for _top_two) so
         # that p = 2q + 1 lands on the requested length.
@@ -432,23 +558,11 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
         if _top_two:
             q0 |= 1 << (bits - 3)
         ok = _safe_prime_interval(q0, bits, span)
-        for i in range(span):
-            if not ok[i]:
-                continue
-            q = q0 + 2 * i
-            if q.bit_length() != bits - 1:
-                break
-            # One round on q and a base-2 Fermat test on p weed out nearly
-            # everything before q's full confirmation.  The sieve has
-            # already done the trial division, so the pre-test on q is
-            # Miller-Rabin alone.  Once q is prime, the Fermat test is
-            # Pocklington's proof that p is prime: q > sqrt(p), and
-            # gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1 because 3 is sieved.
-            if not _miller_rabin(q, 1):
-                continue
-            p = 2 * q + 1
-            if pow(2, p - 1, p) == 1 and is_probable_prime(q):
-                return p
+        qs = [q0 + 2 * i for i in itertools.compress(range(span), ok)
+              if q0 + 2 * i < top]
+        p = _first_safe(qs, workers)
+        if p:
+            return p
     raise RuntimeError(f"no {bits}-bit safe prime after {windows} windows")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -362,4 +363,10 @@ def test_full_profile_setup_smoke(tmp_path, capsys):
     code, out, _ = run(capsys, "setup", "big", "--profile", "full",
                        "--seed", "1", "--world", path)
     assert code == 0 and "N 2048 bits" in out
-    assert World.load(path).profile.name == "full"
+    world = World.load(path)
+    assert world.profile.name == "full"
+    # N comes from the two 1024-bit safe-prime searches alone; this is its
+    # digest from the sequential search, which any number of workers keeps.
+    N = world.verifier.gpk.N
+    assert hashlib.sha256(N.to_bytes(256, "big")).hexdigest() == (
+        "af31544f5d5695d5144f87d46af83e17f582e65251c308f440df71020c464fbb")

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 import sympy
@@ -177,6 +178,91 @@ def test_safe_prime_search_skips_prime_q_with_composite_p(monkeypatch):
     assert windows[0] == q and len(windows) > 1
 
 
+def _count_forks(monkeypatch, cpus):
+    # The search sees ``cpus`` CPUs; the list returned counts its forks.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, None, 8])
+def test_safe_prime_512_same_for_any_worker_count(monkeypatch, cpus):
+    # One worker, one per CPU of this host (None), and the cap (8 CPUs
+    # seen) all find the prime that a scan in order finds.
+    forks = _count_forks(monkeypatch, cpus or len(os.sched_getaffinity(0)))
+    for seed, prime in SAFE_512.items():
+        assert gen_safe_prime(512, random.Random(seed)) == prime
+    assert bool(forks) == (groupmath._search_workers(512) > 1)
+    assert_no_child_left()
+
+
+def test_safe_prime_window_answer_is_its_lowest_passing_index():
+    # Two workers both find one (worker 0 at index 2, worker 1 at index 1):
+    # the window's answer is index 1's for every worker count.
+    a, b, c = ((SAFE_512[seed] - 1) // 2 for seed in (1, 2, 3))
+    qs = [3 * a, b, a, c]
+    for workers in (1, 2, 3, 4):
+        assert groupmath._first_safe(qs, workers) == SAFE_512[2]
+    assert groupmath._first_safe([3 * a, 3 * b], 2) is None
+    assert groupmath._first_safe([], 2) is None
+    assert_no_child_left()
+
+
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["child", "caller"])
+def test_safe_prime_search_leaves_no_child_when_a_worker_fails(monkeypatch,
+                                                               failing):
+    # A child that raises exits without a report, which the caller turns
+    # into RuntimeError; the caller's own error propagates as it is.
+    forks = _count_forks(monkeypatch, 2)
+    caller, mr = os.getpid(), groupmath._miller_rabin
+
+    def refuse(n, rounds):
+        if (os.getpid() == caller) == (failing == "caller"):
+            raise _Refused
+        return mr(n, rounds)
+
+    monkeypatch.setattr(groupmath, "_miller_rabin", refuse)
+    with (pytest.raises(_Refused) if failing == "caller" else
+          pytest.raises(RuntimeError, match="without a result")):
+        gen_safe_prime(512, random.Random(1))
+    assert forks
+    assert_no_child_left()
+
+
+def test_safe_prime_search_in_a_threaded_process_does_not_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def no_fork():
+        raise AssertionError("forked while another thread was running")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        for seed, prime in SAFE_512.items():
+            assert gen_safe_prime(512, random.Random(seed)) == prime
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 @pytest.mark.parametrize("bits", [512, 1024])
 def test_safe_prime_interval_matches_trial_division(bits):
     # ok[i] is set exactly when neither q0 + 2i nor 2(q0 + 2i) + 1 has a
@@ -192,6 +278,22 @@ def test_safe_prime_interval_matches_trial_division(bits):
             q = q0 + 2 * i
             rough = all(q % sp and (2 * q + 1) % sp for sp in primes)
             assert ok[i] == rough, (q0, i)
+
+
+@pytest.mark.parametrize("bits", [512, 1024])
+def test_safe_prime_interval_same_for_any_worker_count(monkeypatch, bits):
+    # The workers' shares of the sieving primes mark a full window as one
+    # process does.
+    rng = random.Random(bits)
+    q0s = [rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1 for _ in range(3)]
+    windows = []
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        windows.append([groupmath._safe_prime_interval(q0, bits, 1 << 14)
+                        for q0 in q0s])
+    assert windows[0] == windows[1] == windows[2]
+    assert_no_child_left()
 
 
 def test_wide_sieve_is_built_by_the_first_wide_search():
