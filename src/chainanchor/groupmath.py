@@ -298,16 +298,6 @@ _SMALL_PRIMES = _sieve(4096)
 _WIDE_SIEVE_LIMIT = 1 << 20
 
 
-def _mr_witnesses(n: int):
-    # Witnesses derived from n itself: primality answers are then
-    # deterministic across runs, which keeps replay byte-stable.
-    seed = _hash(b"mr-witness" + int_to_bytes(n))
-    counter = 0
-    while True:
-        yield int.from_bytes(_hash(seed + counter.to_bytes(8, "big")), "big")
-        counter += 1
-
-
 @functools.lru_cache(maxsize=32)
 def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
     """Miller-Rabin after trial division by all primes below 4096.
@@ -317,7 +307,17 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
     a process, the member's test of the credential exponent ``e`` that the
     issuer has just accepted is a lookup.  The memo keys on the arguments as
     passed, so every caller passes ``n`` alone for the default rounds.
+    From 512 bits the rounds are split among :func:`_search_workers`.
     """
+    verdict = _trial_division(n)
+    if verdict is not None:
+        return verdict
+    return _rounds_pass(n, rounds, _search_workers(n.bit_length()))
+
+
+def _trial_division(n: int):
+    """True for a prime below 4096, False for n < 2 or a multiple of one,
+    None for the rest, which only Miller-Rabin can settle."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -325,20 +325,37 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
             return True
         if n % sp == 0:
             return False
-    return _miller_rabin(n, rounds)
+    return None
 
 
-def _miller_rabin(n: int, rounds: int) -> bool:
-    """Miller-Rabin rounds alone, for an odd n with no factor below 4096."""
+def _rounds_pass(n: int, rounds: int, workers: int) -> bool:
+    """Whether n passes Miller-Rabin rounds 0, ..., rounds - 1, worker w of
+    ``workers`` (:func:`_across_workers`) running rounds w, w + workers, ...
+
+    Round i's witness depends on n and i alone, so the verdict does not
+    depend on the number of workers.
+    """
+    workers = max(1, min(workers, rounds))
+    verdicts = _across_workers(
+        lambda w: b"%d" % _miller_rabin(n, range(w, rounds, workers)),
+        workers)
+    return verdicts == [b"1"] * workers
+
+
+def _miller_rabin(n: int, rounds: range) -> bool:
+    """The Miller-Rabin rounds numbered in ``rounds``, for an odd n with no
+    factor below 4096."""
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    witnesses = _mr_witnesses(n)
-    for _ in range(rounds):
-        a = 2 + next(witnesses) % (n - 3)
-        x = pow(a, d, n)
+    # Witnesses derived from n itself: primality answers are then
+    # deterministic across runs, which keeps replay byte-stable.
+    seed = _hash(b"mr-witness" + int_to_bytes(n))
+    for i in rounds:
+        witness = int.from_bytes(_hash(seed + i.to_bytes(8, "big")), "big")
+        x = pow(2 + witness % (n - 3), d, n)
         if x == 1 or x == n - 1:
             continue
         for _ in range(r - 1):
@@ -370,19 +387,21 @@ def gen_prime_in_range(lo: int, hi: int, rng, max_attempts: int = 100000) -> int
     raise RuntimeError(f"no prime found in [{lo}, {hi}]")
 
 
-# At most this many processes share one window of a safe-prime search,
-# however many CPUs the host offers: each is a copy of the calling process.
+# At most this many processes share one window of a safe-prime search or
+# one prime test, however many CPUs the host offers: each is a copy of the
+# calling process.
 _MAX_SEARCH_WORKERS = 4
 
 
 def _search_workers(bits: int) -> int:
-    """How many processes share each window of a ``bits``-bit search.
+    """How many processes share each window of a ``bits``-bit search, or
+    the rounds of a ``bits``-bit prime test.
 
     One per CPU this process may run on, up to ``_MAX_SEARCH_WORKERS``, from
-    the wide-sieve size up, where a window's work pays for the forks many
-    times over.  Forking copies only the calling thread, so a process
-    running other threads (whose locks could be held at the fork) searches
-    alone, as does a platform without ``fork``.
+    the wide-sieve size up, where the work pays for the forks many times
+    over.  Forking copies only the calling thread, so a process running
+    other threads (whose locks could be held at the fork) works alone, as
+    does a platform without ``fork``.
     """
     if (bits < 512 or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity")
@@ -428,7 +447,7 @@ def _across_workers(task, workers: int) -> list[bytes]:
         for pid, pipe in children:
             report = pipe.read()
             if not report:
-                raise RuntimeError(f"safe-prime worker {pid} exited "
+                raise RuntimeError(f"prime-test worker {pid} exited "
                                    f"without a result")
             results.append(report)
     finally:
@@ -484,36 +503,49 @@ def _sieve_share(q0: int, sieve, span: int, share: int, workers: int):
     return ok
 
 
+def _euler_base2(q: int) -> bool:
+    """Whether p = 2q + 1 meets Euler's criterion in base 2:
+    2^q = 2^((p-1)/2) is the Legendre symbol (2|p), +1 for p = ±1 mod 8
+    and -1 otherwise.  Every odd prime p passes."""
+    p = 2 * q + 1
+    return pow(2, q, p) == (1 if p % 8 in (1, 7) else p - 1)
+
+
 def _first_safe(qs: list[int], workers: int):
     """The safe prime 2q + 1 for the first q in the sieved candidates
     ``qs`` that gives one, or None.
 
-    Worker w tests qs[w], qs[w + workers], ... and reports the index of its
-    first pass.  Each test is a pure function of its candidate, so the
-    lowest reported index is the one a scan in order finds, for any number
-    of workers.
+    Worker w pre-tests qs[w], qs[w + workers], ... and reports the index
+    of its first pass.  The lowest reported index k gets q's ``MR_ROUNDS``
+    rounds, split among the workers; if q fails them, the scan resumes at
+    k + 1.  Each test is a pure function of its candidate, so the answer is
+    the one a scan in order finds, for any number of workers.
+
+    Once q passes, p is proved prime by Pocklington's theorem: q > sqrt(p),
+    2^(p-1) = (2^q)^2 = 1 (mod p), and gcd(2^((p-1)/q) - 1, p) = gcd(3, p)
+    = 1 because 3 is sieved.  The sieve has done the trial division, so q
+    goes straight to Miller-Rabin.
     """
     workers = max(1, min(workers, len(qs)))
+    start = 0
 
     def first_passing(w: int) -> bytes:
-        for k in range(w, len(qs), workers):
-            q = qs[k]
-            # One round on q and a base-2 Fermat test on p weed out nearly
-            # everything before q's full confirmation.  The sieve has
-            # already done the trial division, so the pre-test on q is
-            # Miller-Rabin alone.  Once q is prime, the Fermat test is
-            # Pocklington's proof that p is prime: q > sqrt(p), and
-            # gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1 because 3 is sieved.
-            if not _miller_rabin(q, 1):
-                continue
-            p = 2 * q + 1
-            if pow(2, p - 1, p) == 1 and is_probable_prime(q):
+        for k in range(start + w, len(qs), workers):
+            # One power on p weeds out nearly every candidate, and one
+            # round on q nearly every p that is prime while q is not.
+            if _euler_base2(qs[k]) and _miller_rabin(qs[k], range(1)):
                 return b"%d" % k
         return b"-1"
 
-    hits = [k for k in map(int, _across_workers(first_passing, workers))
-            if k >= 0]
-    return 2 * qs[min(hits)] + 1 if hits else None
+    while True:
+        hits = [k for k in map(int, _across_workers(first_passing, workers))
+                if k >= 0]
+        if not hits:
+            return None
+        k = min(hits)
+        if _rounds_pass(qs[k], MR_ROUNDS, workers):
+            return 2 * qs[k] + 1
+        start = k + 1
 
 
 def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
@@ -527,9 +559,10 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
     Below 20 bits the search draws ``max_attempts * 1000`` candidates, above
     it sieves a number of windows derived from ``bits``; running out of
     either raises RuntimeError and means the randomness source is broken.
-    From 512 bits each window is sieved and tested by forked worker
-    processes (:func:`_search_workers`), which leave no process behind; the
-    prime found does not depend on how many there are.
+    From 512 bits each window is sieved and tested, and each found P'
+    confirmed, by forked worker processes (:func:`_search_workers`), which
+    leave no process behind; the prime found does not depend on how many
+    there are.
     """
     if bits < 4:
         raise ValueError("need bits >= 4")
@@ -587,18 +620,26 @@ def subgroup_pow(base: int, exp: int, p: int, q: int) -> int:
     return fixed_base_pow(base, exp % q, p, q.bit_length())
 
 
-def gen_schnorr_group(profile: ParameterProfile, rng):
+def gen_schnorr_group(profile: ParameterProfile, rng,
+                      max_attempts: int = 100000):
     """Generate primes p, q with q | (p-1), q^2 ∤ (p-1), and a generator u
-    of the order-q subgroup."""
+    of the order-q subgroup.
+
+    Each candidate p gets trial division and a base-2 Fermat power in this
+    process, and only a survivor the full (possibly split) prime test.
+    """
     q = gen_prime(profile.l_q, rng)
     lo = (1 << (profile.l_p - 1)) // q + 1
     hi = ((1 << profile.l_p) - 1) // q
-    while True:
+    for _ in range(max_attempts):
         k = rand_range(rng, lo, hi + 1) & ~1  # k even so p is odd
         p = k * q + 1
         if (k >= lo and k % q and p.bit_length() == profile.l_p
-                and is_probable_prime(p)):
+                and _trial_division(p) is not False
+                and pow(2, p - 1, p) == 1 and is_probable_prime(p)):
             return p, q, random_subgroup_element(p, q, rng)
+    raise RuntimeError(f"no {profile.l_p}-bit p after {max_attempts} "
+                       f"attempts")
 
 
 @dataclass(frozen=True)

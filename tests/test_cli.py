@@ -370,3 +370,10 @@ def test_full_profile_setup_smoke(tmp_path, capsys):
     N = world.verifier.gpk.N
     assert hashlib.sha256(N.to_bytes(256, "big")).hexdigest() == (
         "af31544f5d5695d5144f87d46af83e17f582e65251c308f440df71020c464fbb")
+    # The Schnorr group (p, q, u) as found by one process testing p's
+    # 64 rounds alone; a pre-test or a split of the rounds keeps it.
+    gpk = world.verifier.gpk
+    pqu = (gpk.p.to_bytes(204, "big") + gpk.q.to_bytes(32, "big")
+           + gpk.u.to_bytes(204, "big"))
+    assert hashlib.sha256(pqu).hexdigest() == (
+        "2e9049f7978b166906a856244a81cbfb5e8ae442cf906bca53b5e90c8adfb937")

@@ -219,6 +219,20 @@ def test_safe_prime_window_answer_is_its_lowest_passing_index():
     assert_no_child_left()
 
 
+def test_safe_prime_window_resumes_after_a_refused_confirmation(
+        monkeypatch):
+    # The lowest pre-test pass (a) fails its confirmation: the scan goes on
+    # after it and finds c, ahead of b, for every worker count.
+    a, b, c = ((SAFE_512[seed] - 1) // 2 for seed in (1, 2, 3))
+    confirm = groupmath._rounds_pass
+    monkeypatch.setattr(groupmath, "_rounds_pass", lambda n, rounds, workers:
+                        n != a and confirm(n, rounds, workers))
+    for workers in (1, 2, 3):
+        assert groupmath._first_safe([3 * b, a, 3 * c, c, b],
+                                     workers) == SAFE_512[3]
+    assert_no_child_left()
+
+
 class _Refused(Exception):
     pass
 
@@ -261,6 +275,56 @@ def test_safe_prime_search_in_a_threaded_process_does_not_fork(monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_safe_prime_pretest_accepts_every_safe_prime():
+    # Euler's criterion in base 2 holds for every odd prime p = 2q + 1.
+    for p in [5, 7, 11, 23, 47, 59, 83, 107] + sorted(SAFE_512.values()):
+        assert groupmath._euler_base2((p - 1) // 2), p
+    for p in sympy.primerange(3, 5000):
+        assert groupmath._euler_base2((p - 1) // 2), p
+    # q prime, p = 2q + 1 = 3 * 29 composite: refused by the one power
+    assert not groupmath._euler_base2(43)
+
+
+# From 512 bits the 64 rounds of a prime test are dealt out among the
+# workers.  Inputs: primes, products of two primes, and p(2p - 1) with
+# p = 3 mod 4, for which about a quarter of the rounds pass, so the
+# verdict rests on rounds spread over every worker's share.
+_P256, _Q256 = sympy.nextprime(3 << 254), sympy.nextprime(5 << 253)
+_P600 = sympy.nextprime(7 << 597)
+_LIAR_P = (3 << 254) + 119815
+SPLIT_INPUTS = (sorted(SAFE_512.values()) + [
+    _P600, _P256 * _Q256, _P256 * _P600, _LIAR_P * (2 * _LIAR_P - 1)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_split_prime_test_same_for_any_worker_count(monkeypatch, cpus):
+    assert sympy.isprime(_LIAR_P) and sympy.isprime(2 * _LIAR_P - 1)
+    forks = _count_forks(monkeypatch, cpus)
+    for n in SPLIT_INPUTS:
+        alone = groupmath._miller_rabin(n, range(groupmath.MR_ROUNDS))
+        assert alone == sympy.isprime(n), n
+        assert is_probable_prime.__wrapped__(n) == alone, (n, cpus)
+    assert bool(forks) == (cpus > 1)
+    assert_no_child_left()
+
+
+def test_split_prime_test_refuses_on_a_failure_in_a_childs_share(
+        monkeypatch):
+    # Every round the caller runs passes; one child's share alone fails.
+    forks = _count_forks(monkeypatch, 2)
+    caller, mr = os.getpid(), groupmath._miller_rabin
+
+    def child_refuses(n, rounds):
+        return mr(n, rounds) and os.getpid() == caller
+
+    monkeypatch.setattr(groupmath, "_miller_rabin", child_refuses)
+    for p in SAFE_512.values():
+        assert not is_probable_prime.__wrapped__(p)
+        assert groupmath._rounds_pass(p, groupmath.MR_ROUNDS, 1)
+    assert forks
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("bits", [512, 1024])
@@ -395,6 +459,16 @@ def test_schnorr_group_desk_profile():
     assert p.bit_length() == DESK.l_p and q.bit_length() == DESK.l_q
     assert (p - 1) % q == 0 and ((p - 1) // q) % q != 0
     assert pow(u, q, p) == 1 and u != 1
+
+
+def test_schnorr_group_attempt_cap_signals_bad_rng(monkeypatch):
+    # A source stuck at 0 offers the same refused candidate p forever.
+    q = sympy.nextprime(1 << (TINY.l_q - 1))
+    monkeypatch.setattr(groupmath, "gen_prime", lambda bits, rng: q)
+    k = ((1 << (TINY.l_p - 1)) // q + 1) & ~1
+    assert k * q + 1 < 1 << (TINY.l_p - 1) or not sympy.isprime(k * q + 1)
+    with pytest.raises(RuntimeError, match="attempts"):
+        gen_schnorr_group(TINY, _StuckRng(0), max_attempts=50)
 
 
 def test_known_small_subgroup_values():
