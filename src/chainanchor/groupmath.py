@@ -300,24 +300,18 @@ _WIDE_SIEVE_LIMIT = 1 << 20
 
 @functools.lru_cache(maxsize=32)
 def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
-    """Miller-Rabin after trial division by all primes below 4096.
+    """Miller-Rabin after trial division by all primes below 4096 and a
+    base-2 Fermat test.
 
     The witnesses are derived from ``n``, so the verdict is a pure function
     of ``(n, rounds)`` and is memoized: when the issuer and the member share
     a process, the member's test of the credential exponent ``e`` that the
     issuer has just accepted is a lookup.  The memo keys on the arguments as
     passed, so every caller passes ``n`` alone for the default rounds.
-    From 512 bits the rounds are split among :func:`_search_workers`.
+    The Fermat power runs in this process and turns down nearly every
+    composite that trial division leaves; a prime always passes it.  From
+    512 bits the rounds are then split among :func:`_search_workers`.
     """
-    verdict = _trial_division(n)
-    if verdict is not None:
-        return verdict
-    return _rounds_pass(n, rounds, _search_workers(n.bit_length()))
-
-
-def _trial_division(n: int):
-    """True for a prime below 4096, False for n < 2 or a multiple of one,
-    None for the rest, which only Miller-Rabin can settle."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -325,7 +319,9 @@ def _trial_division(n: int):
             return True
         if n % sp == 0:
             return False
-    return None
+    if pow(2, n - 1, n) != 1:
+        return False
+    return _rounds_pass(n, rounds, _search_workers(n.bit_length()))
 
 
 def _rounds_pass(n: int, rounds: int, workers: int) -> bool:
@@ -417,7 +413,9 @@ def _across_workers(task, workers: int) -> list[bytes]:
     ``task`` returns non-empty bytes, so a child that exits without a report
     (it raised, or was killed) raises RuntimeError here.  No child outlives
     the call: one still running when this process raises is killed, and
-    every child is reaped.
+    every child is reaped.  If ``os.fork`` fails (a process limit, short of
+    memory), this process runs the tasks left over itself: a task is a pure
+    function of ``w``, so the results are the same.
     """
     children = []  # (pid, read end of its pipe)
     try:
@@ -428,7 +426,7 @@ def _across_workers(task, workers: int) -> list[bytes]:
             except OSError:
                 os.close(read_fd)
                 os.close(write_fd)
-                raise
+                break
             if pid == 0:
                 # The child leaves by os._exit alone, on every path: it must
                 # not run the caller's cleanup or flush its inherited
@@ -444,6 +442,7 @@ def _across_workers(task, workers: int) -> list[bytes]:
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
         results = [task(0)]
+        left_over = [task(w) for w in range(1 + len(children), workers)]
         for pid, pipe in children:
             report = pipe.read()
             if not report:
@@ -457,7 +456,7 @@ def _across_workers(task, workers: int) -> list[bytes]:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return results
+    return results + left_over
 
 
 def _safe_prime_interval(q0: int, bits: int, span: int):
@@ -620,26 +619,25 @@ def subgroup_pow(base: int, exp: int, p: int, q: int) -> int:
     return fixed_base_pow(base, exp % q, p, q.bit_length())
 
 
-def gen_schnorr_group(profile: ParameterProfile, rng,
-                      max_attempts: int = 100000):
-    """Generate primes p, q with q | (p-1), q^2 ∤ (p-1), and a generator u
-    of the order-q subgroup.
+# A randomness source that offers this many candidates p without a prime
+# among them is broken: at 1632 bits about one in 570 is prime.
+_SCHNORR_MAX_ATTEMPTS = 100000
 
-    Each candidate p gets trial division and a base-2 Fermat power in this
-    process, and only a survivor the full (possibly split) prime test.
-    """
+
+def gen_schnorr_group(profile: ParameterProfile, rng):
+    """Generate primes p, q with q | (p-1), q^2 ∤ (p-1), and a generator u
+    of the order-q subgroup."""
     q = gen_prime(profile.l_q, rng)
     lo = (1 << (profile.l_p - 1)) // q + 1
     hi = ((1 << profile.l_p) - 1) // q
-    for _ in range(max_attempts):
+    for _ in range(_SCHNORR_MAX_ATTEMPTS):
         k = rand_range(rng, lo, hi + 1) & ~1  # k even so p is odd
         p = k * q + 1
         if (k >= lo and k % q and p.bit_length() == profile.l_p
-                and _trial_division(p) is not False
-                and pow(2, p - 1, p) == 1 and is_probable_prime(p)):
+                and is_probable_prime(p)):
             return p, q, random_subgroup_element(p, q, rng)
-    raise RuntimeError(f"no {profile.l_p}-bit p after {max_attempts} "
-                       f"attempts")
+    raise RuntimeError(f"no {profile.l_p}-bit p after "
+                       f"{_SCHNORR_MAX_ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)

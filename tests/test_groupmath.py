@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -9,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from chainanchor import groupmath
+from chainanchor import epid, groupmath
 from chainanchor.groupmath import (
     DESK,
     FULL,
@@ -288,25 +289,76 @@ def test_safe_prime_pretest_accepts_every_safe_prime():
 
 
 # From 512 bits the 64 rounds of a prime test are dealt out among the
-# workers.  Inputs: primes, products of two primes, and p(2p - 1) with
-# p = 3 mod 4, for which about a quarter of the rounds pass, so the
-# verdict rests on rounds spread over every worker's share.
+# workers.  Inputs: primes, products of two primes, and r(2r - 1) with
+# r = 3 mod 4, for which about a quarter of the rounds pass, so the
+# verdict rests on rounds spread over every worker's share.  The last,
+# r(2r - 1) with r = 1 mod 4, passes the base-2 Fermat test, so
+# is_probable_prime reaches the split rounds on it too.
 _P256, _Q256 = sympy.nextprime(3 << 254), sympy.nextprime(5 << 253)
 _P600 = sympy.nextprime(7 << 597)
 _LIAR_P = (3 << 254) + 119815
+_FERMAT_R = (5 << 253) + 119157
+FERMAT_LIAR_512 = _FERMAT_R * (2 * _FERMAT_R - 1)
 SPLIT_INPUTS = (sorted(SAFE_512.values()) + [
-    _P600, _P256 * _Q256, _P256 * _P600, _LIAR_P * (2 * _LIAR_P - 1)])
+    _P600, _P256 * _Q256, _P256 * _P600, _LIAR_P * (2 * _LIAR_P - 1),
+    FERMAT_LIAR_512])
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_split_prime_test_same_for_any_worker_count(monkeypatch, cpus):
-    assert sympy.isprime(_LIAR_P) and sympy.isprime(2 * _LIAR_P - 1)
+    for r in (_LIAR_P, _FERMAT_R):
+        assert sympy.isprime(r) and sympy.isprime(2 * r - 1)
+    assert pow(2, FERMAT_LIAR_512 - 1, FERMAT_LIAR_512) == 1
     forks = _count_forks(monkeypatch, cpus)
     for n in SPLIT_INPUTS:
         alone = groupmath._miller_rabin(n, range(groupmath.MR_ROUNDS))
         assert alone == sympy.isprime(n), n
+        assert groupmath._rounds_pass(n, groupmath.MR_ROUNDS,
+                                      cpus) == alone, (n, cpus)
         assert is_probable_prime.__wrapped__(n) == alone, (n, cpus)
     assert bool(forks) == (cpus > 1)
+    assert_no_child_left()
+
+
+def test_split_prime_test_turns_down_a_fermat_composite_before_forking(
+        monkeypatch):
+    # One base-2 power in this process refuses a composite that trial
+    # division leaves; only a number that passes it forks.
+    forks = _count_forks(monkeypatch, 2)
+    for n in (_P256 * _Q256, _P256 * _P600, _LIAR_P * (2 * _LIAR_P - 1)):
+        assert not is_probable_prime.__wrapped__(n)
+    assert not forks
+    assert not is_probable_prime.__wrapped__(FERMAT_LIAR_512)
+    assert forks
+    assert_no_child_left()
+
+
+def test_split_prime_test_runs_in_process_when_fork_fails(monkeypatch,
+                                                          desk_gpk):
+    # A host out of processes: validate_gpk's split test of a 512-bit p
+    # gives the verdict that one process gives.
+    q = desk_gpk.q
+    k = ((1 << 511) // q + 2) & ~1
+    while not sympy.isprime(k * q + 1):
+        k += 2
+    p = k * q + 1
+    profile = dataclasses.replace(desk_gpk.profile, l_p=512)
+    good = dataclasses.replace(desk_gpk, p=p, u=pow(2, k, p),
+                               profile=profile)
+    bad = dataclasses.replace(good, p=FERMAT_LIAR_512)
+    assert good.u != 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    tries = []
+
+    def no_process_left():
+        tries.append(os.getpid())
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process_left)
+    assert epid.validate_gpk(good)
+    res = epid.validate_gpk(bad)
+    assert not res and res.reason == "p not prime"
+    assert tries
     assert_no_child_left()
 
 
@@ -467,8 +519,9 @@ def test_schnorr_group_attempt_cap_signals_bad_rng(monkeypatch):
     monkeypatch.setattr(groupmath, "gen_prime", lambda bits, rng: q)
     k = ((1 << (TINY.l_p - 1)) // q + 1) & ~1
     assert k * q + 1 < 1 << (TINY.l_p - 1) or not sympy.isprime(k * q + 1)
-    with pytest.raises(RuntimeError, match="attempts"):
-        gen_schnorr_group(TINY, _StuckRng(0), max_attempts=50)
+    monkeypatch.setattr(groupmath, "_SCHNORR_MAX_ATTEMPTS", 50)
+    with pytest.raises(RuntimeError, match="50 attempts"):
+        gen_schnorr_group(TINY, _StuckRng(0))
 
 
 def test_known_small_subgroup_values():
