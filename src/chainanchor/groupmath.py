@@ -94,15 +94,27 @@ def rand_bits(rng, bits: int) -> int:
     return rng.getrandbits(bits)
 
 
+# Each draw of rand_below is rejected with probability below 1/2, so an
+# honest source is rejected this many times in a row with probability below
+# 2^-128; a source that is, is broken.
+_MAX_REJECTED_DRAWS = 128
+
+
 def rand_below(rng, bound: int) -> int:
-    """Uniform integer in [0, bound) by rejection sampling."""
+    """Uniform integer in [0, bound) by rejection sampling.
+
+    Raises RuntimeError after ``_MAX_REJECTED_DRAWS`` draws in a row of
+    ``bound``'s bit length that are all out of range.
+    """
     if bound <= 0:
         raise ValueError("bound must be positive")
     bits = bound.bit_length()
-    while True:
+    for _ in range(_MAX_REJECTED_DRAWS):
         x = rng.getrandbits(bits)
         if x < bound:
             return x
+    raise RuntimeError(f"no draw below {bound} in {_MAX_REJECTED_DRAWS} "
+                       f"tries: the randomness source is broken")
 
 
 def rand_range(rng, lo: int, hi: int) -> int:
@@ -298,19 +310,28 @@ _SMALL_PRIMES = _sieve(4096)
 _WIDE_SIEVE_LIMIT = 1 << 20
 
 
-@functools.lru_cache(maxsize=32)
-def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
-    """Miller-Rabin after trial division by all primes below 4096 and a
-    base-2 Fermat test.
+# Hash-derived Miller-Rabin rounds that is_probable_prime runs after the
+# Baillie-PSW test.
+PRIME_TEST_ROUNDS = 4
 
-    The witnesses are derived from ``n``, so the verdict is a pure function
-    of ``(n, rounds)`` and is memoized: when the issuer and the member share
-    a process, the member's test of the credential exponent ``e`` that the
-    issuer has just accepted is a lookup.  The memo keys on the arguments as
-    passed, so every caller passes ``n`` alone for the default rounds.
-    The Fermat power runs in this process and turns down nearly every
-    composite that trial division leaves; a prime always passes it.  From
-    512 bits the rounds are then split among :func:`_search_workers`.
+
+@functools.lru_cache(maxsize=32)
+def is_probable_prime(n: int, rounds: int = PRIME_TEST_ROUNDS) -> bool:
+    """Baillie-PSW plus ``rounds`` hash-derived Miller-Rabin rounds, in
+    this process.
+
+    Trial division by all primes below 4096, then a strong base-2 test
+    (:func:`_strong_probable_prime`), a strong Lucas test with Selfridge's
+    parameters (:func:`_strong_lucas`), and Miller-Rabin rounds 0, ...,
+    rounds - 1 (:func:`_miller_rabin`).  No composite is known to pass the
+    first two together, and the rounds' witnesses are derived from ``n``,
+    so a caller cannot choose them.  The verdict is a pure function of
+    ``(n, rounds)`` and is memoized: when the issuer and the member share a
+    process, the member's test of the credential exponent ``e`` that the
+    issuer has just accepted is a lookup.  The memo keys on the arguments
+    as passed, so every caller passes ``n`` alone for the default rounds.
+    Nothing forks; only the confirmation of a safe-prime search's own q
+    (:func:`_first_safe`) runs ``MR_ROUNDS`` rounds, split among workers.
     """
     if n < 2:
         return False
@@ -319,17 +340,17 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
             return True
         if n % sp == 0:
             return False
-    if pow(2, n - 1, n) != 1:
-        return False
-    return _rounds_pass(n, rounds, _search_workers(n.bit_length()))
+    return (_strong_probable_prime(n, 2) and _strong_lucas(n)
+            and _miller_rabin(n, range(rounds)))
 
 
 def _rounds_pass(n: int, rounds: int, workers: int) -> bool:
     """Whether n passes Miller-Rabin rounds 0, ..., rounds - 1, worker w of
     ``workers`` (:func:`_across_workers`) running rounds w, w + workers, ...
 
-    Round i's witness depends on n and i alone, so the verdict does not
-    depend on the number of workers.
+    This is how a safe-prime search confirms its q.  Round i's witness
+    depends on n and i alone, so the verdict does not depend on the number
+    of workers.
     """
     workers = max(1, min(workers, rounds))
     verdicts = _across_workers(
@@ -338,29 +359,70 @@ def _rounds_pass(n: int, rounds: int, workers: int) -> bool:
     return verdicts == [b"1"] * workers
 
 
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """One Miller-Rabin round: whether the odd n > 3 is a strong probable
+    prime to ``base``."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+    x = pow(base, (n - 1) >> r, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = pow(x, 2, n)
+        if x == n - 1:
+            return True
+    return False
+
+
 def _miller_rabin(n: int, rounds: range) -> bool:
     """The Miller-Rabin rounds numbered in ``rounds``, for an odd n with no
     factor below 4096."""
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
     # Witnesses derived from n itself: primality answers are then
     # deterministic across runs, which keeps replay byte-stable.
     seed = _hash(b"mr-witness" + int_to_bytes(n))
     for i in rounds:
         witness = int.from_bytes(_hash(seed + i.to_bytes(8, "big")), "big")
-        x = pow(2 + witness % (n - 3), d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
+        if not _strong_probable_prime(n, 2 + witness % (n - 3)):
             return False
     return True
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test of an odd n > 2 (Baillie and
+    Wagstaff, Math. Comp. 1980), with Selfridge's method A: D is the first
+    of 5, -7, 9, -11, ... with (D|n) = -1, P = 1 and Q = (1 - D) / 4.
+
+    With n + 1 = d * 2^s, d odd, n passes if U_d = 0 or V_(d*2^r) = 0 mod
+    n for some 0 <= r < s.  Every prime above 5 passes.  The sequences run
+    on ``*`` and ``%`` alone.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D|n) = -1
+    D = 5
+    while (j := jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:
+        return n == abs(D)
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # U_k, V_k and Q^k mod n from k = 1 up the bits of d:
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, and with P = 1,
+    # U_2k+1 = (U_2k + V_2k) / 2, V_2k+1 = (D U_2k + V_2k) / 2.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = ((U + n if U & 1 else U) >> 1) % n
+            V = ((V + n if V & 1 else V) >> 1) % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def gen_prime(bits: int, rng, max_attempts: int = 100000) -> int:
@@ -384,14 +446,14 @@ def gen_prime_in_range(lo: int, hi: int, rng, max_attempts: int = 100000) -> int
 
 
 # At most this many processes share one window of a safe-prime search or
-# one prime test, however many CPUs the host offers: each is a copy of the
-# calling process.
+# the confirmation of its q, however many CPUs the host offers: each is a
+# copy of the calling process.
 _MAX_SEARCH_WORKERS = 4
 
 
 def _search_workers(bits: int) -> int:
-    """How many processes share each window of a ``bits``-bit search, or
-    the rounds of a ``bits``-bit prime test.
+    """How many processes share each window of a ``bits``-bit safe-prime
+    search, and the rounds that confirm its q.
 
     One per CPU this process may run on, up to ``_MAX_SEARCH_WORKERS``, from
     the wide-sieve size up, where the work pays for the forks many times
@@ -551,8 +613,9 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
                    _top_two: bool = False) -> int:
     """Random safe prime P = 2P' + 1 (P' prime) with exactly ``bits`` bits.
 
-    P' passes ``MR_ROUNDS`` rounds of Miller-Rabin; from 20 bits up, P is
-    then proved prime by Pocklington's theorem rather than tested.
+    From 20 bits up, P' passes ``MR_ROUNDS`` rounds of Miller-Rabin and P
+    is then proved prime by Pocklington's theorem rather than tested; below,
+    both are tested by :func:`is_probable_prime`.
     ``_top_two`` additionally forces the two top bits, so that the product of
     two such primes has exactly twice their bit length (RSA modulus shaping).
     Below 20 bits the search draws ``max_attempts * 1000`` candidates, above
@@ -561,7 +624,7 @@ def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
     From 512 bits each window is sieved and tested, and each found P'
     confirmed, by forked worker processes (:func:`_search_workers`), which
     leave no process behind; the prime found does not depend on how many
-    there are.
+    there are.  This is the only prime test that forks.
     """
     if bits < 4:
         raise ValueError("need bits >= 4")

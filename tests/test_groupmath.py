@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -288,12 +289,11 @@ def test_safe_prime_pretest_accepts_every_safe_prime():
     assert not groupmath._euler_base2(43)
 
 
-# From 512 bits the 64 rounds of a prime test are dealt out among the
-# workers.  Inputs: primes, products of two primes, and r(2r - 1) with
-# r = 3 mod 4, for which about a quarter of the rounds pass, so the
-# verdict rests on rounds spread over every worker's share.  The last,
-# r(2r - 1) with r = 1 mod 4, passes the base-2 Fermat test, so
-# is_probable_prime reaches the split rounds on it too.
+# From 512 bits the 64 rounds that confirm a safe-prime search's q are
+# dealt out among the workers.  Inputs: primes, products of two primes,
+# and r(2r - 1) with r = 3 mod 4, for which about a quarter of the rounds
+# pass, so the verdict rests on rounds spread over every worker's share.
+# The last, r(2r - 1) with r = 1 mod 4, passes the base-2 Fermat test.
 _P256, _Q256 = sympy.nextprime(3 << 254), sympy.nextprime(5 << 253)
 _P600 = sympy.nextprime(7 << 597)
 _LIAR_P = (3 << 254) + 119815
@@ -315,28 +315,37 @@ def test_split_prime_test_same_for_any_worker_count(monkeypatch, cpus):
         assert alone == sympy.isprime(n), n
         assert groupmath._rounds_pass(n, groupmath.MR_ROUNDS,
                                       cpus) == alone, (n, cpus)
-        assert is_probable_prime.__wrapped__(n) == alone, (n, cpus)
+    # A window of one worker's share each whose first candidate is a found
+    # q: its confirmation is split, and gives the safe prime, for every
+    # worker count.
+    for p in SAFE_512.values():
+        q = (p - 1) // 2
+        assert groupmath._first_safe([q] + [3 * q] * (cpus - 1), cpus) == p
     assert bool(forks) == (cpus > 1)
     assert_no_child_left()
 
 
 def test_split_prime_test_turns_down_a_fermat_composite_before_forking(
         monkeypatch):
-    # One base-2 power in this process refuses a composite that trial
-    # division leaves; only a number that passes it forks.
+    # is_probable_prime refuses in this process every composite that trial
+    # division leaves, a base-2 Fermat liar included; only the split
+    # confirmation of a safe-prime search's q forks, and it refuses too.
     forks = _count_forks(monkeypatch, 2)
-    for n in (_P256 * _Q256, _P256 * _P600, _LIAR_P * (2 * _LIAR_P - 1)):
+    for n in (_P256 * _Q256, _P256 * _P600, _LIAR_P * (2 * _LIAR_P - 1),
+              FERMAT_LIAR_512):
         assert not is_probable_prime.__wrapped__(n)
     assert not forks
-    assert not is_probable_prime.__wrapped__(FERMAT_LIAR_512)
+    assert not groupmath._rounds_pass(FERMAT_LIAR_512, groupmath.MR_ROUNDS,
+                                      2)
     assert forks
     assert_no_child_left()
 
 
 def test_split_prime_test_runs_in_process_when_fork_fails(monkeypatch,
                                                           desk_gpk):
-    # A host out of processes: validate_gpk's split test of a 512-bit p
-    # gives the verdict that one process gives.
+    # A host out of processes: validate_gpk tests a 512-bit p in this
+    # process and never tries to fork, and a 512-bit safe-prime search, whose
+    # workers cannot be forked, finds the prime that one process finds.
     q = desk_gpk.q
     k = ((1 << 511) // q + 2) & ~1
     while not sympy.isprime(k * q + 1):
@@ -358,6 +367,8 @@ def test_split_prime_test_runs_in_process_when_fork_fails(monkeypatch,
     assert epid.validate_gpk(good)
     res = epid.validate_gpk(bad)
     assert not res and res.reason == "p not prime"
+    assert not tries
+    assert gen_safe_prime(512, random.Random(1)) == SAFE_512[1]
     assert tries
     assert_no_child_left()
 
@@ -373,10 +384,24 @@ def test_split_prime_test_refuses_on_a_failure_in_a_childs_share(
 
     monkeypatch.setattr(groupmath, "_miller_rabin", child_refuses)
     for p in SAFE_512.values():
-        assert not is_probable_prime.__wrapped__(p)
+        assert not groupmath._rounds_pass(p, groupmath.MR_ROUNDS, 2)
         assert groupmath._rounds_pass(p, groupmath.MR_ROUNDS, 1)
     assert forks
+    # The caller's pre-test passes q, the child's share of q's confirmation
+    # fails, and the window has no safe prime.
+    q = (SAFE_512[1] - 1) // 2
+    assert groupmath._first_safe([q, 3 * q], 2) is None
     assert_no_child_left()
+
+
+def test_prime_test_forks_for_no_input(monkeypatch):
+    # With 4 CPUs visible, is_probable_prime runs wholly in this process on
+    # safe primes, a base-2 Fermat liar and a 1632-bit prime.
+    forks = _count_forks(monkeypatch, 4)
+    for n in (sorted(SAFE_512.values())
+              + [FERMAT_LIAR_512, prime_of(1632)]):
+        assert is_probable_prime.__wrapped__(n) == sympy.isprime(n), n
+    assert not forks
 
 
 @pytest.mark.parametrize("bits", [512, 1024])
@@ -442,9 +467,78 @@ def test_challenge_length_bounds():
 def test_miller_rabin_agrees_with_oracle():
     for n in range(2, 2000):
         assert is_probable_prime(n) == trial_division_is_prime(n)
-    # a few Carmichael numbers
+    # a few Carmichael numbers, refused by each half of Baillie-PSW too
     for n in (561, 1105, 1729, 2465, 6601, 8911, 41041):
         assert not is_probable_prime(n)
+        assert not groupmath._strong_probable_prime(n, 2), n
+        assert not groupmath._strong_lucas(n), n
+
+
+# Strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)
+# and strong pseudoprimes to base 2 (A001262): each half of Baillie-PSW
+# refuses what passes the other.
+STRONG_LUCAS_LIARS = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                      40309]
+STRONG_BASE2_LIARS = [2047, 3215031751, 3825123056546413051]
+
+
+def test_strong_lucas_liars_fail_the_strong_base2_test():
+    for n in STRONG_LUCAS_LIARS:
+        assert not sympy.isprime(n)
+        assert groupmath._strong_lucas(n), n
+        assert not groupmath._strong_probable_prime(n, 2), n
+        assert not is_probable_prime.__wrapped__(n)
+
+
+def test_strong_base2_liars_fail_the_strong_lucas_test(monkeypatch):
+    for n in STRONG_BASE2_LIARS:
+        assert groupmath._strong_probable_prime(n, 2), n
+    assert pow(2, FERMAT_LIAR_512 - 1, FERMAT_LIAR_512) == 1
+    for n in STRONG_BASE2_LIARS + [FERMAT_LIAR_512,
+                                   _LIAR_P * (2 * _LIAR_P - 1)]:
+        assert not sympy.isprime(n)
+        assert not groupmath._strong_lucas(n), n
+    # 2047 = 23 * 89 and 3215031751 = 151 * 751 * 28351 fall to trial
+    # division; 3825123056546413051 has no factor below 4096, so in the full
+    # test only the Lucas half stands between it and a prime verdict.
+    n = 3825123056546413051
+    assert min(sympy.factorint(n)) > 4096
+    assert not is_probable_prime.__wrapped__(n)
+    monkeypatch.setattr(groupmath, "_strong_lucas", lambda n: True)
+    assert not is_probable_prime.__wrapped__(2047)
+    assert not is_probable_prime.__wrapped__(3215031751)
+    assert is_probable_prime.__wrapped__(n, 0)
+
+
+def test_strong_lucas_test_passes_every_prime_and_refuses_squares():
+    for p in sympy.primerange(7, 20000):
+        assert groupmath._strong_lucas(p), p
+    for r in (3, 5, 7, 59, 4099, _P256):
+        assert not groupmath._strong_lucas(r * r), r
+
+
+@given(st.integers(min_value=0, max_value=2 ** 399 - 1).map(
+    lambda k: 2 * k + 1))
+def test_prime_test_equals_sympy_on_odd_n(n):
+    assert is_probable_prime.__wrapped__(n) == sympy.isprime(n)
+
+
+@functools.cache
+def prime_of(bits):
+    # the first prime above 7 * 2^(bits - 3), found once per run
+    return sympy.nextprime(7 << (bits - 3))
+
+
+@pytest.mark.parametrize("bits", [368, 512, 1632])
+def test_prime_test_equals_sympy_on_primes_and_semiprimes(bits):
+    # the sizes of e, of a test-scale safe prime and of the Schnorr p
+    rng = random.Random(bits)
+    halves = [sympy.nextprime(rng.getrandbits(bits // 2)
+                              | 3 << (bits // 2 - 2)) for _ in range(4)]
+    semiprimes = [halves[0] * halves[1], halves[2] * halves[3]]
+    for n in [prime_of(bits)] + semiprimes:
+        assert n.bit_length() == bits
+        assert is_probable_prime.__wrapped__(n) == sympy.isprime(n), n
 
 
 # Primes below 4096 and n < 2 decide in trial division; the rest reach
@@ -491,6 +585,32 @@ def test_prime_in_range():
     for _ in range(5):
         e = gen_prime_in_range(lo, hi, rng)
         assert lo <= e <= hi and trial_division_is_prime(e)
+
+
+class _OnesThenRng:
+    # ``ones`` draws of all ones, then draws of ``value``
+    def __init__(self, ones, value):
+        self.ones, self.value = ones, value
+
+    def getrandbits(self, k):
+        self.ones -= 1
+        return (1 << k) - 1 if self.ones >= 0 else self.value
+
+
+def test_rand_below_gives_up_on_a_source_stuck_at_all_ones():
+    # Every draw is 2^k - 1, at or above the bound: the rejection loop, and
+    # the e search that draws through it, end with RuntimeError.
+    stuck = _StuckRng(-1)
+    assert stuck.getrandbits(7) == 127
+    with pytest.raises(RuntimeError, match="randomness source is broken"):
+        groupmath.rand_below(stuck, 100)
+    with pytest.raises(RuntimeError):
+        gen_prime_in_range(1000, 1100, stuck, max_attempts=5)
+    # 127 rejected draws are still an honest source's bad luck
+    cap = groupmath._MAX_REJECTED_DRAWS
+    assert groupmath.rand_below(_OnesThenRng(cap - 1, 5), 100) == 5
+    with pytest.raises(RuntimeError):
+        groupmath.rand_below(_OnesThenRng(cap, 5), 100)
 
 
 # ---------------------------------------------------------------------------
