@@ -30,8 +30,6 @@ from .serial import JsonInt, Record
 HASH_NAME = "sha256"
 HASH_BITS = 256
 
-MR_ROUNDS = 64
-
 
 def _hash(data: bytes) -> bytes:
     return hashlib.new(HASH_NAME, data).digest()
@@ -316,22 +314,19 @@ PRIME_TEST_ROUNDS = 4
 
 
 @functools.lru_cache(maxsize=32)
-def is_probable_prime(n: int, rounds: int = PRIME_TEST_ROUNDS) -> bool:
-    """Baillie-PSW plus ``rounds`` hash-derived Miller-Rabin rounds, in
-    this process.
+def is_probable_prime(n: int) -> bool:
+    """Baillie-PSW plus ``PRIME_TEST_ROUNDS`` hash-derived Miller-Rabin
+    rounds, in this process: the one prime test of the system.
 
     Trial division by all primes below 4096, then a strong base-2 test
     (:func:`_strong_probable_prime`), a strong Lucas test with Selfridge's
-    parameters (:func:`_strong_lucas`), and Miller-Rabin rounds 0, ...,
-    rounds - 1 (:func:`_miller_rabin`).  No composite is known to pass the
-    first two together, and the rounds' witnesses are derived from ``n``,
-    so a caller cannot choose them.  The verdict is a pure function of
-    ``(n, rounds)`` and is memoized: when the issuer and the member share a
-    process, the member's test of the credential exponent ``e`` that the
-    issuer has just accepted is a lookup.  The memo keys on the arguments
-    as passed, so every caller passes ``n`` alone for the default rounds.
-    Nothing forks; only the confirmation of a safe-prime search's own q
-    (:func:`_first_safe`) runs ``MR_ROUNDS`` rounds, split among workers.
+    parameters (:func:`_strong_lucas`), and the Miller-Rabin rounds
+    (:func:`_miller_rabin`).  No composite is known to pass the first two
+    together, and the rounds' witnesses are derived from ``n``, so a
+    caller cannot choose them.  The verdict is a pure function of ``n`` and
+    is memoized: when the issuer and the member share a process, the
+    member's test of the credential exponent ``e`` that the issuer has just
+    accepted is a lookup.
     """
     if n < 2:
         return False
@@ -341,22 +336,7 @@ def is_probable_prime(n: int, rounds: int = PRIME_TEST_ROUNDS) -> bool:
         if n % sp == 0:
             return False
     return (_strong_probable_prime(n, 2) and _strong_lucas(n)
-            and _miller_rabin(n, range(rounds)))
-
-
-def _rounds_pass(n: int, rounds: int, workers: int) -> bool:
-    """Whether n passes Miller-Rabin rounds 0, ..., rounds - 1, worker w of
-    ``workers`` (:func:`_across_workers`) running rounds w, w + workers, ...
-
-    This is how a safe-prime search confirms its q.  Round i's witness
-    depends on n and i alone, so the verdict does not depend on the number
-    of workers.
-    """
-    workers = max(1, min(workers, rounds))
-    verdicts = _across_workers(
-        lambda w: b"%d" % _miller_rabin(n, range(w, rounds, workers)),
-        workers)
-    return verdicts == [b"1"] * workers
+            and _miller_rabin(n, range(PRIME_TEST_ROUNDS)))
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -425,35 +405,41 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-def gen_prime(bits: int, rng, max_attempts: int = 100000) -> int:
+# Candidates that gen_prime, gen_prime_in_range and a safe-prime search
+# below 20 bits draw before they give up: a source that offers this many
+# without a prime among them is broken.
+_PRIME_MAX_ATTEMPTS = 100000
+
+
+def gen_prime(bits: int, rng) -> int:
     """Random prime with exactly ``bits`` bits (top bit forced)."""
     if bits < 2:
         raise ValueError("need bits >= 2")
-    for _ in range(max_attempts):
+    for _ in range(_PRIME_MAX_ATTEMPTS):
         cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(cand):
             return cand
-    raise RuntimeError(f"no {bits}-bit prime after {max_attempts} attempts")
+    raise RuntimeError(f"no {bits}-bit prime after {_PRIME_MAX_ATTEMPTS} "
+                       f"attempts")
 
 
-def gen_prime_in_range(lo: int, hi: int, rng, max_attempts: int = 100000) -> int:
+def gen_prime_in_range(lo: int, hi: int, rng) -> int:
     """Random prime in [lo, hi]."""
-    for _ in range(max_attempts):
+    for _ in range(_PRIME_MAX_ATTEMPTS):
         cand = rand_range(rng, lo, hi + 1) | 1
         if lo <= cand <= hi and is_probable_prime(cand):
             return cand
     raise RuntimeError(f"no prime found in [{lo}, {hi}]")
 
 
-# At most this many processes share one window of a safe-prime search or
-# the confirmation of its q, however many CPUs the host offers: each is a
-# copy of the calling process.
+# At most this many processes share one window of a safe-prime search,
+# however many CPUs the host offers: each is a copy of the calling process.
 _MAX_SEARCH_WORKERS = 4
 
 
 def _search_workers(bits: int) -> int:
     """How many processes share each window of a ``bits``-bit safe-prime
-    search, and the rounds that confirm its q.
+    search.
 
     One per CPU this process may run on, up to ``_MAX_SEARCH_WORKERS``, from
     the wide-sieve size up, where the work pays for the forks many times
@@ -576,61 +562,50 @@ def _first_safe(qs: list[int], workers: int):
     """The safe prime 2q + 1 for the first q in the sieved candidates
     ``qs`` that gives one, or None.
 
-    Worker w pre-tests qs[w], qs[w + workers], ... and reports the index
-    of its first pass.  The lowest reported index k gets q's ``MR_ROUNDS``
-    rounds, split among the workers; if q fails them, the scan resumes at
-    k + 1.  Each test is a pure function of its candidate, so the answer is
-    the one a scan in order finds, for any number of workers.
+    Worker w tests qs[w], qs[w + workers], ... and reports the index of its
+    first pass; the answer is the lowest index reported.  Each test is a
+    pure function of its candidate, so this is the q that a scan in order
+    finds, for any number of workers.
 
-    Once q passes, p is proved prime by Pocklington's theorem: q > sqrt(p),
-    2^(p-1) = (2^q)^2 = 1 (mod p), and gcd(2^((p-1)/q) - 1, p) = gcd(3, p)
-    = 1 because 3 is sieved.  The sieve has done the trial division, so q
-    goes straight to Miller-Rabin.
+    One power on p weeds out nearly every candidate, and q is then tested
+    by :func:`is_probable_prime`.  Once q passes, p is proved prime by
+    Pocklington's theorem: q > sqrt(p), 2^(p-1) = (2^q)^2 = 1 (mod p), and
+    gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1 because 3 is sieved.
     """
     workers = max(1, min(workers, len(qs)))
-    start = 0
 
     def first_passing(w: int) -> bytes:
-        for k in range(start + w, len(qs), workers):
-            # One power on p weeds out nearly every candidate, and one
-            # round on q nearly every p that is prime while q is not.
-            if _euler_base2(qs[k]) and _miller_rabin(qs[k], range(1)):
+        for k in range(w, len(qs), workers):
+            if _euler_base2(qs[k]) and is_probable_prime(qs[k]):
                 return b"%d" % k
         return b"-1"
 
-    while True:
-        hits = [k for k in map(int, _across_workers(first_passing, workers))
-                if k >= 0]
-        if not hits:
-            return None
-        k = min(hits)
-        if _rounds_pass(qs[k], MR_ROUNDS, workers):
-            return 2 * qs[k] + 1
-        start = k + 1
+    hits = [k for k in map(int, _across_workers(first_passing, workers))
+            if k >= 0]
+    return 2 * qs[min(hits)] + 1 if hits else None
 
 
-def gen_safe_prime(bits: int, rng, max_attempts: int = 64,
-                   _top_two: bool = False) -> int:
+def gen_safe_prime(bits: int, rng, _top_two: bool = False) -> int:
     """Random safe prime P = 2P' + 1 (P' prime) with exactly ``bits`` bits.
 
-    From 20 bits up, P' passes ``MR_ROUNDS`` rounds of Miller-Rabin and P
-    is then proved prime by Pocklington's theorem rather than tested; below,
-    both are tested by :func:`is_probable_prime`.
+    From 20 bits up, P' is tested by :func:`is_probable_prime` and P is
+    then proved prime by Pocklington's theorem rather than tested; below,
+    both are tested.
     ``_top_two`` additionally forces the two top bits, so that the product of
     two such primes has exactly twice their bit length (RSA modulus shaping).
-    Below 20 bits the search draws ``max_attempts * 1000`` candidates, above
-    it sieves a number of windows derived from ``bits``; running out of
-    either raises RuntimeError and means the randomness source is broken.
-    From 512 bits each window is sieved and tested, and each found P'
-    confirmed, by forked worker processes (:func:`_search_workers`), which
-    leave no process behind; the prime found does not depend on how many
-    there are.  This is the only prime test that forks.
+    Below 20 bits the search draws ``_PRIME_MAX_ATTEMPTS`` candidates,
+    above it sieves a number of windows derived from ``bits``; running out
+    of either raises RuntimeError and means the randomness source is
+    broken.  From 512 bits each window is sieved and tested by forked
+    worker processes (:func:`_search_workers`), which leave no process
+    behind; the prime found does not depend on how many there are.  This
+    is the only prime search that forks.
     """
     if bits < 4:
         raise ValueError("need bits >= 4")
     if bits < 20:
         # Small sizes (test scale): plain rejection sampling.
-        for _ in range(max_attempts * 1000):
+        for _ in range(_PRIME_MAX_ATTEMPTS):
             q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
             if _top_two and bits >= 5:
                 q |= 1 << (bits - 3)

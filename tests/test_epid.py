@@ -315,9 +315,9 @@ def test_join_tests_its_e_once_in_one_process(monkeypatch):
     uncached = is_probable_prime.__wrapped__
     tested = []
 
-    def counting(n, rounds=groupmath.MR_ROUNDS):
+    def counting(n):
         tested.append(n)
-        return uncached(n, rounds)
+        return uncached(n)
 
     memo = functools.lru_cache(
         maxsize=is_probable_prime.cache_info().maxsize)(counting)

@@ -95,10 +95,11 @@ class _StuckRng:
         return self.value & ((1 << k) - 1)
 
 
-def test_safe_prime_attempt_cap_signals_bad_rng():
+def test_safe_prime_attempt_cap_signals_bad_rng(monkeypatch):
     # q is forced to 7, p = 15 is composite, so the search can never finish
+    monkeypatch.setattr(groupmath, "_PRIME_MAX_ATTEMPTS", 2000)
     with pytest.raises(RuntimeError):
-        gen_safe_prime(5, _StuckRng(0b0111), max_attempts=2)
+        gen_safe_prime(5, _StuckRng(0b0111))
 
 
 def test_safe_prime_search_outlasts_64_empty_windows(monkeypatch):
@@ -223,15 +224,28 @@ def test_safe_prime_window_answer_is_its_lowest_passing_index():
 
 def test_safe_prime_window_resumes_after_a_refused_confirmation(
         monkeypatch):
-    # The lowest pre-test pass (a) fails its confirmation: the scan goes on
-    # after it and finds c, ahead of b, for every worker count.
+    # The lowest pass of the power on p (a) is refused by the prime test on
+    # q: the worker that holds it scans on, and the window finds c, ahead of
+    # b, for every worker count.
     a, b, c = ((SAFE_512[seed] - 1) // 2 for seed in (1, 2, 3))
-    confirm = groupmath._rounds_pass
-    monkeypatch.setattr(groupmath, "_rounds_pass", lambda n, rounds, workers:
-                        n != a and confirm(n, rounds, workers))
-    for workers in (1, 2, 3):
+    prime_test = groupmath.is_probable_prime
+    monkeypatch.setattr(groupmath, "is_probable_prime",
+                        lambda n: n != a and prime_test(n))
+    for workers in (1, 2, 3, 4):
         assert groupmath._first_safe([3 * b, a, 3 * c, c, b],
                                      workers) == SAFE_512[3]
+    assert_no_child_left()
+
+
+def test_safe_prime_window_that_finds_its_prime_forks_once(monkeypatch):
+    # Two workers: the window's one child tests its share, and the q found
+    # is confirmed by that same test, with no second fork.
+    a, b = ((SAFE_512[seed] - 1) // 2 for seed in (1, 2))
+    forks = _count_forks(monkeypatch, 2)
+    assert groupmath._first_safe([3 * a, b, a], 2) == SAFE_512[2]
+    assert len(forks) == 1
+    assert groupmath._first_safe([a, 3 * b], 2) == SAFE_512[1]
+    assert len(forks) == 2
     assert_no_child_left()
 
 
@@ -243,16 +257,18 @@ class _Refused(Exception):
 def test_safe_prime_search_leaves_no_child_when_a_worker_fails(monkeypatch,
                                                                failing):
     # A child that raises exits without a report, which the caller turns
-    # into RuntimeError; the caller's own error propagates as it is.
+    # into RuntimeError; the caller's own error propagates as it is.  Every
+    # worker runs the power on p (not memoized, unlike the test on q) on
+    # its first candidate.
     forks = _count_forks(monkeypatch, 2)
-    caller, mr = os.getpid(), groupmath._miller_rabin
+    caller, euler = os.getpid(), groupmath._euler_base2
 
-    def refuse(n, rounds):
+    def refuse(q):
         if (os.getpid() == caller) == (failing == "caller"):
             raise _Refused
-        return mr(n, rounds)
+        return euler(q)
 
-    monkeypatch.setattr(groupmath, "_miller_rabin", refuse)
+    monkeypatch.setattr(groupmath, "_euler_base2", refuse)
     with (pytest.raises(_Refused) if failing == "caller" else
           pytest.raises(RuntimeError, match="without a result")):
         gen_safe_prime(512, random.Random(1))
@@ -289,11 +305,11 @@ def test_safe_prime_pretest_accepts_every_safe_prime():
     assert not groupmath._euler_base2(43)
 
 
-# From 512 bits the 64 rounds that confirm a safe-prime search's q are
-# dealt out among the workers.  Inputs: primes, products of two primes,
-# and r(2r - 1) with r = 3 mod 4, for which about a quarter of the rounds
-# pass, so the verdict rests on rounds spread over every worker's share.
-# The last, r(2r - 1) with r = 1 mod 4, passes the base-2 Fermat test.
+# From 512 bits the candidates of a safe-prime search's window are dealt
+# out among the workers.  Inputs: primes, products of two primes, and
+# r(2r - 1) with r = 3 mod 4, for which about a quarter of Miller-Rabin
+# rounds pass.  The last, r(2r - 1) with r = 1 mod 4, passes the base-2
+# Fermat test.
 _P256, _Q256 = sympy.nextprime(3 << 254), sympy.nextprime(5 << 253)
 _P600 = sympy.nextprime(7 << 597)
 _LIAR_P = (3 << 254) + 119815
@@ -311,16 +327,21 @@ def test_split_prime_test_same_for_any_worker_count(monkeypatch, cpus):
     assert pow(2, FERMAT_LIAR_512 - 1, FERMAT_LIAR_512) == 1
     forks = _count_forks(monkeypatch, cpus)
     for n in SPLIT_INPUTS:
-        alone = groupmath._miller_rabin(n, range(groupmath.MR_ROUNDS))
-        assert alone == sympy.isprime(n), n
-        assert groupmath._rounds_pass(n, groupmath.MR_ROUNDS,
-                                      cpus) == alone, (n, cpus)
-    # A window of one worker's share each whose first candidate is a found
-    # q: its confirmation is split, and gives the safe prime, for every
+        assert is_probable_prime.__wrapped__(n) == sympy.isprime(n), n
+    assert not forks
+    # A window of one candidate per worker whose first or last candidate is
+    # a found q: the worker that holds it gives the safe prime, for every
     # worker count.
     for p in SAFE_512.values():
         q = (p - 1) // 2
-        assert groupmath._first_safe([q] + [3 * q] * (cpus - 1), cpus) == p
+        for qs in ([q] + [3 * q] * (cpus - 1), [3 * q] * (cpus - 1) + [q]):
+            assert groupmath._first_safe(qs, cpus) == p
+    # The inputs, as candidates q, ahead of found ones: the answer is the
+    # first q in order for which q and 2q + 1 are prime.
+    qs = SPLIT_INPUTS + [(p - 1) // 2 for p in sorted(SAFE_512.values())]
+    expected = next(2 * q + 1 for q in qs
+                    if sympy.isprime(q) and sympy.isprime(2 * q + 1))
+    assert groupmath._first_safe(qs, cpus) == expected
     assert bool(forks) == (cpus > 1)
     assert_no_child_left()
 
@@ -328,15 +349,17 @@ def test_split_prime_test_same_for_any_worker_count(monkeypatch, cpus):
 def test_split_prime_test_turns_down_a_fermat_composite_before_forking(
         monkeypatch):
     # is_probable_prime refuses in this process every composite that trial
-    # division leaves, a base-2 Fermat liar included; only the split
-    # confirmation of a safe-prime search's q forks, and it refuses too.
+    # division leaves, a base-2 Fermat liar included; only a safe-prime
+    # search's window forks, and with the power on p passing every
+    # candidate, its workers' tests on q refuse them all too.
     forks = _count_forks(monkeypatch, 2)
-    for n in (_P256 * _Q256, _P256 * _P600, _LIAR_P * (2 * _LIAR_P - 1),
-              FERMAT_LIAR_512):
+    composites = [_P256 * _Q256, _P256 * _P600, _LIAR_P * (2 * _LIAR_P - 1),
+                  FERMAT_LIAR_512]
+    for n in composites:
         assert not is_probable_prime.__wrapped__(n)
     assert not forks
-    assert not groupmath._rounds_pass(FERMAT_LIAR_512, groupmath.MR_ROUNDS,
-                                      2)
+    monkeypatch.setattr(groupmath, "_euler_base2", lambda q: True)
+    assert groupmath._first_safe(composites, 2) is None
     assert forks
     assert_no_child_left()
 
@@ -375,7 +398,10 @@ def test_split_prime_test_runs_in_process_when_fork_fails(monkeypatch,
 
 def test_split_prime_test_refuses_on_a_failure_in_a_childs_share(
         monkeypatch):
-    # Every round the caller runs passes; one child's share alone fails.
+    # Every round the caller runs passes and every round a child runs
+    # fails: a found q in the child's share gives no safe prime, the same
+    # window in one process gives it.  The memo is cleared first, since a
+    # child that inherits q's verdict never runs a round on it.
     forks = _count_forks(monkeypatch, 2)
     caller, mr = os.getpid(), groupmath._miller_rabin
 
@@ -384,13 +410,11 @@ def test_split_prime_test_refuses_on_a_failure_in_a_childs_share(
 
     monkeypatch.setattr(groupmath, "_miller_rabin", child_refuses)
     for p in SAFE_512.values():
-        assert not groupmath._rounds_pass(p, groupmath.MR_ROUNDS, 2)
-        assert groupmath._rounds_pass(p, groupmath.MR_ROUNDS, 1)
+        q = (p - 1) // 2
+        is_probable_prime.cache_clear()
+        assert groupmath._first_safe([3 * q, q], 2) is None
+        assert groupmath._first_safe([3 * q, q], 1) == p
     assert forks
-    # The caller's pre-test passes q, the child's share of q's confirmation
-    # fails, and the window has no safe prime.
-    q = (SAFE_512[1] - 1) // 2
-    assert groupmath._first_safe([q, 3 * q], 2) is None
     assert_no_child_left()
 
 
@@ -507,7 +531,8 @@ def test_strong_base2_liars_fail_the_strong_lucas_test(monkeypatch):
     monkeypatch.setattr(groupmath, "_strong_lucas", lambda n: True)
     assert not is_probable_prime.__wrapped__(2047)
     assert not is_probable_prime.__wrapped__(3215031751)
-    assert is_probable_prime.__wrapped__(n, 0)
+    monkeypatch.setattr(groupmath, "PRIME_TEST_ROUNDS", 0)
+    assert is_probable_prime.__wrapped__(n)
 
 
 def test_strong_lucas_test_passes_every_prime_and_refuses_squares():
@@ -554,10 +579,9 @@ MEMO_INPUTS = ([-7, 0, 1] + list(sympy.primerange(4096))
 
 
 def _memo_agrees(n):
-    for rounds in (1, groupmath.MR_ROUNDS):
-        verdict = is_probable_prime.__wrapped__(n, rounds)
-        assert is_probable_prime(n, rounds) == verdict, (n, rounds)
-        assert is_probable_prime(n, rounds) == verdict, (n, rounds)
+    verdict = is_probable_prime.__wrapped__(n)
+    assert is_probable_prime(n) == verdict, n
+    assert is_probable_prime(n) == verdict, n
     return verdict
 
 
@@ -597,15 +621,16 @@ class _OnesThenRng:
         return (1 << k) - 1 if self.ones >= 0 else self.value
 
 
-def test_rand_below_gives_up_on_a_source_stuck_at_all_ones():
+def test_rand_below_gives_up_on_a_source_stuck_at_all_ones(monkeypatch):
     # Every draw is 2^k - 1, at or above the bound: the rejection loop, and
     # the e search that draws through it, end with RuntimeError.
     stuck = _StuckRng(-1)
     assert stuck.getrandbits(7) == 127
     with pytest.raises(RuntimeError, match="randomness source is broken"):
         groupmath.rand_below(stuck, 100)
+    monkeypatch.setattr(groupmath, "_PRIME_MAX_ATTEMPTS", 5)
     with pytest.raises(RuntimeError):
-        gen_prime_in_range(1000, 1100, stuck, max_attempts=5)
+        gen_prime_in_range(1000, 1100, stuck)
     # 127 rejected draws are still an honest source's bad luck
     cap = groupmath._MAX_REJECTED_DRAWS
     assert groupmath.rand_below(_OnesThenRng(cap - 1, 5), 100) == 5
