@@ -252,6 +252,18 @@ def validate_gpk(gpk: GroupPublicKey) -> Check:
 
 def _check_gpk(gpk: GroupPublicKey) -> Check:
     prof = gpk.profile
+    # The cheap checks come first, so a malformed key costs no power.
+    if gpk.N.bit_length() != prof.l_N:
+        return _fail("N length")
+    if gpk.p.bit_length() != prof.l_p:
+        return _fail("p length")
+    if gpk.q.bit_length() != prof.l_q:
+        return _fail("q length")
+    for name, value in (("g_prime", gpk.g_prime), ("g", gpk.g), ("h", gpk.h),
+                        ("R", gpk.R), ("S", gpk.S), ("Z", gpk.Z)):
+        if not 2 <= value < gpk.N or math.gcd(value, gpk.N) != 1:
+            return _fail(f"{name} range")
+
     bases = {"g": (gpk.g_prime, gpk.g), "h": (gpk.g_prime, gpk.h),
              "R": (gpk.h, gpk.R), "S": (gpk.h, gpk.S), "Z": (gpk.h, gpk.Z)}
     seen = set()
@@ -277,17 +289,6 @@ def _check_gpk(gpk: GroupPublicKey) -> Check:
         return _fail("u range")
     if not in_subgroup(gpk.u, gpk.p, gpk.q):
         return _fail("u order")
-
-    if gpk.N.bit_length() != prof.l_N:
-        return _fail("N length")
-    if gpk.p.bit_length() != prof.l_p:
-        return _fail("p length")
-    if gpk.q.bit_length() != prof.l_q:
-        return _fail("q length")
-    for name, value in (("g_prime", gpk.g_prime), ("g", gpk.g), ("h", gpk.h),
-                        ("R", gpk.R), ("S", gpk.S), ("Z", gpk.Z)):
-        if not 2 <= value < gpk.N or math.gcd(value, gpk.N) != 1:
-            return _fail(f"{name} range")
     return OK
 
 

@@ -210,16 +210,23 @@ def remember(record: dict, key, value, cap: int) -> None:
     record[key] = value
 
 
-# Lim-Lee comb (CRYPTO 1994) with h = 8 rows: the exponent is cut into 8
-# rows of ``cols`` bits, and entry i of the table is the product of
-# base^(2^(j*cols)) over the set bits j of i.  A power then costs ``cols``
-# squarings and at most ``cols`` multiplications instead of one squaring per
-# exponent bit.  Tables are built from ``*`` and ``%`` alone.
+# Lim-Lee comb (CRYPTO 1994) with h = 8 rows, stacked v = ``blocks`` high:
+# block k covers exponent bits [8*cols*k, 8*cols*(k+1)), cut into 8 rows of
+# ``cols`` bits, and entry i of its table is the product of
+# base^(2^(8*cols*k + j*cols)) over the set bits j of i.  A power reads one
+# column of every block it reaches per squaring, so it costs ``cols``
+# squarings, shared by the blocks, and at most ``cols`` multiplications per
+# block read.  Tables are built from ``*`` and ``%`` alone.
 _COMB_ROWS = 8
-# (base, mod) -> (cols, table), oldest first; one 2048-bit table is ~79 KB.
-# One group key uses 9 tables (R, S, Z mod N; u, B_I mod p; the issuer's R
-# and S mod each factor of N), so the cap leaves room for a second key.
-_COMB_TABLES: dict[tuple[int, int], tuple[int, list[int]]] = {}
+# Up to this many blocks, each at least this many columns wide, so a short
+# table (desk's u, 20 columns) stays one block.
+_COMB_BLOCKS = 4
+_COMB_MIN_COLS = 16
+# (base, mod) -> (cols, [table of block 0, block 1, ...]), oldest first; a
+# 256-entry 2048-bit table is ~79 KB.  One group key uses 9 records (R, S, Z
+# mod N; u, B_I mod p; the issuer's R and S mod each factor of N), ~1.5 MB
+# on `full`, so the cap leaves room for a second key.
+_COMB_TABLES: dict[tuple[int, int], tuple[int, list[list[int]]]] = {}
 _COMB_TABLES_MAX = 16
 
 
@@ -233,37 +240,68 @@ def _comb_table(base: int, mod: int, cols: int) -> list[int]:
     return table
 
 
-def fixed_base_pow(base: int, exp: int, mod: int, bits: int = 0) -> int:
-    """``pow(base, exp, mod)`` for a base that recurs, by a cached comb.
+def _stacked_combs(base: int, mod: int, width: int):
+    """``(cols, tables)`` for exponents of up to ``width`` bits: at most
+    ``_COMB_BLOCKS`` blocks of at least ``_COMB_MIN_COLS`` columns."""
+    columns = -(-width // _COMB_ROWS)
+    blocks = max(1, min(_COMB_BLOCKS, columns // _COMB_MIN_COLS))
+    cols = -(-columns // blocks)
+    tables = [_comb_table(base, mod, cols)]
+    for _ in range(blocks - 1):
+        # Block k's base is block k-1's top row squared ``cols`` more times.
+        row = tables[-1][1 << (_COMB_ROWS - 1)]
+        for _ in range(cols):
+            row = row * row % mod
+        tables.append(_comb_table(row, mod, cols))
+    return cols, tables
 
-    The table for (base, mod) is built on first use for exponents of up to
-    ``bits`` bits, or of ``exp``'s length if that is longer, and rebuilt
+
+def fixed_base_pow(base: int, exp: int, mod: int, bits: int = 0) -> int:
+    """``pow(base, exp, mod)`` for a base that recurs, by cached combs.
+
+    The tables for (base, mod) are built on first use for exponents of up
+    to ``bits`` bits, or of ``exp``'s length if that is longer, and rebuilt
     wider when a longer exponent arrives: a caller that passes the widest
-    exponent the base will take never pays for a second table.  A negative
-    exponent inverts the result with builtin ``pow``, which raises the same
-    ``ValueError`` for a base that has no inverse.  The result always equals
-    ``pow``'s; like ``pow``, the running time depends on the exponent.
+    exponent the base will take never pays for a second build.  A shorter
+    exponent reads only the blocks it reaches.  A negative exponent inverts
+    the result with builtin ``pow``, which raises the same ``ValueError``
+    for a base that has no inverse.  The result always equals ``pow``'s;
+    like ``pow``, the running time depends on the exponent.
     """
     if exp < 0:
         return pow(fixed_base_pow(base, -exp, mod, bits), -1, mod)
     if exp == 0:
         return 1 % mod
+    n = exp.bit_length()
     entry = _COMB_TABLES.get((base, mod))
-    if entry is None or entry[0] * _COMB_ROWS < exp.bit_length():
-        cols = -(-max(bits, exp.bit_length()) // _COMB_ROWS)
-        entry = (cols, _comb_table(base, mod, cols))
+    if entry is None or entry[0] * _COMB_ROWS * len(entry[1]) < n:
+        entry = _stacked_combs(base, mod, max(bits, n))
         remember(_COMB_TABLES, (base, mod), entry, _COMB_TABLES_MAX)
-    cols, table = entry
-    # Row j of the exponent, most significant row first, as a bit string;
-    # reading the rows column by column gives each column's table index.
-    rows = [format(exp >> (j * cols) & ((1 << cols) - 1), f"0{cols}b")
-            for j in reversed(range(_COMB_ROWS))]
+    cols, tables = entry
+    width = cols * _COMB_ROWS
+    tables = tables[:-(-n // width)]
+    mask = (1 << cols) - 1
+    zero = int.from_bytes(b"0" * cols, "big")
+    # Spread each row of a block one bit per byte, most significant column
+    # first, and add the rows shifted by their number: byte c of the sum is
+    # column c's table index in that block.
+    indices = []
+    for k in range(len(tables)):
+        chunk = exp >> (k * width)
+        spread = 0
+        for j in range(_COMB_ROWS):
+            row = chunk >> (j * cols) & mask
+            if row:
+                spread += (int.from_bytes(format(row, f"0{cols}b").encode(),
+                                          "big") - zero) << j
+        indices.append(spread.to_bytes(cols, "big"))
     acc = 1
-    for column in zip(*rows):
+    blocks = range(len(tables))
+    for column in zip(*indices):
         acc = acc * acc % mod
-        index = int("".join(column), 2)
-        if index:
-            acc = acc * table[index] % mod
+        for k in blocks:
+            if index := column[k]:
+                acc = acc * tables[k][index] % mod
     return acc
 
 
@@ -302,6 +340,9 @@ def _sieve(limit):
 
 
 _SMALL_PRIMES = _sieve(4096)
+# Trial division by all of them is one membership test or one gcd.
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 # Wider sieve for safe-prime search at deployment sizes, where every saved
 # Miller-Rabin call on a ~1024-bit candidate is worth it.  Built on the first
 # such search, not at import: most processes never run one.
@@ -328,13 +369,10 @@ def is_probable_prime(n: int) -> bool:
     member's test of the credential exponent ``e`` that the issuer has just
     accepted is a lookup.
     """
-    if n < 2:
+    if n < 4096:
+        return n in _SMALL_PRIME_SET
+    if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
         return False
-    for sp in _SMALL_PRIMES:
-        if n == sp:
-            return True
-        if n % sp == 0:
-            return False
     return (_strong_probable_prime(n, 2) and _strong_lucas(n)
             and _miller_rabin(n, range(PRIME_TEST_ROUNDS)))
 

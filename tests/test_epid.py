@@ -94,6 +94,20 @@ def test_validate_rejects_wrong_lengths(desk_gpk):
     assert not epid.validate_gpk(bad)
 
 
+def test_malformed_key_is_refused_before_any_power(desk_gpk, monkeypatch):
+    proofs = []
+    monkeypatch.setattr(epid, "_verify_dlog",
+                        lambda *args: proofs.append(args) or True)
+    for change, reason in (({"N": desk_gpk.N >> 1}, "N length"),
+                           ({"p": desk_gpk.p << 1}, "p length"),
+                           ({"q": desk_gpk.q >> 1}, "q length"),
+                           ({"h": desk_gpk.N}, "h range"),
+                           ({"Z": 0}, "Z range")):
+        res = epid.validate_gpk(dataclasses.replace(desk_gpk, **change))
+        assert not res and res.reason == reason
+    assert proofs == []
+
+
 # ---------------------------------------------------------------------------
 # the per-process record of accepted group keys
 

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chainanchor import epid, groupmath
 from chainanchor.groupmath import (
@@ -542,6 +542,29 @@ def test_strong_lucas_test_passes_every_prime_and_refuses_squares():
         assert not groupmath._strong_lucas(r * r), r
 
 
+def _prime_test_by_division_loop(n):
+    # is_probable_prime with trial division as one loop over the primes
+    # below 4096, a division each
+    if n < 2:
+        return False
+    for sp in groupmath._SMALL_PRIMES:
+        if n == sp:
+            return True
+        if n % sp == 0:
+            return False
+    return (groupmath._strong_probable_prime(n, 2) and groupmath._strong_lucas(n)
+            and groupmath._miller_rabin(n, range(groupmath.PRIME_TEST_ROUNDS)))
+
+
+def test_trial_division_in_one_step_equals_the_division_loop():
+    for n in range(-3, 1 << 16):
+        assert is_probable_prime.__wrapped__(n) == _prime_test_by_division_loop(n), n
+    rng = random.Random(16)
+    for _ in range(3000):
+        n = rng.getrandbits(rng.randrange(13, 401))
+        assert is_probable_prime.__wrapped__(n) == _prime_test_by_division_loop(n), n
+
+
 @given(st.integers(min_value=0, max_value=2 ** 399 - 1).map(
     lambda k: 2 * k + 1))
 def test_prime_test_equals_sympy_on_odd_n(n):
@@ -855,19 +878,23 @@ def test_subgroup_pow_matches_pow_on_u_and_B_I(desk_gpk, monkeypatch):
     assert len(groupmath._COMB_TABLES) == 2
 
 
-def test_fixed_base_pow_grows_for_a_longer_exponent(desk_gpk):
-    N = desk_gpk.N
-    base = desk_gpk.S
-    assert fixed_base_pow(base, 12345, N) == pow(base, 12345, N)
-    widest = max(cols for cols, _ in groupmath._COMB_TABLES.values())
-    longest = groupmath._COMB_ROWS * widest
-    exp = random.Random(41).getrandbits(longest + 8) | 1 << (longest + 8)
-    assert fixed_base_pow(base, exp, N) == pow(base, exp, N)
-    cols, _ = groupmath._COMB_TABLES[(base, N)]
-    assert cols * groupmath._COMB_ROWS >= exp.bit_length() > longest
-    # a shorter exponent keeps the wider table
-    assert fixed_base_pow(base, 7, N) == pow(base, 7, N)
-    assert groupmath._COMB_TABLES[(base, N)][0] == cols
+def _layout(base, mod):
+    cols, tables = groupmath._COMB_TABLES[(base, mod)]
+    return cols, len(tables)
+
+
+def test_fixed_base_pow_grows_for_a_longer_exponent(desk_gpk, monkeypatch):
+    monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
+    N, base = desk_gpk.N, desk_gpk.S
+    v_bits = epid._v_bits(DESK)                  # 793 bits: 100 columns
+    assert fixed_base_pow(base, 12345, N, v_bits) == pow(base, 12345, N)
+    assert _layout(base, N) == (25, 4)           # 4 blocks of 25 columns
+    exp = random.Random(41).getrandbits(900) | 1 << 900
+    assert fixed_base_pow(base, exp, N, v_bits) == pow(base, exp, N)
+    assert _layout(base, N) == (29, 4)           # 901 bits: 113 columns
+    # a shorter exponent keeps the wider tables
+    assert fixed_base_pow(base, 7, N, v_bits) == pow(base, 7, N)
+    assert _layout(base, N) == (29, 4)
 
 
 def test_fixed_base_pow_sizes_a_new_table_for_the_stated_bits():
@@ -875,31 +902,88 @@ def test_fixed_base_pow_sizes_a_new_table_for_the_stated_bits():
     base = 0xFACADE
     groupmath._COMB_TABLES.pop((base, mod), None)
     assert fixed_base_pow(base, 5, mod, 200) == pow(base, 5, mod)
-    assert groupmath._COMB_TABLES[(base, mod)][0] == 25
-    for exp in (2 ** 199 + 1, -(2 ** 150), 2 ** 260 + 7):
+    assert _layout(base, mod) == (25, 1)        # fewer than 2 x 16 columns
+    for exp in (2 ** 199 + 1, -(2 ** 150)):
         assert fixed_base_pow(base, exp, mod, 200) == pow(base, exp, mod)
-    assert groupmath._COMB_TABLES[(base, mod)][0] == 33   # 261 bits
+    assert _layout(base, mod) == (25, 1)
+    assert fixed_base_pow(base, 2 ** 260 + 7, mod, 200) == pow(base, 2 ** 260 + 7, mod)
+    assert _layout(base, mod) == (17, 2)        # 261 bits: 33 columns
+
+
+def test_fixed_base_pow_stacks_blocks_on_full_profile_widths():
+    # (cols, blocks) for the widths epid passes on `full`: S mod N, R mod N,
+    # the issuer's S mod a factor of N, and Z, u, B_I
+    mod = (1 << 127) - 1
+    for width, layout in ((epid._v_bits(FULL), (81, 4)),
+                          (epid._f_bits(FULL), (19, 3)),
+                          (FULL.l_N // 2, (32, 4)),
+                          (FULL.l_q, (16, 2)),
+                          (DESK.l_q, (20, 1))):
+        groupmath._COMB_TABLES.pop((3, mod), None)
+        assert fixed_base_pow(3, 5, mod, width) == pow(3, 5, mod)
+        assert _layout(3, mod) == layout, width
 
 
 def test_member_lifecycles_build_each_comb_table_once(monkeypatch):
-    # One group key needs 9 tables: R, S, Z mod N; u, B_I mod p; the
+    # One group key needs 9 records: R, S, Z mod N; u, B_I mod p; the
     # issuer's R and S mod p_N and mod q_N.  Each is sized for its widest
     # exponent and the record holds them all, so two lifecycles in one
-    # process build each table exactly once.
+    # process build each record's blocks exactly once.
     monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
-    comb_table = groupmath._comb_table
+    stacked_combs = groupmath._stacked_combs
     builds = []
 
-    def counting_table(base, mod, cols):
+    def counting_combs(base, mod, width):
         builds.append((base, mod))
-        return comb_table(base, mod, cols)
+        return stacked_combs(base, mod, width)
 
-    monkeypatch.setattr(groupmath, "_comb_table", counting_table)
+    monkeypatch.setattr(groupmath, "_stacked_combs", counting_combs)
     world = World.create("tables", DESK, 5)
     for name in ("a", "b"):
         for step in (world.enroll, world.join, world.prove, world.register):
             step(name)
     assert len(builds) == len(set(builds)) == 9
+
+
+def test_short_exponent_reads_only_the_first_block(desk_gpk, monkeypatch):
+    class Unread(list):
+        def __getitem__(self, index):
+            raise AssertionError("a block above the exponent was read")
+
+    monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
+    N, base = desk_gpk.N, desk_gpk.S
+    fixed_base_pow(base, 1, N, epid._v_bits(DESK))
+    cols, tables = groupmath._COMB_TABLES[(base, N)]
+    assert len(tables) == 4
+    tables[1:] = [Unread() for _ in tables[1:]]
+    width = cols * groupmath._COMB_ROWS
+    for exp in (1, 2 ** (width - 1), 2 ** width - 1, -(2 ** width - 1)):
+        assert fixed_base_pow(base, exp, N) == pow(base, exp, N), exp
+    with pytest.raises(AssertionError, match="above the exponent"):
+        fixed_base_pow(base, 2 ** width, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stacked_combs_equal_pow_at_block_edges(data):
+    draw = data.draw
+    factor = draw(st.integers(min_value=2, max_value=2 ** 1024))
+    mod = factor * draw(st.integers(min_value=1, max_value=2 ** 1024))
+    bits = draw(st.integers(min_value=0, max_value=2600))
+    base = draw(st.one_of(st.integers(min_value=0, max_value=2 ** 2048),
+                          st.integers(min_value=1, max_value=2 ** 1024).map(
+                              lambda k: k * factor)))   # no inverse mod mod
+    groupmath._COMB_TABLES.pop((base, mod), None)
+    assert fixed_base_pow(base, 1, mod, bits) == pow(base, 1, mod)
+    cols, blocks = _layout(base, mod)
+    k = draw(st.integers(min_value=1, max_value=blocks))
+    length = max(1, k * groupmath._COMB_ROWS * cols + draw(st.sampled_from((-1, 0, 1))))
+    exp = draw(st.integers(min_value=0, max_value=2 ** (length - 1) - 1)) | 1 << (length - 1)
+    if draw(st.booleans()):
+        exp = -exp
+    assert (_pow_outcome(lambda b, e, m: fixed_base_pow(b, e, m, bits), base, exp, mod)
+            == _pow_outcome(pow, base, exp, mod)), (cols, blocks, length)
+    groupmath._COMB_TABLES.pop((base, mod), None)
 
 
 def test_fixed_base_pow_odd_bases(desk_group):
