@@ -29,10 +29,6 @@ def mac_tag(key: bytes, tag: bytes, parts) -> bytes:
     return hmac.new(key, canonical_encode([tag, *parts]), hashlib.sha256).digest()
 
 
-def macs_equal(a: bytes, b: bytes) -> bool:
-    return hmac.compare_digest(a, b)
-
-
 def seal(key: bytes, plaintext: bytes, rng, aad: bytes = b"") -> bytes:
     """Authenticated encryption; framing is nonce || ciphertext+tag."""
     # Imported here, not at the top: only the sealed steps need
@@ -83,9 +79,6 @@ class Transcript:
 
     def received_by(self, actor_id: str) -> bytes:
         return b"".join(e.payload for e in self.envelopes if e.recipient == actor_id)
-
-    def sent_by(self, actor_id: str) -> bytes:
-        return b"".join(e.payload for e in self.envelopes if e.sender == actor_id)
 
     def to_doc(self) -> list:
         return encode(self.envelopes, list[Envelope])

@@ -177,6 +177,16 @@ def _load_world(args, parser) -> World:
         return World.load(args.world)
     except ProtocolError as exc:
         parser.error(f"world file {args.world} is corrupt: {exc}")
+    except OSError as exc:
+        parser.error(f"cannot read world file {args.world}: "
+                     f"{exc.strerror or exc}")
+
+
+def _save_world(world, path, parser):
+    try:
+        world.save(path)
+    except OSError as exc:
+        parser.error(f"cannot write world file {path}: {exc.strerror or exc}")
 
 
 def _dispatch(args, parser) -> int:
@@ -184,7 +194,7 @@ def _dispatch(args, parser) -> int:
         profile = _resolve_profile(args, parser)
         _check_output_path(args.world, args.force, parser)
         world = World.create(args.group_id, profile, args.seed)
-        world.save(args.world)
+        _save_world(world, args.world, parser)
         print(world.transcript_text(), end="")
         return EXIT_OK
 
@@ -193,7 +203,7 @@ def _dispatch(args, parser) -> int:
         profile = _resolve_profile(args, parser)
         world, failures = run_demo(args.seed, profile)
         if args.world:
-            world.save(args.world)
+            _save_world(world, args.world, parser)
         print(world.transcript_text(), end="")
         if failures:
             print(f"{len(failures)} invariant violations", file=sys.stderr)
@@ -258,7 +268,7 @@ def _dispatch(args, parser) -> int:
         code = EXIT_PROTOCOL
     for line in world.lines[lines_before:]:
         print(line)
-    world.save(args.world)
+    _save_world(world, args.world, parser)
     return code
 
 

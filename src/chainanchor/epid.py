@@ -37,13 +37,12 @@ from .groupmath import (
     is_probable_prime,
     jacobi,
     rand_below,
-    rand_bits,
     rand_range,
     random_subgroup_element,
     remember,
     subgroup_pow,
 )
-from .serial import JsonInt, Record
+from .serial import JsonInt, Record, SignedInt
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,9 @@ def _dlog_challenge(label: str, N: int, base: int, value: int, t: int, l_H: int)
 
 
 def _prove_dlog(label, N, base, value, exponent, profile, rng,
-                pow_N) -> DlogProof:
-    r = rand_bits(rng, profile.l_N + profile.l_phi + profile.l_H)
-    t = pow_N(base, r)
+                gipk) -> DlogProof:
+    r = rng.getrandbits(profile.l_N + profile.l_phi + profile.l_H)
+    t = gipk.pow_N(base, r)
     c = _dlog_challenge(label, N, base, value, t, profile.l_H)
     return DlogProof(label, c, r + c * exponent)
 
@@ -182,9 +181,9 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
     (h a generator of that subgroup) and R, S, Z random powers of h, each
     accompanied by a discrete-log knowledge proof.
     """
-    rsa = gen_rsa_group(profile, rng)
-    N = rsa.N
-    gipk = GroupIssuingPrivateKey(rsa.p_N, rsa.q_N, rsa.p_N_prime, rsa.q_N_prime)
+    p_N, q_N = gen_rsa_group(profile, rng)
+    N = p_N * q_N
+    gipk = GroupIssuingPrivateKey(p_N, q_N, (p_N - 1) // 2, (q_N - 1) // 2)
     order = gipk.qr_order
 
     while True:
@@ -210,11 +209,11 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
     Z, exp_Z = random_power(h)
 
     proofs = (
-        _prove_dlog("g", N, g_prime, g, exp_g, profile, rng, gipk.pow_N),
-        _prove_dlog("h", N, g_prime, h, exp_h, profile, rng, gipk.pow_N),
-        _prove_dlog("R", N, h, R, exp_R, profile, rng, gipk.pow_N),
-        _prove_dlog("S", N, h, S, exp_S, profile, rng, gipk.pow_N),
-        _prove_dlog("Z", N, h, Z, exp_Z, profile, rng, gipk.pow_N),
+        _prove_dlog("g", N, g_prime, g, exp_g, profile, rng, gipk),
+        _prove_dlog("h", N, g_prime, h, exp_h, profile, rng, gipk),
+        _prove_dlog("R", N, h, R, exp_R, profile, rng, gipk),
+        _prove_dlog("S", N, h, S, exp_S, profile, rng, gipk),
+        _prove_dlog("Z", N, h, Z, exp_Z, profile, rng, gipk),
     )
 
     p, q, u = gen_schnorr_group(profile, rng)
@@ -330,10 +329,6 @@ class JoinState:
 
     f: int
     v_prime: int
-    basename_I: bytes
-    B_I: int
-    U: int
-    K_I: int
 
 
 @dataclass(frozen=True)
@@ -350,10 +345,10 @@ def _join_challenge(gpk, B_I, U, K_I, t1, t2, nonce, l_H) -> int:
         l_H)
 
 
-def join_request(gpk: GroupPublicKey, issuer_basename: bytes,
-                 issuer_nonce: bytes, rng):
+def join_request(gpk: GroupPublicKey, issuer_nonce: bytes, rng):
     """Blind a fresh secret f into U = R^f S^v' and the issuer pseudonym
-    K_I = B_I^f, with a signature of knowledge tying the two together.
+    K_I = B_I^f (B_I from the key's issuer basename), with a signature of
+    knowledge tying the two together.
 
     Returns (JoinState, JoinRequest).  The group key is validated first;
     an invalid key is rejected before any secret is derived from it.
@@ -363,22 +358,21 @@ def join_request(gpk: GroupPublicKey, issuer_basename: bytes,
         raise ProtocolError(f"group public key rejected: {check.reason}")
     prof = gpk.profile
 
-    B_I = hash_to_subgroup(issuer_basename, gpk.p, gpk.q)
-    f = rand_bits(rng, prof.l_f)
-    v_prime = rand_bits(rng, prof.l_v)
+    B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
+    f = rng.getrandbits(prof.l_f)
+    v_prime = rng.getrandbits(prof.l_v)
     U = _R_pow(gpk, f) * _S_pow(gpk, v_prime) % gpk.N
     K_I = subgroup_pow(B_I, f, gpk.p, gpk.q)
 
-    r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
-    r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
+    r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
+    r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
     t1 = _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % gpk.N
     t2 = subgroup_pow(B_I, r_f, gpk.p, gpk.q)
     c = _join_challenge(gpk, B_I, U, K_I, t1, t2, issuer_nonce, prof.l_H)
     proof = JoinProof(c=c, s_f=r_f + c * f, s_v=r_v + c * v_prime)
 
-    state = JoinState(f=f, v_prime=v_prime, basename_I=issuer_basename,
-                      B_I=B_I, U=U, K_I=K_I)
-    return state, JoinRequest(U=U, K_I=K_I, proof=proof, nonce_echo=issuer_nonce)
+    return (JoinState(f=f, v_prime=v_prime),
+            JoinRequest(U=U, K_I=K_I, proof=proof, nonce_echo=issuer_nonce))
 
 
 def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
@@ -444,7 +438,7 @@ def issue_credential(gpk: GroupPublicKey, gipk: GroupIssuingPrivateKey,
         e = gen_prime_in_range(lo, hi, rng)
         if math.gcd(e, order) == 1:
             break
-    v_double_prime = rand_bits(rng, gpk.profile.l_v)
+    v_double_prime = rng.getrandbits(gpk.profile.l_v)
     blinded = req.U * gipk.pow_N(gpk.S, v_double_prime,
                                  _v_bits(gpk.profile)) % gpk.N
     A = gipk.pow_N(gpk.Z * pow(blinded, -1, gpk.N) % gpk.N, pow(e, -1, order))
@@ -544,7 +538,7 @@ class MembershipSignature(Record):
     c: int
     s_e: int
     s_f: int
-    s_v: int                       # may be negative
+    s_v: SignedInt
     sig_rl_epoch: JsonInt
     issuer_rl_epoch: JsonInt
     nonrevocation_sig: tuple[NonRevocationProof, ...]
@@ -615,11 +609,6 @@ def _verify_not_revoked(tag, index, B_i, K_i, B, K, proof, main_c, gpk) -> Check
     return OK
 
 
-def _blinding_width(profile: ParameterProfile) -> int:
-    # Largest w with e*w still inside the declared s_v response interval.
-    return profile.l_v + profile.l_phi - profile.l_e
-
-
 def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
                     message: bytes, nonce_pv: bytes,
                     sig_rl: RevocationList, issuer_rl: RevocationList, rng,
@@ -652,13 +641,14 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
         B = hash_to_subgroup(basename, p, q)
     K = pow(B, sk.f, p)
 
-    w = rand_bits(rng, _blinding_width(prof))
+    # The widest w with e*w still inside the declared s_v response interval.
+    w = rng.getrandbits(prof.l_v + prof.l_phi - prof.l_e)
     T = sk.A * _S_pow(gpk, w) % N
     v_hat = sk.v - sk.e * w
 
-    r_e = rand_bits(rng, prof.l_e_prime + prof.l_phi + prof.l_H)
-    r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
-    r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
+    r_e = rng.getrandbits(prof.l_e_prime + prof.l_phi + prof.l_H)
+    r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
+    r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
     t1 = pow(T, r_e, N) * _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % N
     t2 = pow(B, r_f, p)
     c = _sigma1_challenge(gpk, B, K, T, t1, t2, sig_rl.epoch, issuer_rl.epoch,

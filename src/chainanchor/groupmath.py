@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import ProtocolError
-from .serial import JsonInt, Record
+from .serial import Record, SignedJsonInt
 
 # Single fixed hash for Fiat-Shamir challenges, basename derivation and key
 # derivation.  Challenge lengths l_H therefore cannot exceed HASH_BITS.
@@ -55,10 +55,6 @@ def int_to_bytes(n: int) -> bytes:
     return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
 
 
-def bytes_to_int(data: bytes) -> int:
-    return int.from_bytes(data, "big")
-
-
 def canonical_encode(parts) -> bytes:
     """Length-prefix (4-byte big-endian) and concatenate byte strings.
 
@@ -86,11 +82,6 @@ def fiat_shamir_challenge(transcript, l_H: int) -> int:
 
 # ---------------------------------------------------------------------------
 # randomness helpers (uniform draws from a getrandbits source)
-
-def rand_bits(rng, bits: int) -> int:
-    """Uniform integer in [0, 2^bits)."""
-    return rng.getrandbits(bits)
-
 
 # Each draw of rand_below is rejected with probability below 1/2, so an
 # honest source is rejected this many times in a row with probability below
@@ -137,15 +128,16 @@ class ParameterProfile(Record):
     """
 
     name: str
-    l_N: JsonInt
-    l_f: JsonInt
-    l_e: JsonInt
-    l_e_prime: JsonInt
-    l_v: JsonInt
-    l_phi: JsonInt
-    l_H: JsonInt
-    l_p: JsonInt
-    l_q: JsonInt
+    # Signed for the codec: __post_init__ refuses a length below 1 itself.
+    l_N: SignedJsonInt
+    l_f: SignedJsonInt
+    l_e: SignedJsonInt
+    l_e_prime: SignedJsonInt
+    l_v: SignedJsonInt
+    l_phi: SignedJsonInt
+    l_H: SignedJsonInt
+    l_p: SignedJsonInt
+    l_q: SignedJsonInt
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -716,30 +708,18 @@ def gen_schnorr_group(profile: ParameterProfile, rng):
                        f"{_SCHNORR_MAX_ATTEMPTS} attempts")
 
 
-@dataclass(frozen=True)
-class RsaGroup:
-    """Safe-prime RSA modulus with its (secret) factorization."""
-
-    N: int
-    p_N: int
-    q_N: int
-    p_N_prime: int
-    q_N_prime: int
-
-
-def gen_rsa_group(profile: ParameterProfile, rng) -> RsaGroup:
-    """RSA modulus N = p_N * q_N of exactly l_N bits, both factors safe primes."""
+def gen_rsa_group(profile: ParameterProfile, rng) -> tuple[int, int]:
+    """Safe primes (p_N, q_N) whose product N has exactly l_N bits."""
     half = profile.l_N // 2
     p_N = gen_safe_prime(half, rng, _top_two=True)
     while True:
         q_N = gen_safe_prime(half, rng, _top_two=True)
         if q_N != p_N:
             break
-    N = p_N * q_N
-    if N.bit_length() != profile.l_N:
-        raise RuntimeError(f"modulus has {N.bit_length()} bits, "
-                           f"not {profile.l_N}")
-    return RsaGroup(N, p_N, q_N, (p_N - 1) // 2, (q_N - 1) // 2)
+    bits = (p_N * q_N).bit_length()
+    if bits != profile.l_N:
+        raise RuntimeError(f"modulus has {bits} bits, not {profile.l_N}")
+    return p_N, q_N
 
 
 @functools.lru_cache(maxsize=32)
@@ -759,7 +739,7 @@ def hash_to_subgroup(basename: bytes, p: int, q: int) -> int:
     while True:
         seed = canonical_encode([b"base-from-name", basename,
                                  counter.to_bytes(4, "big")])
-        x = bytes_to_int(hash_expand(seed, nbytes)) % p
+        x = int.from_bytes(hash_expand(seed, nbytes), "big") % p
         counter += 1
         if x == 0:
             continue

@@ -117,13 +117,6 @@ def block_hash(height: int, prev_hash: str, transactions, proposer_id: str) -> s
     return hashlib.sha256(canonical_encode(parts)).hexdigest()
 
 
-def make_block(height, prev_hash, transactions, proposer_id) -> Block:
-    return Block(height=height, prev_hash=prev_hash,
-                 transactions=tuple(transactions), proposer_id=proposer_id,
-                 block_hash=block_hash(height, prev_hash, transactions,
-                                       proposer_id))
-
-
 @dataclass
 class ConsensusNode(Record):
     """One miner; ``dishonest`` (test fixture flag) skips the membership
@@ -139,10 +132,6 @@ class ConsensusNode(Record):
         # Txids on the chain: derived from it, never stored.
         self.mined = {tx.txid for block in self.chain
                       for tx in block.transactions}
-
-    def tip_hash(self) -> str:
-        return self.chain[-1].block_hash if self.chain else GENESIS_HASH
-
 
 def node_check_membership(db_view, tx: Transaction) -> bool:
     """Membership test for one transaction: a database lookup on the sender
@@ -177,7 +166,10 @@ def node_process(node: ConsensusNode, pool: TransactionPool, db_view, clock,
     clock.tick()
     if not included:
         return None
-    block = make_block(len(node.chain), node.tip_hash(), included, node.node_id)
+    height = len(node.chain)
+    prev = node.chain[-1].block_hash if node.chain else GENESIS_HASH
+    block = Block(height, prev, tuple(included), node.node_id,
+                  block_hash(height, prev, included, node.node_id))
     node.chain.append(block)
     node.mined.update(tx.txid for tx in included)
     return block

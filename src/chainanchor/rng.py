@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
+from .errors import ProtocolError
 from .serial import JsonInt, decode, encode
 
 
@@ -40,6 +41,8 @@ class DeterministicRng:
     def from_doc(cls, doc: dict) -> "DeterministicRng":
         rng = cls.__new__(cls)
         vars(rng).update(decode(_STATE, doc))
+        if rng.counter >> 64:  # randbytes writes it in 8 bytes
+            raise ProtocolError("malformed field rng.counter: 2**64 or more")
         return rng
 
 

@@ -11,6 +11,7 @@ claims can be audited at the byte level and tests can tamper in transit.
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +22,6 @@ from .channels import (
     Transcript,
     derive_key,
     mac_tag,
-    macs_equal,
     open_sealed,
     seal,
 )
@@ -262,35 +262,44 @@ def user_request_membership(user: UserActor, issuer: IssuerActor,
                             group_id: str, transcript: Transcript,
                             rng) -> Enrollment:
     """Non-anonymous enrollment: challenge-signature authentication against
-    the issuer's provisioned accounts, then gpk + join nonce delivery."""
-    group = issuer.groups.get(group_id)
-    if group is None:
-        raise ProtocolError(f"unknown group {group_id!r}")
+    the issuer's provisioned accounts, then gpk + join nonce delivery.  The
+    issuer accepts a statement only of the identity and group it was asked
+    for and of the nonce it sent."""
     identity = user.internet_identity
-    transcript.send(Envelope(identity, ISSUER_ID, "step-2",
-                             pack(_MEMBERSHIP_REQUEST, identity=identity,
-                                  group_id=group_id)))
-    if identity not in issuer.accounts:
-        raise ProtocolError(f"unknown identity {identity!r}")
+    env = transcript.send(Envelope(identity, ISSUER_ID, "step-2",
+                                   pack(_MEMBERSHIP_REQUEST, identity=identity,
+                                        group_id=group_id)))
+    requester, requested_group = unpack(_MEMBERSHIP_REQUEST, env.payload)
+    group = issuer.groups.get(requested_group)
+    if group is None:
+        raise ProtocolError(f"unknown group {requested_group!r}")
+    if requester not in issuer.accounts:
+        raise ProtocolError(f"unknown identity {requester!r}")
 
     auth_nonce = rand_bytes(rng, NONCE_LEN)
-    transcript.send(Envelope(ISSUER_ID, identity, "step-2",
-                             pack(_AUTH_CHALLENGE, auth_nonce=auth_nonce)))
+    env = transcript.send(Envelope(ISSUER_ID, requester, "step-2",
+                                   pack(_AUTH_CHALLENGE, auth_nonce=auth_nonce)))
+    received_nonce, = unpack(_AUTH_CHALLENGE, env.payload)
     statement = pack(_AUTH_STATEMENT, identity=identity, group_id=group_id,
-                     auth_nonce=auth_nonce)
+                     auth_nonce=received_nonce)
     auth_sig = schnorr.sign(user.identity_keypair, statement)
     env = transcript.send(Envelope(identity, ISSUER_ID, "step-2",
                                    statement, auth_sig))
-    group_params = signing_group_of(group.gpk)
+    sent = (requester, requested_group, auth_nonce)
+    for name, asked, stated in zip(_AUTH_STATEMENT, sent,
+                                   unpack(_AUTH_STATEMENT, env.payload)):
+        if stated != asked:
+            raise ProtocolError(f"authentication statement has the wrong {name}")
     if env.signature is None or not schnorr.verify(
-            group_params, issuer.accounts[identity], env.payload, env.signature):
+            signing_group_of(group.gpk), issuer.accounts[requester],
+            env.payload, env.signature):
         raise ProtocolError("authentication failed")
 
-    group.member_roster.add(identity)
+    group.member_roster.add(requester)
     join_nonce = rand_bytes(rng, NONCE_LEN)
-    group.pending_join_nonces[identity] = join_nonce
+    group.pending_join_nonces[requester] = join_nonce
     env = transcript.send(Envelope(
-        ISSUER_ID, identity, "step-2",
+        ISSUER_ID, requester, "step-2",
         doc_bytes(Enrollment(gpk=group.gpk, join_nonce=join_nonce).to_doc())))
     enrollment = Enrollment.from_doc(doc_from_bytes(env.payload))
     user.enrollments[group_id] = enrollment
@@ -312,9 +321,8 @@ def user_join_group(user: UserActor, issuer: IssuerActor, group_id: str,
         raise ProtocolError(f"unknown group {group_id!r}")
     identity = user.internet_identity
 
-    state, request = epid.join_request(enrollment.gpk,
-                                       enrollment.gpk.issuer_basename,
-                                       enrollment.join_nonce, rng)
+    state, request = epid.join_request(enrollment.gpk, enrollment.join_nonce,
+                                       rng)
     env = transcript.send(Envelope(identity, ISSUER_ID, "step-3",
                                    pack(_JOIN_REQUEST, identity=identity,
                                         join=request)))
@@ -429,8 +437,8 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
                                                       env.payload)
     psk_user = _psk(pow(delivered_share_pv, share_user.secret, gpk.p),
                     sigma_hash, m, n_pv)
-    if not macs_equal(delivered_confirm,
-                      mac_tag(psk_user, b"confirm-pv", [session_id.encode()])):
+    if not hmac.compare_digest(delivered_confirm, mac_tag(
+            psk_user, b"confirm-pv", [session_id.encode()])):
         raise ProtocolError("key confirmation failed (user side)")
     env = transcript.send(Envelope(
         ANON_ID, VERIFIER_ID, "step-6.6",
@@ -438,8 +446,8 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
              confirm=mac_tag(psk_user, b"confirm-user",
                              [session_id.encode()]))))
     _, delivered_confirm = unpack(_CONFIRM, env.payload)
-    if not macs_equal(delivered_confirm,
-                      mac_tag(psk_pv, b"confirm-user", [session_id.encode()])):
+    if not hmac.compare_digest(delivered_confirm, mac_tag(
+            psk_pv, b"confirm-user", [session_id.encode()])):
         raise ProtocolError("key confirmation failed (verifier side)")
 
     verifier.sessions[session_id] = PskSession(session_id, psk_pv, delivered_hash)

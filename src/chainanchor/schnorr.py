@@ -19,7 +19,6 @@ from .groupmath import (
     hash_expand,
     in_subgroup,
     int_to_bytes,
-    bytes_to_int,
     rand_range,
     subgroup_pow,
 )
@@ -57,7 +56,8 @@ def sign(keypair: SchnorrKeypair, message: bytes):
     g = keypair.group
     nonce_seed = canonical_encode(
         [b"schnorr-nonce", int_to_bytes(keypair.secret), message])
-    r = 1 + bytes_to_int(hash_expand(nonce_seed, (g.q.bit_length() + 128) // 8)) % (g.q - 1)
+    digest = hash_expand(nonce_seed, (g.q.bit_length() + 128) // 8)
+    r = 1 + int.from_bytes(digest, "big") % (g.q - 1)
     t = subgroup_pow(g.u, r, g.p, g.q)
     c = _challenge(g, keypair.public, t, message)
     s = (r + c * keypair.secret) % g.q

@@ -2,10 +2,11 @@
 world files and message payloads.
 
 Dataclass field annotations, or a shape (a dict of field name -> type),
-drive it: an ``int`` is ``hex(n)`` (``-0x...`` when negative) and a
-:data:`JsonInt` a JSON int; ``bytes`` are hex; a dataclass or shape is an
-object; ``Optional`` is ``null`` when unset; ``list``/``tuple`` are arrays, a
-``set`` a sorted array, ``dict[str, T]`` an object and any other dict an
+drive it: an ``int`` is ``hex(n)`` and a :data:`JsonInt` a JSON int, both
+non-negative unless typed :data:`SignedInt` (``-0x...``) or
+:data:`SignedJsonInt`; ``bytes`` are hex; a dataclass or shape is an
+object; ``Optional`` is ``null`` when unset; ``list``/``tuple`` are arrays,
+a ``set`` a sorted array, ``dict[str, T]`` an object and any other dict an
 array of ``[key, value]`` pairs in insertion order, whose decoding refuses a
 repeated key; a non-dataclass class codes itself with ``to_doc``/``from_doc``.
 Decoding checks every field, and a missing, unexpected or malformed one
@@ -23,6 +24,8 @@ from typing import Annotated, Union, get_args, get_origin, get_type_hints
 from .errors import ProtocolError
 
 JsonInt = Annotated[int, "json-int"]
+# The integers that may be negative; decoding refuses a negative elsewhere.
+SignedInt, SignedJsonInt = Annotated[int, "signed"], Annotated[JsonInt, "signed"]
 
 
 def secret(**kwargs):
@@ -53,7 +56,7 @@ def doc_bytes(doc) -> bytes:
 def doc_from_bytes(data: bytes):
     try:
         return json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"malformed message document: {exc}") from exc
 
 
@@ -109,10 +112,17 @@ def _build(tp, secrets):
     if isinstance(tp, dict) or dataclasses.is_dataclass(tp):
         return _record(tp, secrets)
     if tp == JsonInt:
+        return _same, _checked(int, lambda d: d if d >= 0 else _negative(),
+                               "an integer")
+    if tp == SignedJsonInt:
         return _same, _checked(int, _same, "an integer")
     if tp in (bool, str):
         return _same, _checked(tp, _same, f"a {tp.__name__}")
     if tp is int:
+        return hex, _checked(
+            str, lambda d: int(d, 16) if "-" not in d else _negative(),
+            "a hex integer")
+    if tp == SignedInt:
         return hex, _checked(str, lambda d: int(d, 16), "a hex integer")
     if tp is bytes:
         return bytes.hex, _checked(str, bytes.fromhex, "a hex string")
@@ -200,6 +210,12 @@ def _record(tp, secrets):
 
 def _same(value):
     return value
+
+
+# Called only on a refused value, so the sign check adds no call per value
+# (a permissions database holds thousands).
+def _negative():
+    raise _Malformed("negative")
 
 
 def _apply(codec, value):

@@ -19,16 +19,19 @@ from .channels import LogicalClock, Transcript
 from .errors import InvariantViolation, ProtocolError
 from .groupmath import ParameterProfile
 from .rng import DeterministicRng
-from .serial import JsonInt, decode, doc_bytes, doc_from_bytes, encode
+from .serial import (
+    JsonInt,
+    SignedJsonInt,
+    decode,
+    doc_bytes,
+    doc_from_bytes,
+    encode,
+)
 
 ISSUER_DOMAIN = "idp-issuer.com"
 OUTSIDER_DOMAIN = "external.example"
 
 FORMAT_VERSION = 2
-
-
-def _identity(name: str) -> str:
-    return f"{name}@{ISSUER_DOMAIN}"
 
 
 class World:
@@ -107,7 +110,7 @@ class World:
             raise ProtocolError(f"user {name!r} already exists")
         self.clock.tick()
         group = roles.signing_group_of(self.verifier.gpk)
-        user = roles.make_user(_identity(name), group, self.rng)
+        user = roles.make_user(f"{name}@{ISSUER_DOMAIN}", group, self.rng)
         self.issuer.accounts[user.internet_identity] = user.identity_keypair.public
         self.users[name] = user
         roles.user_request_membership(user, self.issuer, self.group_id,
@@ -214,12 +217,6 @@ class World:
                            f"#{key_index} and submitted to the pool")
         return tx.txid
 
-    def _node(self, node_id: str) -> ledger.ConsensusNode:
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise ProtocolError(f"unknown node {node_id!r}")
-
     def add_node(self, node_id: str, dishonest: bool = False):
         if any(n.node_id == node_id for n in self.nodes):
             raise ProtocolError(f"node {node_id!r} already exists")
@@ -230,7 +227,9 @@ class World:
         """Steps 9-12: the node drains the pool, drops transactions already
         on an honest chain and those failing the membership lookup, and
         appends a block to its chain."""
-        node = self._node(node_id)
+        node = next((n for n in self.nodes if n.node_id == node_id), None)
+        if node is None:
+            raise ProtocolError(f"unknown node {node_id!r}")
         drops_before = len(node.drop_log)
         block = ledger.node_process(node, self.pool, self.db_view(), self.clock,
                                     self.nodes)
@@ -315,10 +314,15 @@ class World:
     def save(self, path: str):
         data = doc_bytes(self.to_doc())
         tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.write(b"\n")
-        os.replace(tmp, path)
+        fh = open(tmp, "wb")
+        try:
+            with fh:
+                fh.write(data)
+                fh.write(b"\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "World":
@@ -345,7 +349,7 @@ def _upgrade(doc) -> dict:
 
 
 # The world file: every actor's full state, secrets included.
-_DOC = {"format": JsonInt, "group_id": str, "seed": JsonInt,
+_DOC = {"format": JsonInt, "group_id": str, "seed": SignedJsonInt,
         "rng": DeterministicRng, "clock": JsonInt,
         "issuer": roles.IssuerActor, "verifier": roles.VerifierActor,
         "users": dict[str, roles.UserActor],

@@ -22,7 +22,7 @@ def desk_gpk(desk_group):
 
 
 def make_member(gpk, gipk, rng, nonce=b"join-nonce"):
-    state, request = epid.join_request(gpk, gpk.issuer_basename, nonce, rng)
+    state, request = epid.join_request(gpk, nonce, rng)
     response = epid.issue_credential(gpk, gipk, request, nonce, rng)
     return epid.complete_join(state, response, gpk)
 

@@ -14,7 +14,7 @@ from chainanchor import epid, ledger, roles, schnorr
 from chainanchor.channels import LogicalClock
 from chainanchor.demo import run_demo
 from chainanchor.errors import ProtocolError, RevokedKeyError
-from chainanchor.groupmath import DESK, int_to_bytes, rand_bits, rand_below
+from chainanchor.groupmath import DESK, int_to_bytes, rand_below
 from chainanchor.serial import doc_bytes
 from chainanchor.world import World
 from conftest import make_member
@@ -38,8 +38,8 @@ def test_criterion_01_epid_completeness_100_trials():
     for trial in range(100):
         gpk, gipk = epid.setup_group(DESK, f"issuer-{trial}".encode(), rng)
         sk = make_member(gpk, gipk, rng)
-        message = rand_bits(rng, 256).to_bytes(32, "big")
-        nonce = rand_bits(rng, 128).to_bytes(16, "big")
+        message = rng.getrandbits(256).to_bytes(32, "big")
+        nonce = rng.getrandbits(128).to_bytes(16, "big")
         sig = epid.sign_membership(sk, gpk, message, nonce, EMPTY, EMPTY, rng)
         assert epid.verify_membership(gpk, message, nonce, sig, EMPTY, EMPTY), \
             f"trial {trial} failed verification"
@@ -167,12 +167,12 @@ def _forge_signature_around_revocation(gpk, sk, sig_rl, message, nonce, rng,
 
     B = random_subgroup_element(p, q, rng)
     K = pow(B, sk.f, p)
-    w = rand_bits(rng, prof.l_v + prof.l_phi - prof.l_e)
+    w = rng.getrandbits(prof.l_v + prof.l_phi - prof.l_e)
     T = sk.A * pow(gpk.S, w, N) % N
     v_hat = sk.v - sk.e * w
-    r_e = rand_bits(rng, prof.l_e_prime + prof.l_phi + prof.l_H)
-    r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
-    r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
+    r_e = rng.getrandbits(prof.l_e_prime + prof.l_phi + prof.l_H)
+    r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
+    r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
     t1 = pow(T, r_e, N) * pow(gpk.R, r_f, N) * pow(gpk.S, r_v, N) % N
     t2 = pow(B, r_f, p)
     c = epid._sigma1_challenge(gpk, B, K, T, t1, t2, sig_rl.epoch, 0,

@@ -270,6 +270,24 @@ def test_corrupt_world_is_usage_error(tmp_path, capsys):
     assert code == 1 and "corrupt" in err
 
 
+def test_world_in_a_missing_directory_is_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "no" / "dir" / "w.json")
+    code, _, err = run(capsys, "setup", "g", "--world", path)
+    assert code == 1 and f"cannot write world file {path}" in err
+    assert not os.path.exists(path + ".tmp")
+
+
+def test_world_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    directory = tmp_path / "d"
+    directory.mkdir()
+    code, _, err = run(capsys, "enroll", "a", "--world", str(directory))
+    assert code == 1 and f"cannot read world file {directory}" in err
+    code, _, err = run(capsys, "demo", "--force", "--world", str(directory))
+    assert code == 1 and f"cannot write world file {directory}" in err
+    # the temp file written before the refused rename is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+
 def test_demo_deterministic_and_clean(tmp_path, capsys):
     w1 = str(tmp_path / "demo1.json")
     code1, out1, err1 = run(capsys, "demo", "--seed", "42", "--world", w1)

@@ -19,7 +19,6 @@ from chainanchor.groupmath import (
     gen_prime,
     hash_to_subgroup,
     is_probable_prime,
-    rand_bits,
     random_subgroup_element,
 )
 from chainanchor.world import World
@@ -181,11 +180,11 @@ def test_issuer_crt_power_matches_builtin_pow(desk_group):
     gpk, gipk = desk_group
     N, order = gpk.N, gipk.qr_order
     rng = random.Random(21)
-    exponents = [0, 1, -1, -rand_bits(rng, 600), order, order + 3,
-                 gipk.p_N - 1, N, rand_bits(rng, 2000)]
+    exponents = [0, 1, -1, -rng.getrandbits(600), order, order + 3,
+                 gipk.p_N - 1, N, rng.getrandbits(2000)]
     bases = [gpk.R, gpk.S, gpk.Z, N - 1]
     while len(bases) < 12:
-        x = rand_bits(rng, gpk.profile.l_N) % N
+        x = rng.getrandbits(gpk.profile.l_N) % N
         if math.gcd(x, N) == 1:
             bases.append(x)
     for base in bases:
@@ -212,16 +211,16 @@ def test_issuer_fixed_base_crt_power_matches_builtin_pow(desk_group):
     p_N, q_N = gipk.p_N, gipk.q_N
     rng = random.Random(22)
     bits = epid._v_bits(gpk.profile)
-    exponents = [0, 1, 2, -1, -rand_bits(rng, 300), order, order + 1,
+    exponents = [0, 1, 2, -1, -rng.getrandbits(300), order, order + 1,
                  2 * order, p_N - 1, 3 * (p_N - 1), q_N - 1,
-                 (p_N - 1) * (q_N - 1), N, rand_bits(rng, bits)]
+                 (p_N - 1) * (q_N - 1), N, rng.getrandbits(bits)]
     bases = [gpk.R, gpk.S, p_N, q_N, 3 * p_N, q_N * (N - 1), N - 1, N + gpk.S]
     for base in bases:
         for exp in exponents:
             assert (_outcome(gipk.pow_N, base, exp, bits)
                     == _outcome(pow, base, exp, N)), (base, exp)
     # an exponent longer than the stated bound still gets a right answer
-    long_exp = rand_bits(rng, 3 * gpk.profile.l_N)
+    long_exp = rng.getrandbits(3 * gpk.profile.l_N)
     assert gipk.pow_N(gpk.Z, long_exp, 8) == pow(gpk.Z, long_exp, N)
 
 
@@ -244,35 +243,36 @@ def test_gpk_doc_round_trip(desk_gpk):
 def test_join_round_trip(desk_group):
     gpk, _ = desk_group
     rng = random.Random(10)
-    state, req = epid.join_request(gpk, gpk.issuer_basename, b"n-1", rng)
+    state, req = epid.join_request(gpk, b"n-1", rng)
     assert epid.verify_join_request(gpk, req, b"n-1")
     # blinded commitment recomputes from the retained secrets
     assert req.U == pow(gpk.R, state.f, gpk.N) * pow(gpk.S, state.v_prime, gpk.N) % gpk.N
-    assert req.K_I == pow(state.B_I, state.f, gpk.p)
+    B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
+    assert req.K_I == pow(B_I, state.f, gpk.p)
 
 
 def test_join_deterministic_under_seed(desk_gpk):
-    a = epid.join_request(desk_gpk, desk_gpk.issuer_basename, b"n", random.Random(77))
-    b = epid.join_request(desk_gpk, desk_gpk.issuer_basename, b"n", random.Random(77))
+    a = epid.join_request(desk_gpk, b"n", random.Random(77))
+    b = epid.join_request(desk_gpk, b"n", random.Random(77))
     assert (a[1].U, a[1].K_I) == (b[1].U, b[1].K_I)
 
 
 def test_join_rejects_invalid_gpk(desk_gpk):
     bad = dataclasses.replace(desk_gpk, u=desk_gpk.p - 1)
     with pytest.raises(ProtocolError):
-        epid.join_request(bad, bad.issuer_basename, b"n", random.Random(1))
+        epid.join_request(bad, b"n", random.Random(1))
 
 
 def test_join_request_tamper_detected(desk_gpk):
     rng = random.Random(11)
-    _, req = epid.join_request(desk_gpk, desk_gpk.issuer_basename, b"n", rng)
+    _, req = epid.join_request(desk_gpk, b"n", rng)
     bad = dataclasses.replace(req, U=req.U * desk_gpk.R % desk_gpk.N)
     assert not epid.verify_join_request(desk_gpk, bad, b"n")
 
 
 def test_join_request_nonce_binding(desk_gpk):
     rng = random.Random(12)
-    _, req = epid.join_request(desk_gpk, desk_gpk.issuer_basename, b"n-a", rng)
+    _, req = epid.join_request(desk_gpk, b"n-a", rng)
     assert not epid.verify_join_request(desk_gpk, req, b"n-b")
     replay = dataclasses.replace(req, nonce_echo=b"n-b")
     assert not epid.verify_join_request(desk_gpk, replay, b"n-b")
@@ -281,7 +281,7 @@ def test_join_request_nonce_binding(desk_gpk):
 def test_issue_credential_equation(desk_group):
     gpk, gipk = desk_group
     rng = random.Random(13)
-    _, req = epid.join_request(gpk, gpk.issuer_basename, b"n", rng)
+    _, req = epid.join_request(gpk, b"n", rng)
     resp = epid.issue_credential(gpk, gipk, req, b"n", rng)
     lhs = pow(resp.A, resp.e, gpk.N) * req.U % gpk.N
     lhs = lhs * pow(gpk.S, resp.v_double_prime, gpk.N) % gpk.N
@@ -294,7 +294,7 @@ def test_issue_credential_equation(desk_group):
 def test_issue_credential_randomized(desk_group):
     gpk, gipk = desk_group
     rng = random.Random(14)
-    _, req = epid.join_request(gpk, gpk.issuer_basename, b"n", rng)
+    _, req = epid.join_request(gpk, b"n", rng)
     r1 = epid.issue_credential(gpk, gipk, req, b"n", rng)
     r2 = epid.issue_credential(gpk, gipk, req, b"n", rng)
     assert (r1.A, r1.e) != (r2.A, r2.e)
@@ -303,7 +303,7 @@ def test_issue_credential_randomized(desk_group):
 def test_issue_credential_rejects_bad_request(desk_group):
     gpk, gipk = desk_group
     rng = random.Random(15)
-    _, req = epid.join_request(gpk, gpk.issuer_basename, b"n", rng)
+    _, req = epid.join_request(gpk, b"n", rng)
     bad = dataclasses.replace(req, U=req.U * gpk.R % gpk.N)
     with pytest.raises(ProtocolError):
         epid.issue_credential(gpk, gipk, bad, b"n", rng)
@@ -312,7 +312,7 @@ def test_issue_credential_rejects_bad_request(desk_group):
 def test_complete_join_checks_credential(desk_group):
     gpk, gipk = desk_group
     rng = random.Random(16)
-    state, req = epid.join_request(gpk, gpk.issuer_basename, b"n", rng)
+    state, req = epid.join_request(gpk, b"n", rng)
     resp = epid.issue_credential(gpk, gipk, req, b"n", rng)
     key = epid.complete_join(state, resp, gpk)
     assert epid.key_relation_holds(gpk, key)
@@ -350,7 +350,7 @@ def test_composite_e_rejected_after_a_join_memoized_its_prime(desk_group,
                                                               monkeypatch):
     gpk, gipk = desk_group
     rng = random.Random(18)
-    state, req = epid.join_request(gpk, gpk.issuer_basename, b"n", rng)
+    state, req = epid.join_request(gpk, b"n", rng)
     resp = epid.issue_credential(gpk, gipk, req, b"n", rng)
     epid.complete_join(state, resp, gpk)
     # A dishonest issuer picks a composite e in the interval with no factor
@@ -361,7 +361,7 @@ def test_composite_e_rejected_after_a_join_memoized_its_prime(desk_group,
     composite = small * sympy.nextprime(lo // small + 1)
     assert lo <= composite <= hi and math.gcd(composite, gipk.qr_order) == 1
     monkeypatch.setattr(epid, "gen_prime_in_range", lambda lo, hi, rng: composite)
-    state, req = epid.join_request(gpk, gpk.issuer_basename, b"m", rng)
+    state, req = epid.join_request(gpk, b"m", rng)
     forged = epid.issue_credential(gpk, gipk, req, b"m", rng)
     assert forged.e == composite
     key = epid.UserMemberPrivateKey(A=forged.A, e=composite, f=state.f,
@@ -385,8 +385,8 @@ def test_completeness_randomized(desk_group):
     rng = random.Random(18)
     for trial in range(5):
         sk = make_member(gpk, gipk, rng, nonce=f"n{trial}".encode())
-        msg = rand_bits(rng, 128).to_bytes(16, "big")
-        nonce = rand_bits(rng, 128).to_bytes(16, "big")
+        msg = rng.getrandbits(128).to_bytes(16, "big")
+        nonce = rng.getrandbits(128).to_bytes(16, "big")
         sig = epid.sign_membership(sk, gpk, msg, nonce, EMPTY, EMPTY, rng)
         assert epid.verify_membership(gpk, msg, nonce, sig, EMPTY, EMPTY)
 
@@ -466,13 +466,13 @@ def test_verify_rejects_oversized_response(desk_gpk, member_key):
     p, q, N = gpk.p, gpk.q, gpk.N
     B = random_subgroup_element(p, q, rng)
     K = pow(B, sk.f, p)
-    w = rand_bits(rng, prof.l_v + prof.l_phi - prof.l_e)
+    w = rng.getrandbits(prof.l_v + prof.l_phi - prof.l_e)
     T = sk.A * pow(gpk.S, w, N) % N
     v_hat = sk.v - sk.e * w
-    r_e = rand_bits(rng, prof.l_e_prime + prof.l_phi + prof.l_H)
-    r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H + 8)  # oversized
+    r_e = rng.getrandbits(prof.l_e_prime + prof.l_phi + prof.l_H)
+    r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H + 8)  # oversized
     r_f |= 1 << (prof.l_f + prof.l_phi + prof.l_H + 7)
-    r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
+    r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
     t1 = pow(T, r_e, N) * pow(gpk.R, r_f, N) * pow(gpk.S, r_v, N) % N
     t2 = pow(B, r_f, p)
     c = epid._sigma1_challenge(gpk, B, K, T, t1, t2, 0, 0, NONCE, MSG)
@@ -558,14 +558,14 @@ def test_blinding_hides_secret_distribution(desk_gpk):
     def mean_bit(f):
         total = 0.0
         for _ in range(100):
-            v_prime = rand_bits(rng, gpk.profile.l_v)
+            v_prime = rng.getrandbits(gpk.profile.l_v)
             U = pow(gpk.R, f, gpk.N) * pow(gpk.S, v_prime, gpk.N) % gpk.N
             bits = bin(U)[2:].zfill(gpk.profile.l_N)
             total += bits.count("1") / len(bits)
         return total / 100
 
-    f1 = rand_bits(rng, gpk.profile.l_f)
-    f2 = rand_bits(rng, gpk.profile.l_f)
+    f1 = rng.getrandbits(gpk.profile.l_f)
+    f2 = rng.getrandbits(gpk.profile.l_f)
     assert abs(mean_bit(f1) - mean_bit(f2)) < 0.02
 
 
@@ -607,7 +607,7 @@ def test_issuer_revocation_by_join_pseudonym(desk_group):
     # The issuer can revoke using the (B_I, K_I) pair from the join.
     gpk, gipk = desk_group
     rng = random.Random(29)
-    state, req = epid.join_request(gpk, gpk.issuer_basename, b"n", rng)
+    state, req = epid.join_request(gpk, b"n", rng)
     sk = epid.complete_join(
         state, epid.issue_credential(gpk, gipk, req, b"n", rng), gpk)
     B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
@@ -641,8 +641,8 @@ def test_forged_nonrevocation_entry_fails(desk_group):
     fake_entry = epid.NonRevocationProof(
         W=random_subgroup_element(gpk.p, gpk.q, rng),
         c=fiat_shamir_challenge([b"fake"], gpk.profile.l_H),
-        s_alpha=rand_bits(rng, gpk.profile.l_q - 1),
-        s_beta=rand_bits(rng, gpk.profile.l_q - 1))
+        s_alpha=rng.getrandbits(gpk.profile.l_q - 1),
+        s_beta=rng.getrandbits(gpk.profile.l_q - 1))
     forged = dataclasses.replace(honest, sig_rl_epoch=sig_rl.epoch,
                                  nonrevocation_sig=(fake_entry,))
     assert not epid.verify_membership(gpk, MSG, NONCE, forged, sig_rl, EMPTY)

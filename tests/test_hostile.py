@@ -11,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chainanchor import cli, epid
+from chainanchor import cli, epid, roles, schnorr
 from chainanchor.errors import ProtocolError
-from chainanchor.groupmath import DESK, hash_to_subgroup, rand_bits
-from chainanchor.serial import doc_bytes
+from chainanchor.groupmath import DESK, hash_to_subgroup
+from chainanchor.serial import doc_bytes, pack
 from chainanchor.world import World
 
 
@@ -100,6 +100,97 @@ def test_revocation_base_of_order_two_is_refused_for_either_parity(base_doc):
         assert not isinstance(exc.value, epid.RevokedKeyError)
         assert "step-6.4" not in [env.step for env
                                   in world.transcript.envelopes[sent:]]
+
+
+# ---------------------------------------------------------------------------
+# step 2: the issuer authenticates what it sent, not what it assumes
+
+def _step2_kind(env):
+    if env.signature is not None:
+        return "statement"
+    if env.recipient == roles.ISSUER_ID:
+        return "request"
+    return "challenge" if b"auth_nonce" in env.payload else "delivery"
+
+
+def _tamper_enrollment(world, kind, mutate):
+    """Rewrite the ``kind`` step-2 envelope in transit: ``mutate`` gets the
+    envelope and its payload document and returns the envelope to deliver."""
+    def tamper(env):
+        if env.step != "step-2" or _step2_kind(env) != kind:
+            return env
+        return mutate(env, json.loads(env.payload))
+    world.transcript.tamper = tamper
+
+
+def _refused_enrollment(world, name, match):
+    with pytest.raises(ProtocolError, match=match):
+        world.enroll(name)
+    group = world.issuer.groups[world.group_id]
+    identity = world.users[name].internet_identity
+    assert identity not in group.member_roster
+    assert identity not in group.pending_join_nonces
+    assert world.group_id not in world.users[name].enrollments
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("identity", "mallory@evil", "unknown identity 'mallory@evil'"),
+    ("identity", "bob@idp-issuer.com", "wrong identity"),
+    ("group_id", "other", "unknown group 'other'"),
+])
+def test_issuer_reads_the_request_it_received(base_doc, field, value, match):
+    world = World.from_doc(base_doc)
+    world.enroll("bob")
+
+    def rename(env, doc):
+        doc[field] = value
+        return dataclasses.replace(env, payload=doc_bytes(doc))
+    _tamper_enrollment(world, "request", rename)
+    _refused_enrollment(world, "alice", match)
+
+
+def test_user_signs_the_nonce_it_received(base_doc):
+    world = World.from_doc(base_doc)
+
+    def renonce(env, doc):
+        doc["auth_nonce"] = "00" * roles.NONCE_LEN
+        return dataclasses.replace(env, payload=doc_bytes(doc))
+    _tamper_enrollment(world, "challenge", renonce)
+    _refused_enrollment(world, "alice", "wrong auth_nonce")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("identity", "bob@idp-issuer.com"),
+    ("group_id", "other"),
+    ("auth_nonce", b"\x00" * roles.NONCE_LEN),
+], ids=["identity", "group_id", "auth_nonce"])
+def test_statement_the_issuer_did_not_ask_for_is_refused(base_doc, field,
+                                                         value):
+    # A statement alice really signed, replayed over other values: the
+    # signature verifies, so only the issuer's comparison can refuse it.
+    world = World.from_doc(base_doc)
+    world.enroll("bob")
+
+    def replay(env, doc):
+        stated = dict(zip(roles._AUTH_STATEMENT,
+                          roles.unpack(roles._AUTH_STATEMENT, env.payload)))
+        stated[field] = value
+        payload = pack(roles._AUTH_STATEMENT, **stated)
+        signer = world.users["alice"].identity_keypair
+        return dataclasses.replace(env, payload=payload,
+                                   signature=schnorr.sign(signer, payload))
+    _tamper_enrollment(world, "statement", replay)
+    _refused_enrollment(world, "alice", f"wrong {field}")
+
+
+def test_deeply_nested_join_envelope_is_protocol_error(base_doc):
+    world = World.from_doc(base_doc)
+    world.enroll("alice")
+    world.transcript.tamper = lambda env: (
+        dataclasses.replace(env, payload=b"[" * 200_000)
+        if env.step == "step-3" else env)
+    with pytest.raises(ProtocolError, match="malformed message document"):
+        world.join("alice")
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +337,50 @@ def test_world_file_listing_a_key_twice_is_corrupt(tmp_path, capsys):
     assert code == 1 and "is corrupt" in err
     assert "verifier.permissions_db.entries" in err
 
+
+@pytest.fixture(scope="module")
+def pending_tx_doc():
+    """A world with one registered key and one transaction in the pool."""
+    world = World.create("g", DESK, seed=7)
+    world.enroll("a")
+    world.join("a")
+    world.prove("a")
+    world.register("a")
+    world.tx("a", 0, b"hello")
+    return world.to_doc()
+
+
+@pytest.mark.parametrize("mutate, command, field", [
+    (lambda doc: doc["pool"]["pending"][0].update(timestamp=-3),
+     ("mine", "node0"), "pool.pending.timestamp: negative"),
+    (lambda doc: doc["users"]["a"]["transaction_keys"][0].update(
+        secret="-0x3"), ("tx", "a", "x"), "transaction_keys.secret: negative"),
+    (lambda doc: doc.update(clock=-10**30), ("tx", "a", "x"),
+     "clock: negative"),
+    (lambda doc: doc["rng"].update(counter=-1), ("enroll", "b"),
+     "rng.counter: negative"),
+    (lambda doc: doc["rng"].update(counter=2**64), ("enroll", "b"),
+     "rng.counter: 2**64 or more"),
+], ids=["timestamp", "secret", "clock", "counter-1", "counter-2**64"])
+def test_world_file_with_a_number_out_of_range_is_corrupt(
+        tmp_path, capsys, pending_tx_doc, mutate, command, field):
+    doc = json.loads(doc_bytes(pending_tx_doc))
+    mutate(doc)
+    bad = tmp_path / "w.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _run(capsys, *command, "--world", str(bad))
+    assert code == 1 and "is corrupt" in err and field in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_world_file_is_corrupt(tmp_path, capsys):
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 200_000)
+    code, err = _run(capsys, "show", "--world", str(bad))
+    assert code == 1 and "is corrupt" in err
+    assert "malformed message document" in err
+
+
 @pytest.mark.parametrize("version", [True, 0, 3, "1"])
 def test_world_file_of_unknown_format_is_corrupt(tmp_path, capsys, version):
     path = str(tmp_path / "w.json")
@@ -291,13 +426,13 @@ def _non_residue_join_request(gpk, nonce, rng):
     """
     prof, N, p = gpk.profile, gpk.N, gpk.p
     B_I = hash_to_subgroup(gpk.issuer_basename, p, gpk.q)
-    f = rand_bits(rng, prof.l_f)
-    v = rand_bits(rng, prof.l_v)
+    f = rng.getrandbits(prof.l_f)
+    v = rng.getrandbits(prof.l_v)
     U = N - pow(gpk.R, f, N) * pow(gpk.S, v, N) % N
     K_I = pow(B_I, f, p)
     while True:
-        r_f = rand_bits(rng, prof.l_f + prof.l_phi + prof.l_H)
-        r_v = rand_bits(rng, prof.l_v + prof.l_phi + prof.l_H)
+        r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
+        r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
         t1 = pow(gpk.R, r_f, N) * pow(gpk.S, r_v, N) % N
         c = epid._join_challenge(gpk, B_I, U, K_I, t1, pow(B_I, r_f, p),
                                  nonce, prof.l_H)
@@ -334,8 +469,7 @@ def test_issuer_withholds_credential_that_fails_its_self_check(desk_group):
     # through gcd(A^e - x, N), so the check must survive python -O.
     gpk, gipk = desk_group
     corrupt = _CorruptOrder(*dataclasses.astuple(gipk))
-    _, req = epid.join_request(gpk, gpk.issuer_basename, b"n",
-                               random.Random(5))
+    _, req = epid.join_request(gpk, b"n", random.Random(5))
     with pytest.raises(ProtocolError, match="self-check"):
         epid.issue_credential(gpk, corrupt, req, b"n", random.Random(6))
 

@@ -9,6 +9,8 @@ from chainanchor.errors import ProtocolError
 from chainanchor.groupmath import ParameterProfile
 from chainanchor.schnorr import SchnorrKeypair, SigningGroup
 from chainanchor.serial import JsonInt, decode, encode
+from chainanchor.world import World
+from conftest import TINY
 
 
 def test_signed_hex_and_json_ints():
@@ -83,3 +85,16 @@ def test_decode_errors_name_the_field():
     fields = encode(ParameterProfile("p", 64, 10, 16, 8, 90, 16, 128, 32, 16))
     with pytest.raises(ProtocolError, match="l_v must equal"):
         decode(ParameterProfile, dict(fields, l_v=91))
+
+
+def test_integers_are_non_negative_outside_the_signed_fields():
+    for tp, bad in ((JsonInt, -1), (int, "-0x1"), (int, " -1"),
+                    (dict[int, JsonInt], [["0x1", -2]]),
+                    (roles.Challenge, {"m": "", "n_pv": "",
+                                       "expires_at": -5, "used": False})):
+        with pytest.raises(ProtocolError, match="negative"):
+            decode(tp, bad)
+    assert decode(JsonInt, 0) == 0 and decode(int, "0x0") == 0
+    # the seed and s_v may be negative (the s_v round trip is above)
+    world = World.create("g", TINY, seed=-3)
+    assert World.from_doc(world.to_doc()).state_hash() == world.state_hash()
