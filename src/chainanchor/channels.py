@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .errors import ProtocolError
 from .groupmath import canonical_encode, rand_bytes
-from .serial import Record, decode, encode, omit_if_none
+from .serial import Record, omit_if_none
 
 AEAD_NONCE_LEN = 12
 
@@ -79,15 +79,6 @@ class Transcript:
 
     def received_by(self, actor_id: str) -> bytes:
         return b"".join(e.payload for e in self.envelopes if e.recipient == actor_id)
-
-    def to_doc(self) -> list:
-        return encode(self.envelopes, list[Envelope])
-
-    @classmethod
-    def from_doc(cls, doc: list) -> "Transcript":
-        t = cls()
-        t.envelopes = decode(list[Envelope], doc)
-        return t
 
 
 @dataclass

@@ -147,8 +147,15 @@ def _resolve_profile(args, parser):
 
 
 def _check_output_path(path, force, parser):
-    if path and os.path.exists(path) and not force:
+    """Refuse a world path that cannot be written, before any set-up runs."""
+    if not path:
+        return
+    if os.path.exists(path) and not force:
         parser.error(f"{path} exists (use --force to overwrite)")
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        parser.error(f"cannot write world file {path}: {directory} is not "
+                     f"a writable directory")
 
 
 def main(argv=None) -> int:

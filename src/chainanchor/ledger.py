@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import schnorr
 from .errors import ProtocolError
 from .groupmath import canonical_encode, int_to_bytes
-from .serial import JsonInt, Record, decode, encode
+from .serial import JsonInt, Record
 
 GENESIS_HASH = "0" * 64
 
@@ -68,20 +68,6 @@ class TransactionPool:
     def __init__(self, group: schnorr.SigningGroup):
         self.group = group
         self.pending: dict[str, Transaction] = {}
-
-    def to_doc(self) -> dict:
-        return encode({"group": self.group,
-                       "pending": list(self.pending.values())}, _POOL)
-
-    @classmethod
-    def from_doc(cls, doc) -> "TransactionPool":
-        group, pending = decode(_POOL, doc).values()
-        pool = cls(group)
-        pool.pending = {tx.txid: tx for tx in pending}
-        return pool
-
-
-_POOL = {"group": schnorr.SigningGroup, "pending": list[Transaction]}
 
 
 def submit(pool: TransactionPool, tx: Transaction) -> bool:

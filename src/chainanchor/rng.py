@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import hashlib
 
-from .errors import ProtocolError
-from .serial import JsonInt, decode, encode
-
 
 class DeterministicRng:
     def __init__(self, seed: int = 0):
@@ -33,17 +30,3 @@ class DeterministicRng:
         nbytes = (k + 7) // 8
         x = int.from_bytes(self.randbytes(nbytes), "big")
         return x >> (8 * nbytes - k)
-
-    def to_doc(self) -> dict:
-        return encode(vars(self), _STATE)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "DeterministicRng":
-        rng = cls.__new__(cls)
-        vars(rng).update(decode(_STATE, doc))
-        if rng.counter >> 64:  # randbytes writes it in 8 bytes
-            raise ProtocolError("malformed field rng.counter: 2**64 or more")
-        return rng
-
-
-_STATE = {"key": bytes, "counter": JsonInt}

@@ -66,7 +66,7 @@ _AUTH_CHALLENGE = {"auth_nonce": bytes}
 _AUTH_STATEMENT = {"identity": str, "group_id": str, "auth_nonce": bytes}
 _JOIN_REQUEST = {"identity": str, "join": epid.JoinRequest}
 _CREDENTIAL = {"credential": epid.CredentialResponse}
-_PROOF_REQUEST = {"request": str, "session_id": str}
+_PROOF_REQUEST = {"session_id": str, "request": str}
 _CHALLENGE = {"session_id": str, "m": bytes, "n_pv": bytes,
               "sig_rl": epid.RevocationList, "issuer_rl": epid.RevocationList}
 _PROOF = {"session_id": str, "sigma": epid.MembershipSignature, "share": int}
@@ -361,6 +361,15 @@ def pv_challenge(verifier: VerifierActor, rng, clock: LogicalClock):
     return session_id, challenge.m, challenge.n_pv
 
 
+def _in_session(shape: dict, env: Envelope, current: str) -> list:
+    """The fields after ``session_id`` of a delivered message, refused
+    unless it names the receiver's current session."""
+    delivered, *fields = unpack(shape, env.payload)
+    if delivered != current:
+        raise ProtocolError(f"session {delivered!r} is not the current session")
+    return fields
+
+
 def _psk(dh_secret: int, sigma_hash: bytes, m: bytes, n_pv: bytes) -> bytes:
     return derive_key(b"psk", [int_to_bytes(dh_secret), sigma_hash, m, n_pv])
 
@@ -381,10 +390,11 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
     gpk = verifier.gpk
     params = signing_group_of(gpk)
 
-    transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-6.1",
-                             pack(_PROOF_REQUEST,
-                                  request="membership-verification",
-                                  session_id=session_id)))
+    env = transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-6.1",
+                                   pack(_PROOF_REQUEST,
+                                        request="membership-verification",
+                                        session_id=session_id)))
+    _in_session(_PROOF_REQUEST, env, session_id)
     challenge = verifier.pending_challenges.get(session_id)
     if challenge is None:
         raise ProtocolError("unknown challenge session")
@@ -398,7 +408,7 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
              n_pv=challenge.n_pv, sig_rl=verifier.sig_rl,
              issuer_rl=verifier.issuer_rl)))
 
-    _, m, n_pv, sig_rl, issuer_rl = unpack(_CHALLENGE, env.payload)
+    m, n_pv, sig_rl, issuer_rl = _in_session(_CHALLENGE, env, session_id)
 
     enrollment = user.enrollments.get(verifier.permissions_db.group_id)
     if enrollment is None:
@@ -414,7 +424,7 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
         pack(_PROOF, session_id=session_id, sigma=sigma,
              share=share_user.public)))
 
-    _, delivered_sigma, delivered_share = unpack(_PROOF, env.payload)
+    delivered_sigma, delivered_share = _in_session(_PROOF, env, session_id)
     challenge.used = True
     result = epid.verify_membership(gpk, challenge.m, challenge.n_pv,
                                     delivered_sigma, verifier.sig_rl,
@@ -433,8 +443,8 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
         pack(_SHARE_CONFIRM, session_id=session_id, share=share_pv.public,
              confirm=confirm_pv)))
 
-    _, delivered_share_pv, delivered_confirm = unpack(_SHARE_CONFIRM,
-                                                      env.payload)
+    delivered_share_pv, delivered_confirm = _in_session(_SHARE_CONFIRM, env,
+                                                        session_id)
     psk_user = _psk(pow(delivered_share_pv, share_user.secret, gpk.p),
                     sigma_hash, m, n_pv)
     if not hmac.compare_digest(delivered_confirm, mac_tag(
@@ -445,7 +455,7 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
         pack(_CONFIRM, session_id=session_id,
              confirm=mac_tag(psk_user, b"confirm-user",
                              [session_id.encode()]))))
-    _, delivered_confirm = unpack(_CONFIRM, env.payload)
+    delivered_confirm, = _in_session(_CONFIRM, env, session_id)
     if not hmac.compare_digest(delivered_confirm, mac_tag(
             psk_pv, b"confirm-user", [session_id.encode()])):
         raise ProtocolError("key confirmation failed (verifier side)")
@@ -472,11 +482,15 @@ def _seal(session: PskSession, purpose: bytes, plaintext: bytes, rng) -> bytes:
     return pack(_SEALED, session_id=session.session_id, sealed=blob)
 
 
-def _open(session: PskSession, purpose: bytes, payload: bytes) -> bytes:
-    """Plaintext of a PSK-sealed envelope payload."""
-    _, blob = unpack(_SEALED, payload)
-    return open_sealed(_channel_key(session, purpose), blob,
-                       aad=session.session_id.encode())
+def _open(sessions: dict, purpose: bytes, payload: bytes):
+    """The receiver's session that a PSK-sealed envelope payload names, and
+    the plaintext, authenticated as sent in that session."""
+    session_id, blob = unpack(_SEALED, payload)
+    session = sessions.get(session_id)
+    if session is None:
+        raise ProtocolError(f"no established session {session_id!r}")
+    return session, open_sealed(_channel_key(session, purpose), blob,
+                                aad=session_id.encode())
 
 
 def register_transaction_key(user: UserActor, verifier: VerifierActor,
@@ -496,11 +510,8 @@ def register_transaction_key(user: UserActor, verifier: VerifierActor,
         session, b"register",
         pack(_REGISTER, transaction_public_key=public_key), rng)))
 
-    vsession = verifier.sessions.get(session_id)
-    if vsession is None:
-        raise ProtocolError("no established session")
-    submitted, = unpack(_REGISTER,
-                        _open(vsession, b"register", env.payload))
+    vsession, plaintext = _open(verifier.sessions, b"register", env.payload)
+    submitted, = unpack(_REGISTER, plaintext)
     if not in_subgroup(submitted, verifier.gpk.p, verifier.gpk.q):
         raise ProtocolError("transaction key invalid")
     verifier.permissions_db.add(submitted, clock.now())
@@ -510,8 +521,9 @@ def register_transaction_key(user: UserActor, verifier: VerifierActor,
         vsession, b"register-ack",
         pack(_REGISTER_ACK, registered=submitted, timestamp=clock.now()),
         rng)))
-    registered, timestamp = unpack(
-        _REGISTER_ACK, _open(session, b"register-ack", env.payload))
+    session, plaintext = _open(user.psk_sessions, b"register-ack",
+                               env.payload)
+    registered, timestamp = unpack(_REGISTER_ACK, plaintext)
     session.registered_keys.append(registered)
     return (submitted, timestamp)
 
@@ -554,17 +566,16 @@ def user_request_anonymous_identity(user: UserActor, verifier: VerifierActor,
         session, b"identity-request",
         pack(_IDENTITY_REQUEST, bound_key=transaction_key), rng)))
 
-    vsession = verifier.sessions.get(session_id)
-    if vsession is None:
-        raise ProtocolError("no established session")
-    bound_key, = unpack(_IDENTITY_REQUEST,
-                        _open(vsession, b"identity-request", env.payload))
-    cert = pv_issue_anonymous_identity(verifier, session_id, bound_key,
-                                       rng, clock)
+    vsession, plaintext = _open(verifier.sessions, b"identity-request",
+                                env.payload)
+    bound_key, = unpack(_IDENTITY_REQUEST, plaintext)
+    cert = pv_issue_anonymous_identity(verifier, vsession.session_id,
+                                       bound_key, rng, clock)
     env = transcript.send(Envelope(VERIFIER_ID, ANON_ID, "step-7", _seal(
         vsession, b"identity-reply", doc_bytes(cert.to_doc()), rng)))
-    delivered = AnonymousIdentityCertificate.from_doc(doc_from_bytes(
-        _open(session, b"identity-reply", env.payload)))
+    _, plaintext = _open(user.psk_sessions, b"identity-reply", env.payload)
+    delivered = AnonymousIdentityCertificate.from_doc(
+        doc_from_bytes(plaintext))
     user.certificates.append(delivered)
     return delivered
 

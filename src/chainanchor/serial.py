@@ -1,14 +1,15 @@
 """Canonical document codec: the only module that knows the format of
 world files and message payloads.
 
-Dataclass field annotations, or a shape (a dict of field name -> type),
-drive it: an ``int`` is ``hex(n)`` and a :data:`JsonInt` a JSON int, both
-non-negative unless typed :data:`SignedInt` (``-0x...``) or
-:data:`SignedJsonInt`; ``bytes`` are hex; a dataclass or shape is an
-object; ``Optional`` is ``null`` when unset; ``list``/``tuple`` are arrays,
-a ``set`` a sorted array, ``dict[str, T]`` an object and any other dict an
-array of ``[key, value]`` pairs in insertion order, whose decoding refuses a
-repeated key; a non-dataclass class codes itself with ``to_doc``/``from_doc``.
+Dataclass field annotations, or a shape (a dict of field name -> type,
+which may itself be a field's type), drive it; the world file's top level
+is the shape ``world._DOC``.  An ``int`` is ``hex(n)`` and a
+:data:`JsonInt` a JSON int, both non-negative unless typed
+:data:`SignedInt` (``-0x...``) or :data:`SignedJsonInt`; ``bytes`` are
+hex; a dataclass or shape is an object; ``Optional`` is ``null`` when
+unset; ``list``/``tuple`` are arrays, a ``set`` a sorted array,
+``dict[str, T]`` an object and any other dict an array of ``[key, value]``
+pairs in insertion order, whose decoding refuses a repeated key.
 Decoding checks every field, and a missing, unexpected or malformed one
 raises a ProtocolError naming it.
 ``doc_bytes`` fixes key order and spacing, so equal documents are equal
@@ -102,10 +103,16 @@ _codecs: dict = {}
 
 def _codec(tp, secrets: bool):
     """(encoder, decoder) for ``tp``; annotations are resolved once."""
-    key = (tuple(tp.items()) if isinstance(tp, dict) else tp, secrets)
+    key = (_frozen(tp), secrets)
     if key not in _codecs:
         _codecs[key] = _build(tp, secrets)
     return _codecs[key]
+
+
+def _frozen(tp):
+    """``tp`` as a cache key: a shape, nested ones too, as (name, type) pairs."""
+    return (tuple((name, _frozen(t)) for name, t in tp.items())
+            if isinstance(tp, dict) else tp)
 
 
 def _build(tp, secrets):
@@ -126,8 +133,6 @@ def _build(tp, secrets):
         return hex, _checked(str, lambda d: int(d, 16), "a hex integer")
     if tp is bytes:
         return bytes.hex, _checked(str, bytes.fromhex, "a hex string")
-    if hasattr(tp, "from_doc"):
-        return tp.to_doc, tp.from_doc
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union and len(args) == 2 and args[1] is type(None):
         enc, dec = _codec(args[0], secrets)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import hashlib
 import os
 from operator import attrgetter
-from typing import Optional
 
 from . import epid, ledger, roles, schnorr
-from .channels import LogicalClock, Transcript
+from .channels import Envelope, LogicalClock, Transcript
 from .errors import InvariantViolation, ProtocolError
 from .groupmath import ParameterProfile
 from .rng import DeterministicRng
@@ -105,14 +104,20 @@ class World:
 
     def enroll(self, name: str):
         """Step 2: provision the account and run the authenticated
-        membership request."""
-        if name in self.users:
+        membership request; an account holder whose request was refused
+        runs it again."""
+        user = self.users.get(name)
+        if user is not None and (
+                self.group_id in user.enrollments
+                or user.internet_identity not in self.issuer.accounts):
             raise ProtocolError(f"user {name!r} already exists")
         self.clock.tick()
-        group = roles.signing_group_of(self.verifier.gpk)
-        user = roles.make_user(f"{name}@{ISSUER_DOMAIN}", group, self.rng)
-        self.issuer.accounts[user.internet_identity] = user.identity_keypair.public
-        self.users[name] = user
+        if user is None:
+            group = roles.signing_group_of(self.verifier.gpk)
+            user = roles.make_user(f"{name}@{ISSUER_DOMAIN}", group, self.rng)
+            self.issuer.accounts[user.internet_identity] = (
+                user.identity_keypair.public)
+            self.users[name] = user
         roles.user_request_membership(user, self.issuer, self.group_id,
                                       self.transcript, self.rng)
         self.log("step 2", f"{name} authenticated to issuer and was approved; "
@@ -195,9 +200,7 @@ class World:
             raise ProtocolError(f"user {name!r} already exists")
         self.clock.tick()
         group = roles.signing_group_of(self.verifier.gpk)
-        user = roles.UserActor(
-            internet_identity=f"{name}@{OUTSIDER_DOMAIN}",
-            identity_keypair=schnorr.generate_keypair(group, self.rng))
+        user = roles.make_user(f"{name}@{OUTSIDER_DOMAIN}", group, self.rng)
         user.transaction_keys.append(schnorr.generate_keypair(group, self.rng))
         self.users[name] = user
         self.log("outsider", f"{name} self-generated a transaction keypair "
@@ -291,7 +294,10 @@ class World:
     # -- serialization ------------------------------------------------------
 
     def to_doc(self) -> dict:
-        state = dict(vars(self), format=FORMAT_VERSION, clock=self.clock.time)
+        state = dict(vars(self), format=FORMAT_VERSION, clock=self.clock.time,
+                     rng=vars(self.rng), transcript=self.transcript.envelopes,
+                     pool={"group": self.pool.group,
+                           "pending": self.pool.pending.values()})
         return encode(state, _DOC, secrets=True)
 
     @classmethod
@@ -299,7 +305,14 @@ class World:
         state = decode(_DOC, _upgrade(doc))
         world = cls(state["group_id"], state["seed"])
         del state["format"]
-        state["clock"] = LogicalClock(state["clock"])
+        if state["rng"]["counter"] >> 64:  # randbytes writes it in 8 bytes
+            raise ProtocolError("malformed field rng.counter: 2**64 or more")
+        vars(world.rng).update(state.pop("rng"))
+        world.clock.time = state.pop("clock")
+        world.transcript.envelopes = state.pop("transcript")
+        pool = state.pop("pool")
+        world.pool = ledger.TransactionPool(pool["group"])
+        world.pool.pending = {tx.txid: tx for tx in pool["pending"]}
         vars(world).update(state)
         for path in _CREATED:
             if attrgetter(path)(world) is None:
@@ -350,15 +363,16 @@ def _upgrade(doc) -> dict:
 
 # The world file: every actor's full state, secrets included.
 _DOC = {"format": JsonInt, "group_id": str, "seed": SignedJsonInt,
-        "rng": DeterministicRng, "clock": JsonInt,
+        "rng": {"key": bytes, "counter": JsonInt}, "clock": JsonInt,
         "issuer": roles.IssuerActor, "verifier": roles.VerifierActor,
         "users": dict[str, roles.UserActor],
         "nodes": list[ledger.ConsensusNode],
-        "pool": Optional[ledger.TransactionPool], "transcript": Transcript,
-        "lines": list[str]}
+        "pool": {"group": schnorr.SigningGroup,
+                 "pending": list[ledger.Transaction]},
+        "transcript": list[Envelope], "lines": list[str]}
 
 # State that World.create sets up before a world is first saved, and that
 # commands use without checking.
 _CREATED = ("issuer.identity_keypair", "verifier.identity_keypair",
             "verifier.pinned_issuer_key", "verifier.gpk",
-            "verifier.permissions_db", "pool")
+            "verifier.permissions_db")

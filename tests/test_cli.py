@@ -277,6 +277,18 @@ def test_world_in_a_missing_directory_is_usage_error(tmp_path, capsys):
     assert not os.path.exists(path + ".tmp")
 
 
+@pytest.mark.parametrize("command", [("setup", "g"), ("demo",)])
+def test_world_in_a_missing_directory_is_refused_before_set_up(
+        tmp_path, capsys, monkeypatch, command):
+    def set_up(*args, **kwargs):
+        raise AssertionError("set-up ran for a world it cannot save")
+    monkeypatch.setattr(World, "create", set_up)
+    monkeypatch.setattr(cli, "run_demo", set_up)
+    path = str(tmp_path / "no" / "w.json")
+    code, _, err = run(capsys, *command, "--world", path)
+    assert code == 1 and f"cannot write world file {path}" in err
+
+
 def test_world_that_is_a_directory_is_usage_error(tmp_path, capsys):
     directory = tmp_path / "d"
     directory.mkdir()

@@ -103,6 +103,46 @@ def test_revocation_base_of_order_two_is_refused_for_either_parity(base_doc):
 
 
 # ---------------------------------------------------------------------------
+# steps 6-7: each receiver acts on the session id the message names
+
+_SESSION_STEPS = ["step-6.1", "step-6.2", "step-6.4", "step-6.5", "step-6.6",
+                  "step-6.7", "step-7"]
+
+
+@pytest.mark.parametrize("step", _SESSION_STEPS)
+def test_message_naming_an_unknown_session_is_refused(base_doc, step):
+    world = _joined(base_doc)
+    _tamper_step(world, step, lambda doc: doc.update(session_id="s-bogus"))
+    with pytest.raises(ProtocolError, match="session 's-bogus'"):
+        world.prove("alice")
+        world.register("alice", with_identity=True)
+    assert not world.verifier.issued_identities
+
+
+@pytest.mark.parametrize("step", _SESSION_STEPS[:5])
+def test_message_naming_an_earlier_session_is_refused(base_doc, step):
+    world = _joined(base_doc)
+    earlier = world.prove("alice")
+    _tamper_step(world, step, lambda doc: doc.update(session_id=earlier))
+    with pytest.raises(ProtocolError, match="is not the current session"):
+        world.prove("alice")
+    assert len(world.verifier.sessions) == 1
+
+
+@pytest.mark.parametrize("step", _SESSION_STEPS[5:])
+def test_sealed_message_naming_another_session_is_refused(base_doc, step):
+    # The named session's key and the aad both differ, so the seal fails.
+    world = _joined(base_doc)
+    earlier = world.prove("alice")
+    world.register("alice")
+    world.prove("alice")
+    _tamper_step(world, step, lambda doc: doc.update(session_id=earlier))
+    with pytest.raises(ProtocolError, match="failed authentication"):
+        world.register("alice", with_identity=True)
+    assert not world.verifier.issued_identities
+
+
+# ---------------------------------------------------------------------------
 # step 2: the issuer authenticates what it sent, not what it assumes
 
 def _step2_kind(env):
@@ -157,6 +197,25 @@ def test_user_signs_the_nonce_it_received(base_doc):
         return dataclasses.replace(env, payload=doc_bytes(doc))
     _tamper_enrollment(world, "challenge", renonce)
     _refused_enrollment(world, "alice", "wrong auth_nonce")
+
+
+def test_refused_enrollment_can_be_run_again(base_doc):
+    world = World.from_doc(base_doc)
+
+    def renonce(env, doc):
+        doc["auth_nonce"] = "00" * roles.NONCE_LEN
+        return dataclasses.replace(env, payload=doc_bytes(doc))
+    _tamper_enrollment(world, "challenge", renonce)
+    _refused_enrollment(world, "alice", "wrong auth_nonce")
+    world.transcript.tamper = None
+    keypair = world.users["alice"].identity_keypair
+    world.enroll("alice")
+    assert world.users["alice"].identity_keypair == keypair
+    world.join("alice")
+    world.add_outsider("eve")
+    for name in ("alice", "eve"):
+        with pytest.raises(ProtocolError, match=f"user '{name}' already exists"):
+            world.enroll(name)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,5 +1,7 @@
 import hmac
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from chainanchor.channels import (
 from chainanchor.errors import ProtocolError
 from chainanchor.groupmath import canonical_encode, hash_expand, int_to_bytes
 from chainanchor.rng import DeterministicRng
+from chainanchor.world import World
 
 
 @pytest.fixture(scope="module")
@@ -152,10 +155,17 @@ def test_deterministic_rng_stream():
         assert 0 <= DeterministicRng(1).getrandbits(bits) < 1 << bits
 
 
+def _saved_world():
+    """A set-up world, read from the format-1 fixture."""
+    fixture = Path(__file__).parent / "data" / "world-v1-setup-seed7.json"
+    return World.from_doc(json.loads(fixture.read_text()))
+
+
 def test_deterministic_rng_resumes_after_round_trip():
-    a = DeterministicRng(9)
+    world = _saved_world()
+    a = world.rng = DeterministicRng(9)
     a.getrandbits(100)
-    b = DeterministicRng.from_doc(a.to_doc())
+    b = World.from_doc(world.to_doc()).rng
     assert a.getrandbits(256) == b.getrandbits(256)
 
 
@@ -168,7 +178,8 @@ def test_logical_clock():
 
 
 def test_transcript_records_and_tampers():
-    transcript = Transcript()
+    world = _saved_world()
+    transcript = world.transcript = Transcript()
     transcript.send(Envelope("a", "b", "step-1", b"one"))
     transcript.tamper = lambda env: Envelope(env.sender, env.recipient,
                                              env.step, b"changed")
@@ -176,6 +187,6 @@ def test_transcript_records_and_tampers():
     assert delivered.payload == b"changed"
     transcript.tamper = None
     assert transcript.received_by("b") == b"onechanged"
-    doc = transcript.to_doc()
-    again = Transcript.from_doc(doc)
+    again = World.from_doc(world.to_doc()).transcript
     assert [e.payload for e in again.envelopes] == [b"one", b"changed"]
+    assert again.envelopes == transcript.envelopes
