@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import hashlib
 
+# randbytes writes the block counter in 8 bytes, so a loaded state must
+# hold a smaller one.
+COUNTER_LIMIT = 1 << 64
+
 
 class DeterministicRng:
     def __init__(self, seed: int = 0):

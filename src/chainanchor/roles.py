@@ -482,15 +482,18 @@ def _seal(session: PskSession, purpose: bytes, plaintext: bytes, rng) -> bytes:
     return pack(_SEALED, session_id=session.session_id, sealed=blob)
 
 
-def _open(sessions: dict, purpose: bytes, payload: bytes):
-    """The receiver's session that a PSK-sealed envelope payload names, and
-    the plaintext, authenticated as sent in that session."""
-    session_id, blob = unpack(_SEALED, payload)
+def _open(session: PskSession, purpose: bytes, env: Envelope) -> bytes:
+    """Plaintext of a PSK-sealed envelope sent in the receiver's session."""
+    blob, = _in_session(_SEALED, env, session.session_id)
+    return open_sealed(_channel_key(session, purpose), blob,
+                       aad=session.session_id.encode())
+
+
+def _established(sessions: dict, session_id: str) -> PskSession:
     session = sessions.get(session_id)
     if session is None:
-        raise ProtocolError(f"no established session {session_id!r}")
-    return session, open_sealed(_channel_key(session, purpose), blob,
-                                aad=session_id.encode())
+        raise ProtocolError("no established session")
+    return session
 
 
 def register_transaction_key(user: UserActor, verifier: VerifierActor,
@@ -500,9 +503,7 @@ def register_transaction_key(user: UserActor, verifier: VerifierActor,
     """Deliver a transaction public key under the PSK channel; the verifier
     checks that it lies in the order-q subgroup and appends (key, timestamp)
     to the permissions database."""
-    session = user.psk_sessions.get(session_id)
-    if session is None:
-        raise ProtocolError("no established session")
+    session = _established(user.psk_sessions, session_id)
     if not 0 <= key_index < len(user.transaction_keys):
         raise ProtocolError("no such transaction key")
     public_key = user.transaction_keys[key_index].public
@@ -510,8 +511,8 @@ def register_transaction_key(user: UserActor, verifier: VerifierActor,
         session, b"register",
         pack(_REGISTER, transaction_public_key=public_key), rng)))
 
-    vsession, plaintext = _open(verifier.sessions, b"register", env.payload)
-    submitted, = unpack(_REGISTER, plaintext)
+    vsession = _established(verifier.sessions, session_id)
+    submitted, = unpack(_REGISTER, _open(vsession, b"register", env))
     if not in_subgroup(submitted, verifier.gpk.p, verifier.gpk.q):
         raise ProtocolError("transaction key invalid")
     verifier.permissions_db.add(submitted, clock.now())
@@ -521,9 +522,8 @@ def register_transaction_key(user: UserActor, verifier: VerifierActor,
         vsession, b"register-ack",
         pack(_REGISTER_ACK, registered=submitted, timestamp=clock.now()),
         rng)))
-    session, plaintext = _open(user.psk_sessions, b"register-ack",
-                               env.payload)
-    registered, timestamp = unpack(_REGISTER_ACK, plaintext)
+    registered, timestamp = unpack(
+        _REGISTER_ACK, _open(session, b"register-ack", env))
     session.registered_keys.append(registered)
     return (submitted, timestamp)
 
@@ -536,9 +536,7 @@ def pv_issue_anonymous_identity(verifier: VerifierActor, session_id: str,
                                 clock: LogicalClock) -> AnonymousIdentityCertificate:
     """Mint a fresh anonymous identity bound to a key registered in this
     session, signed with the verifier's identity key."""
-    session = verifier.sessions.get(session_id)
-    if session is None:
-        raise ProtocolError("no established session")
+    session = _established(verifier.sessions, session_id)
     if transaction_key not in session.registered_keys:
         raise ProtocolError("key not registered in this session")
     while True:
@@ -559,23 +557,20 @@ def user_request_anonymous_identity(user: UserActor, verifier: VerifierActor,
                                     transcript: Transcript, rng,
                                     clock: LogicalClock) -> AnonymousIdentityCertificate:
     """PSK-sealed request/response wrapper around identity issuance."""
-    session = user.psk_sessions.get(session_id)
-    if session is None:
-        raise ProtocolError("no established session")
+    session = _established(user.psk_sessions, session_id)
     env = transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-7", _seal(
         session, b"identity-request",
         pack(_IDENTITY_REQUEST, bound_key=transaction_key), rng)))
 
-    vsession, plaintext = _open(verifier.sessions, b"identity-request",
-                                env.payload)
-    bound_key, = unpack(_IDENTITY_REQUEST, plaintext)
-    cert = pv_issue_anonymous_identity(verifier, vsession.session_id,
-                                       bound_key, rng, clock)
+    vsession = _established(verifier.sessions, session_id)
+    bound_key, = unpack(_IDENTITY_REQUEST,
+                        _open(vsession, b"identity-request", env))
+    cert = pv_issue_anonymous_identity(verifier, session_id, bound_key,
+                                       rng, clock)
     env = transcript.send(Envelope(VERIFIER_ID, ANON_ID, "step-7", _seal(
         vsession, b"identity-reply", doc_bytes(cert.to_doc()), rng)))
-    _, plaintext = _open(user.psk_sessions, b"identity-reply", env.payload)
-    delivered = AnonymousIdentityCertificate.from_doc(
-        doc_from_bytes(plaintext))
+    delivered = AnonymousIdentityCertificate.from_doc(doc_from_bytes(
+        _open(session, b"identity-reply", env)))
     user.certificates.append(delivered)
     return delivered
 

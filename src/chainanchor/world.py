@@ -17,7 +17,7 @@ from . import epid, ledger, roles, schnorr
 from .channels import Envelope, LogicalClock, Transcript
 from .errors import InvariantViolation, ProtocolError
 from .groupmath import ParameterProfile
-from .rng import DeterministicRng
+from .rng import COUNTER_LIMIT, DeterministicRng
 from .serial import (
     JsonInt,
     SignedJsonInt,
@@ -305,7 +305,7 @@ class World:
         state = decode(_DOC, _upgrade(doc))
         world = cls(state["group_id"], state["seed"])
         del state["format"]
-        if state["rng"]["counter"] >> 64:  # randbytes writes it in 8 bytes
+        if state["rng"]["counter"] >= COUNTER_LIMIT:
             raise ProtocolError("malformed field rng.counter: 2**64 or more")
         vars(world.rng).update(state.pop("rng"))
         world.clock.time = state.pop("clock")

@@ -131,15 +131,41 @@ def test_message_naming_an_earlier_session_is_refused(base_doc, step):
 
 @pytest.mark.parametrize("step", _SESSION_STEPS[5:])
 def test_sealed_message_naming_another_session_is_refused(base_doc, step):
-    # The named session's key and the aad both differ, so the seal fails.
     world = _joined(base_doc)
     earlier = world.prove("alice")
     world.register("alice")
     world.prove("alice")
     _tamper_step(world, step, lambda doc: doc.update(session_id=earlier))
-    with pytest.raises(ProtocolError, match="failed authentication"):
+    with pytest.raises(ProtocolError, match="is not the current session"):
         world.register("alice", with_identity=True)
     assert not world.verifier.issued_identities
+
+
+@pytest.mark.parametrize("index", range(4),
+                         ids=["6.7-request", "6.7-ack", "7-request", "7-reply"])
+def test_sealed_envelope_replayed_from_an_earlier_session_is_refused(
+        base_doc, index):
+    # A whole genuine envelope of session A, delivered in place of its
+    # counterpart in session B, opens in neither: it names A and is sealed
+    # under A's keys.
+    world = _joined(base_doc)
+    earlier = world.prove("alice")
+    sent = len(world.transcript.envelopes)
+    world.register("alice", with_identity=True)
+    replayed = world.transcript.envelopes[sent:][index]
+    world.prove("alice")
+    world.transcript.tamper = lambda env: (
+        replayed if (env.step, env.sender) == (replayed.step, replayed.sender)
+        else env)
+    alice = world.users["alice"]
+    issued = len(world.verifier.issued_identities)
+    with pytest.raises(ProtocolError, match="is not the current session"):
+        world.register("alice", with_identity=True)
+    if index != 3:   # the verifier mints before the user reads step 7's reply
+        assert len(world.verifier.issued_identities) == issued
+    assert len(world.verifier.sessions[earlier].registered_keys) == 1
+    assert len(alice.psk_sessions[earlier].registered_keys) == 1
+    assert len(alice.certificates) == 1
 
 
 # ---------------------------------------------------------------------------
