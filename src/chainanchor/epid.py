@@ -38,7 +38,6 @@ from .groupmath import (
     jacobi,
     rand_below,
     rand_range,
-    random_subgroup_element,
     remember,
     subgroup_pow,
 )
@@ -568,8 +567,8 @@ def _nonrevocation_challenge(tag, main_c, index, B_i, K_i, B, K, W,
         _enc(tag, main_c, index, B_i, K_i, B, K, W, t_a, t_b), l_H)
 
 
-def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, f, main_c, gpk,
-                       rng):
+def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, B_pow, f, main_c,
+                       gpk, rng):
     p, q = gpk.p, gpk.q
     mu = rand_range(rng, 1, q)
     base = B_i_f * pow(K_i, -1, p) % p
@@ -581,7 +580,8 @@ def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, f, main_c, gpk,
     r_a = rand_below(rng, q)
     r_b = rand_below(rng, q)
     t_a = pow(B_i, r_a, p) * pow(K_i, -r_b, p) % p
-    t_b = pow(B, r_a, p) * pow(K, -r_b, p) % p
+    # B^r_a * K^-r_b with K = B^f.
+    t_b = B_pow(r_a - f * r_b)
     c = _nonrevocation_challenge(tag, main_c, index, B_i, K_i, B, K, W,
                                  t_a, t_b, gpk.profile.l_H)
     return NonRevocationProof(W=W, c=c, s_alpha=(r_a + c * alpha) % q,
@@ -636,10 +636,20 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
             raise RevokedKeyError()
 
     if basename is None:
-        B = random_subgroup_element(p, q, rng)
+        # B = u^r for a uniform r in [1, q): uniform over the subgroup minus
+        # 1, as a verifier sees it, while every power of B the signer needs
+        # is one power of u on its comb.  r is never kept or sent.
+        r = rand_range(rng, 1, q)
+        B = subgroup_pow(gpk.u, r, p, q)
+
+        def B_pow(exp: int) -> int:
+            return subgroup_pow(gpk.u, r * exp, p, q)
     else:
         B = hash_to_subgroup(basename, p, q)
-    K = pow(B, sk.f, p)
+
+        def B_pow(exp: int) -> int:
+            return pow(B, exp % q, p)
+    K = B_pow(sk.f)
 
     # The widest w with e*w still inside the declared s_v response interval.
     w = rng.getrandbits(prof.l_v + prof.l_phi - prof.l_e)
@@ -650,7 +660,7 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
     r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
     t1 = pow(T, r_e, N) * _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % N
-    t2 = pow(B, r_f, p)
+    t2 = B_pow(r_f)
     c = _sigma1_challenge(gpk, B, K, T, t1, t2, sig_rl.epoch, issuer_rl.epoch,
                           nonce_pv, message)
 
@@ -660,12 +670,12 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
 
     n_sig = len(sig_rl.entries)
     sigma2 = tuple(
-        _prove_not_revoked(b"sig-rl", i, B_i, K_i, B_i_f[i], B, K, sk.f, c,
-                           gpk, rng)
+        _prove_not_revoked(b"sig-rl", i, B_i, K_i, B_i_f[i], B, K, B_pow,
+                           sk.f, c, gpk, rng)
         for i, (B_i, K_i) in enumerate(sig_rl.entries))
     sigma3 = tuple(
         _prove_not_revoked(b"issuer-rl", i, B_i, K_i, B_i_f[n_sig + i], B, K,
-                           sk.f, c, gpk, rng)
+                           B_pow, sk.f, c, gpk, rng)
         for i, (B_i, K_i) in enumerate(issuer_rl.entries))
 
     return MembershipSignature(B=B, K=K, T=T, c=c, s_e=s_e, s_f=s_f, s_v=s_v,
@@ -677,9 +687,14 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
 
 def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
                       sig: MembershipSignature, sig_rl: RevocationList,
-                      issuer_rl: RevocationList) -> Check:
+                      issuer_rl: RevocationList,
+                      basename: Optional[bytes] = None) -> Check:
     """Verify sigma1 algebra, response intervals, both non-revocation vectors
-    and that the signature was bound to the current revocation epochs."""
+    and that the signature was bound to the current revocation epochs.
+
+    With a ``basename`` the signature must be on the named base derived from
+    it, so K is the signer's stable pseudonym for that name.
+    """
     prof = gpk.profile
     p, q, N = gpk.p, gpk.q, gpk.N
 
@@ -689,6 +704,8 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
         return _fail("sig-rl length")
     if len(sig.nonrevocation_iss) != len(issuer_rl.entries):
         return _fail("issuer-rl length")
+    if basename is not None and sig.B != hash_to_subgroup(basename, p, q):
+        return _fail("basename")
 
     for name, value in (("B", sig.B), ("K", sig.K)):
         if not in_subgroup(value, p, q):

@@ -140,6 +140,9 @@ class World:
         the session id; the session stays open until a key is registered
         in it."""
         user = self._member(name)
+        # Refused before the clock ticks, so a refusal changes nothing.
+        if not 0 <= member_index < len(user.member_keys):
+            raise ProtocolError("no such member key")
         self.clock.tick()
         session_id, _, _ = roles.pv_challenge(self.verifier, self.rng, self.clock)
         self.log("step 6.2", f"verifier issued challenge session {session_id}")
@@ -170,6 +173,9 @@ class World:
         if session_id is None:
             raise ProtocolError(
                 f"step 6 (prove) not completed for {name!r}: no open session")
+        if key_index is not None and not 0 <= key_index < len(
+                user.transaction_keys):
+            raise ProtocolError("no such transaction key")
         self.clock.tick()
         if key_index is None:
             registered = {key for session in user.psk_sessions.values()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +35,7 @@ def test_setup_writes_deterministic_world(tmp_path, capsys):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert run(capsys, "setup", "g", "--seed", "9", "--world", p1)[0] == 0
     assert run(capsys, "setup", "g", "--seed", "9", "--world", p2)[0] == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_setup_refuses_overwrite(ready_world, capsys):
@@ -131,11 +132,26 @@ def test_rejected_register_keeps_session_open(ready_world, capsys):
 
 
 def test_rejected_unknown_user_leaves_world_file_unchanged(ready_world, capsys):
-    before = open(ready_world, "rb").read()
+    before = Path(ready_world).read_bytes()
     for cmd in (("join", "nobody"), ("prove", "ghost"), ("register", "ghost")):
         code, _, err = run(capsys, *cmd, "--world", ready_world)
         assert code == 2 and "step 2" in err
-        assert open(ready_world, "rb").read() == before, cmd
+        assert Path(ready_world).read_bytes() == before, cmd
+
+
+def test_refused_key_index_leaves_world_file_unchanged(ready_world, capsys):
+    for cmd in (("enroll", "alice"), ("join", "alice"), ("prove", "alice")):
+        assert run(capsys, *cmd, "--world", ready_world)[0] == 0
+    before = Path(ready_world).read_bytes()
+    for cmd, reason in ((("prove", "alice", "--member-index", "3"),
+                         "no such member key"),
+                        (("prove", "alice", "--member-index", "-1"),
+                         "no such member key"),
+                        (("register", "alice", "--key-index", "5"),
+                         "no such transaction key")):
+        code, _, err = run(capsys, *cmd, "--world", ready_world)
+        assert code == 2 and reason in err, cmd
+        assert Path(ready_world).read_bytes() == before, cmd
 
 
 def test_tx_mine_audit(ready_world, capsys):
@@ -176,12 +192,12 @@ def test_audit_rejects_empty_or_ambiguous_prefix(ready_world, capsys):
     shared = first[:next(i for i, (x, y) in enumerate(zip(first, second))
                          if x != y)]
 
-    before = open(ready_world, "rb").read()
+    before = Path(ready_world).read_bytes()
     code, out, err = run(capsys, "audit", "", "--world", ready_world)
     assert code == 2 and "empty block hash" in err and "violations" not in out
     code, out, err = run(capsys, "audit", shared, "--world", ready_world)
     assert code == 2 and "ambiguous" in err and "violations" not in out
-    assert open(ready_world, "rb").read() == before
+    assert Path(ready_world).read_bytes() == before
     for prefix in (first, second[:len(shared) + 1]):
         code, out, _ = run(capsys, "audit", prefix, "--world", ready_world)
         assert code == 0 and "1 violations" in out

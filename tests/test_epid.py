@@ -35,8 +35,10 @@ def sign(sk, gpk, rng, msg=MSG, nonce=NONCE, sig_rl=EMPTY, issuer_rl=EMPTY,
                                 basename=basename)
 
 
-def verify(gpk, sig, msg=MSG, nonce=NONCE, sig_rl=EMPTY, issuer_rl=EMPTY):
-    return epid.verify_membership(gpk, msg, nonce, sig, sig_rl, issuer_rl)
+def verify(gpk, sig, msg=MSG, nonce=NONCE, sig_rl=EMPTY, issuer_rl=EMPTY,
+           basename=None):
+    return epid.verify_membership(gpk, msg, nonce, sig, sig_rl, issuer_rl,
+                                  basename=basename)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +411,33 @@ def test_signer_raises_each_revoked_base_to_f_once(desk_gpk, member_key,
 
     monkeypatch.setattr(epid, "pow", counting_pow, raising=False)
     sig = sign(member_key, desk_gpk, rng, sig_rl=rl)
-    assert sorted(raised) == sorted([B_i for B_i, _ in entries] + [sig.B])
+    assert sorted(raised) == sorted(B_i for B_i, _ in entries)
+    assert verify(desk_gpk, sig, sig_rl=rl)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_random_base_signer_powers_mod_p_are_per_entry_only(
+        desk_gpk, member_key, monkeypatch, n):
+    # B = u^r, so K, t2 and each t_b run on u's comb: the builtin powers
+    # left are B_i^f, K_i^-1, W and t_a's two, five per entry.
+    rng = random.Random(23)
+    entries = [(random_subgroup_element(desk_gpk.p, desk_gpk.q, rng),
+                random_subgroup_element(desk_gpk.p, desk_gpk.q, rng))
+               for _ in range(n)]
+    rl = epid.RevocationList(entries=tuple(entries), epoch=n)
+    bases = []
+
+    def counting_pow(base, exp, mod=None):
+        if mod == desk_gpk.p:
+            bases.append(base)
+        return builtins.pow(base, exp, mod)
+
+    monkeypatch.setattr(epid, "pow", counting_pow, raising=False)
+    sig = sign(member_key, desk_gpk, rng, sig_rl=rl)
+    assert len(bases) == 5 * n
+    for B_i, K_i in entries:
+        assert bases.count(B_i) == 2 and bases.count(K_i) == 2
+    monkeypatch.undo()
     assert verify(desk_gpk, sig, sig_rl=rl)
 
 
@@ -439,6 +467,24 @@ def test_named_base_pseudonym_stable(desk_group, member_key):
     other = make_member(gpk, gipk, random.Random(22))
     c = sign(other, gpk, rng, basename=b"verifier-basename")
     assert c.K != a.K
+
+
+def test_named_base_check_refuses_other_bases(desk_gpk, member_key,
+                                              monkeypatch):
+    rng = random.Random(24)
+    named = sign(member_key, desk_gpk, rng, basename=b"verifier-basename")
+    assert verify(desk_gpk, named, basename=b"verifier-basename")
+    random_base = sign(member_key, desk_gpk, rng)
+    assert verify(desk_gpk, random_base)
+
+    def no_power(*args):
+        raise AssertionError("a refused base must cost no power")
+
+    monkeypatch.setattr(epid, "in_subgroup", no_power)
+    for sig, name in ((random_base, b"verifier-basename"),
+                      (named, b"other-basename")):
+        res = verify(desk_gpk, sig, basename=name)
+        assert not res and res.reason == "basename"
 
 
 def test_verify_rejects_wrong_message_or_nonce(desk_gpk, member_key):

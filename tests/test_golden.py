@@ -19,7 +19,7 @@ def test_demo_seed_42_state_hash():
     world, failures = run_demo(42)
     assert not failures
     assert world.state_hash() == (
-        "5df7ac96350ec00c262df46949e711d4b1c53d9745949c8686c1e8663d2ef3c2")
+        "d9ef165a0b9d90ee7ffc1913a0149767a6cbfb857a7bc3a3d645c64372d9796a")
 
 
 def test_demo_seed_42_transcript():
@@ -58,4 +58,4 @@ def test_v1_world_file_runs_a_session_and_is_saved_as_current_format(
                 ("register", "u"), ("tx", "u", "ping"), ("mine", "node0")):
         assert cli.main([*cmd, "--world", path]) == 0, cmd
     capsys.readouterr()
-    assert json.loads(open(path).read())["format"] == FORMAT_VERSION == 2
+    assert json.loads(Path(path).read_text())["format"] == FORMAT_VERSION == 2

@@ -370,7 +370,7 @@ def _run(capsys, *args):
 def test_world_file_of_wrong_shape_is_corrupt(tmp_path, capsys):
     path = str(tmp_path / "w.json")
     assert cli.main(["setup", "g", "--seed", "3", "--world", path]) == 0
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["users"] = None
     bad = tmp_path / "null-users.json"
     bad.write_text(json.dumps(doc))
@@ -394,7 +394,7 @@ def test_revoke_rejects_non_hex_argument(tmp_path, capsys):
 def test_world_file_without_verifier_group_key_is_corrupt(tmp_path, capsys):
     path = str(tmp_path / "w.json")
     assert cli.main(["setup", "g", "--seed", "7", "--world", path]) == 0
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["verifier"]["gpk"] = None
     bad = tmp_path / "no-gpk.json"
     bad.write_text(json.dumps(doc))
@@ -409,7 +409,7 @@ def test_world_file_listing_a_key_twice_is_corrupt(tmp_path, capsys):
     for cmd in (("setup", "g", "--seed", "7"), ("enroll", "a"), ("join", "a"),
                 ("prove", "a"), ("register", "a")):
         assert cli.main([*cmd, "--world", path]) == 0
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     rows = doc["verifier"]["permissions_db"]["entries"]
     assert len(rows) == 1
     rows.append([rows[0][0], rows[0][1] + 1])
@@ -470,7 +470,7 @@ def test_deeply_nested_world_file_is_corrupt(tmp_path, capsys):
 def test_world_file_of_unknown_format_is_corrupt(tmp_path, capsys, version):
     path = str(tmp_path / "w.json")
     assert cli.main(["setup", "g", "--seed", "3", "--world", path]) == 0
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["format"] = version
     bad = tmp_path / "bad-format.json"
     bad.write_text(json.dumps(doc))
