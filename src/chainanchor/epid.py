@@ -36,6 +36,7 @@ from .groupmath import (
     int_to_bytes,
     is_probable_prime,
     jacobi,
+    multiexp,
     rand_below,
     rand_range,
     remember,
@@ -405,8 +406,9 @@ def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
         t1 = (_R_pow(gpk, pr.s_f) * _S_pow(gpk, pr.s_v)
               * pow(req.U, -pr.c, N)) % N
     B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
+    # K_I passed in_subgroup, so its exponent reduces mod q.
     t2 = (subgroup_pow(B_I, pr.s_f, gpk.p, gpk.q)
-          * pow(req.K_I, -pr.c, gpk.p) % gpk.p)
+          * pow(req.K_I, -pr.c % gpk.q, gpk.p) % gpk.p)
     if _join_challenge(gpk, B_I, req.U, req.K_I, t1, t2,
                        issuer_nonce, prof.l_H) != pr.c:
         return _fail("proof")
@@ -571,7 +573,8 @@ def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, B_pow, f, main_c,
                        gpk, rng):
     p, q = gpk.p, gpk.q
     mu = rand_range(rng, 1, q)
-    base = B_i_f * pow(K_i, -1, p) % p
+    K_i_inv = pow(K_i, -1, p)
+    base = B_i_f * K_i_inv % p
     if base == 1:
         raise RevokedKeyError()
     W = pow(base, mu, p)
@@ -579,7 +582,9 @@ def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, B_pow, f, main_c,
     beta = mu
     r_a = rand_below(rng, q)
     r_b = rand_below(rng, q)
-    t_a = pow(B_i, r_a, p) * pow(K_i, -r_b, p) % p
+    # B_i^r_a * K_i^-r_b: K_i is only range-checked, so it is inverted,
+    # never given an exponent reduced mod q.
+    t_a = multiexp(((B_i, r_a), (K_i_inv, r_b)), p)
     # B^r_a * K^-r_b with K = B^f.
     t_b = B_pow(r_a - f * r_b)
     c = _nonrevocation_challenge(tag, main_c, index, B_i, K_i, B, K, W,
@@ -599,9 +604,13 @@ def _verify_not_revoked(tag, index, B_i, K_i, B, K, proof, main_c, gpk) -> Check
         return _fail(f"{label} response range")
     if not 0 <= proof.c < (1 << gpk.profile.l_H):
         return _fail(f"{label} challenge range")
-    t_a = (pow(B_i, proof.s_alpha, p) * pow(K_i, -proof.s_beta, p)
-           * pow(proof.W, -proof.c, p)) % p
-    t_b = pow(B, proof.s_alpha, p) * pow(K, -proof.s_beta, p) % p
+    # W, B and K have passed in_subgroup, so their exponents reduce mod q;
+    # B_i and K_i are unchecked, so K_i is inverted, never reduced.  Like
+    # pow(K_i, -0, p), an s_beta of 0 gives 1 even for a K_i with no inverse.
+    K_i_inv = pow(K_i, -1, p) if proof.s_beta else 1
+    t_a = multiexp(((B_i, proof.s_alpha), (K_i_inv, proof.s_beta),
+                    (proof.W, -proof.c % q)), p)
+    t_b = multiexp(((B, proof.s_alpha), (K, -proof.s_beta % q)), p)
     expect = _nonrevocation_challenge(tag, main_c, index, B_i, K_i, B, K,
                                       proof.W, t_a, t_b, gpk.profile.l_H)
     if expect != proof.c:
@@ -725,7 +734,8 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
         t1 = (fixed_base_pow(gpk.Z, -sig.c, N, prof.l_H)
               * pow(sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), N)
               * _R_pow(gpk, sig.s_f) * _S_pow(gpk, sig.s_v)) % N
-        t2 = pow(sig.B, sig.s_f, p) * pow(sig.K, -sig.c, p) % p
+        # B and K passed in_subgroup, so their exponents reduce mod q.
+        t2 = multiexp(((sig.B, sig.s_f % q), (sig.K, -sig.c % q)), p)
     except ValueError:
         return _fail("sigma1")
     expect = _sigma1_challenge(gpk, sig.B, sig.K, sig.T, t1, t2,

@@ -298,6 +298,53 @@ def fixed_base_pow(base: int, exp: int, mod: int, bits: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
+# products of powers
+
+# Sliding-window width by exponent length.  Width w costs 2^(w-1) table
+# multiplications up front and about bits/(w+1) in the scan, so width w + 1
+# is the cheaper from _WINDOW_FROM_BITS[w - 1] bits on.
+_WINDOW_FROM_BITS = (19, 25, 81, 241, 673)
+
+
+def multiexp(pairs, mod: int) -> int:
+    """The product of ``pow(base, exp, mod)`` over ``(base, exp)`` pairs with
+    non-negative exponents, by Straus's method (Amer. Math. Monthly 1964).
+
+    Every base reads its exponent in sliding windows over a table of its
+    odd powers, and all of them share one squaring chain, so a product of
+    k powers pays for the squarings of one.  Built from ``*`` and ``%``
+    alone; like ``pow``, the running time depends on the exponents.
+    """
+    steps: dict[int, list[int]] = {}  # bit position -> table entries
+    for base, exp in pairs:
+        if exp < 0:
+            raise ValueError("multiexp takes non-negative exponents")
+        if not exp:
+            continue  # base^0 = 1, 0^0 included, as pow has it
+        bits = format(exp, "b")
+        width = 1 + bisect.bisect_right(_WINDOW_FROM_BITS, len(bits))
+        odd = [base % mod]
+        if width > 1:
+            square = odd[0] * odd[0] % mod
+            for _ in range((1 << (width - 1)) - 1):
+                odd.append(odd[-1] * square % mod)
+        # Each window runs from a set bit to the last set bit at most
+        # ``width`` bits below it, so its value is odd.
+        i = bits.find("1")
+        while i >= 0:
+            j = bits.rfind("1", i, i + width)
+            steps.setdefault(len(bits) - 1 - j, []).append(
+                odd[int(bits[i:j + 1], 2) >> 1])
+            i = bits.find("1", j + 1)
+    acc = 1 % mod
+    for position in range(max(steps, default=-1), -1, -1):
+        acc = acc * acc % mod
+        for entry in steps.get(position, ()):
+            acc = acc * entry % mod
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # quadratic residuosity
 
 def jacobi(a: int, n: int) -> int:
@@ -669,10 +716,17 @@ def gen_safe_prime(bits: int, rng, _top_two: bool = False) -> int:
 # ---------------------------------------------------------------------------
 # groups
 
+@functools.lru_cache(maxsize=64)
 def in_subgroup(x: int, p: int, q: int) -> bool:
     """Whether ``x`` is a non-identity element of the order-q subgroup of
     Z_p^*.  The one membership test for every value that comes from outside;
-    for a prime q such an element generates the subgroup."""
+    for a prime q such an element generates the subgroup.
+
+    The verdict is a pure function of ``(x, p, q)`` and is memoized, as
+    :func:`is_probable_prime` is: an RL entry that every signer checks, or
+    a transaction key checked at registration and again per signature, costs
+    one power per process while it stays in the record.
+    """
     return 1 < x < p and pow(x, q, p) == 1
 
 

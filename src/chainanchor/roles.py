@@ -389,6 +389,12 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
         raise ProtocolError("verifier has no group key")
     gpk = verifier.gpk
     params = signing_group_of(gpk)
+    # The user's own refusals come before anything is sent.
+    enrollment = user.enrollments.get(verifier.permissions_db.group_id)
+    if enrollment is None:
+        raise ProtocolError("user is not enrolled in the verifier's group")
+    if not 0 <= key_index < len(user.member_keys):
+        raise ProtocolError("no such member key")
 
     env = transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-6.1",
                                    pack(_PROOF_REQUEST,
@@ -409,12 +415,6 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
              issuer_rl=verifier.issuer_rl)))
 
     m, n_pv, sig_rl, issuer_rl = _in_session(_CHALLENGE, env, session_id)
-
-    enrollment = user.enrollments.get(verifier.permissions_db.group_id)
-    if enrollment is None:
-        raise ProtocolError("user is not enrolled in the verifier's group")
-    if not 0 <= key_index < len(user.member_keys):
-        raise ProtocolError("no such member key")
     sigma = epid.sign_membership(user.member_keys[key_index], enrollment.gpk,
                                  m, n_pv, sig_rl, issuer_rl, rng)
     sigma_hash = hashlib.sha256(sigma.transcript_bytes()).digest()

@@ -68,8 +68,9 @@ def verify(group: SigningGroup, public: int, message: bytes, signature) -> bool:
     c, s = signature
     if not (0 <= s < group.q and in_subgroup(public, group.p, group.q)):
         return False
+    # public passed in_subgroup, so its exponent reduces mod q.
     t = (subgroup_pow(group.u, s, group.p, group.q)
-         * pow(public, -c, group.p) % group.p)
+         * pow(public, -c % group.q, group.p) % group.p)
     return _challenge(group, public, t, message) == c
 
 

@@ -415,30 +415,122 @@ def test_signer_raises_each_revoked_base_to_f_once(desk_gpk, member_key,
     assert verify(desk_gpk, sig, sig_rl=rl)
 
 
-@pytest.mark.parametrize("n", [0, 3])
-def test_random_base_signer_powers_mod_p_are_per_entry_only(
-        desk_gpk, member_key, monkeypatch, n):
-    # B = u^r, so K, t2 and each t_b run on u's comb: the builtin powers
-    # left are B_i^f, K_i^-1, W and t_a's two, five per entry.
-    rng = random.Random(23)
-    entries = [(random_subgroup_element(desk_gpk.p, desk_gpk.q, rng),
-                random_subgroup_element(desk_gpk.p, desk_gpk.q, rng))
-               for _ in range(n)]
-    rl = epid.RevocationList(entries=tuple(entries), epoch=n)
+def _random_rl(gpk, n, rng, epoch=None):
+    return epid.RevocationList(
+        entries=tuple((random_subgroup_element(gpk.p, gpk.q, rng),
+                       random_subgroup_element(gpk.p, gpk.q, rng))
+                      for _ in range(n)),
+        epoch=n if epoch is None else epoch)
+
+
+def _count_epid_powers_mod_p(gpk, monkeypatch):
+    """The (base, exponent) pairs of the builtin powers mod p that epid
+    takes from now on, with the subgroup-verdict record cleared first."""
+    groupmath.in_subgroup.cache_clear()
     bases = []
 
     def counting_pow(base, exp, mod=None):
-        if mod == desk_gpk.p:
-            bases.append(base)
+        if mod == gpk.p:
+            bases.append((base, exp))
         return builtins.pow(base, exp, mod)
 
     monkeypatch.setattr(epid, "pow", counting_pow, raising=False)
+    return bases
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_random_base_signer_powers_mod_p_are_per_entry_only(
+        desk_gpk, member_key, monkeypatch, n):
+    # B = u^r, so K, t2 and each t_b run on u's comb, and t_a is one
+    # multiexp: the builtin powers left are B_i^f, K_i^-1 and W, three per
+    # entry, and each B_i and K_i is raised once.
+    rng = random.Random(23)
+    rl = _random_rl(desk_gpk, n, rng)
+    powers = _count_epid_powers_mod_p(desk_gpk, monkeypatch)
     sig = sign(member_key, desk_gpk, rng, sig_rl=rl)
-    assert len(bases) == 5 * n
-    for B_i, K_i in entries:
-        assert bases.count(B_i) == 2 and bases.count(K_i) == 2
+    assert len(powers) == 3 * n
+    bases = [base for base, _ in powers]
+    for B_i, K_i in rl.entries:
+        assert bases.count(B_i) == 1 and bases.count(K_i) == 1
+        assert (B_i, member_key.f) in powers and (K_i, -1) in powers
     monkeypatch.undo()
     assert verify(desk_gpk, sig, sig_rl=rl)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_random_base_verifier_powers_mod_p_are_the_entry_inverses(
+        desk_gpk, member_key, monkeypatch, n):
+    # t2, t_a and t_b are multiexp products; besides the order checks
+    # (in groupmath), the verifier's only builtin powers mod p are K_i^-1.
+    rng = random.Random(27)
+    rl = _random_rl(desk_gpk, n, rng)
+    sig = sign(member_key, desk_gpk, rng, sig_rl=rl)
+    powers = _count_epid_powers_mod_p(desk_gpk, monkeypatch)
+    assert verify(desk_gpk, sig, sig_rl=rl)
+    assert powers == [(K_i, -1) for _, K_i in rl.entries]
+
+
+def _tamper_entry(sig, tag, i, **fields):
+    name = "nonrevocation_sig" if tag == "sig-rl" else "nonrevocation_iss"
+    proofs = list(getattr(sig, name))
+    proofs[i] = dataclasses.replace(proofs[i], **fields)
+    return dataclasses.replace(sig, **{name: tuple(proofs)})
+
+
+def test_a_tampered_entry_at_every_position_is_named(desk_gpk, member_key):
+    gpk = desk_gpk
+    p, q = gpk.p, gpk.q
+    rng = random.Random(31)
+    sig_rl = _random_rl(gpk, 3, rng)
+    issuer_rl = _random_rl(gpk, 2, rng, epoch=1)
+    sig = sign(member_key, gpk, rng, sig_rl=sig_rl, issuer_rl=issuer_rl)
+    assert verify(gpk, sig, sig_rl=sig_rl, issuer_rl=issuer_rl)
+    other = random_subgroup_element(p, q, rng)
+    for tag, proofs in (("sig-rl", sig.nonrevocation_sig),
+                        ("issuer-rl", sig.nonrevocation_iss)):
+        for i, pr in enumerate(proofs):
+            for fields, reason in (
+                    ({"W": 1}, "W identity"),
+                    ({"W": p - 1}, "W subgroup"),
+                    ({"W": other}, "proof"),
+                    ({"c": pr.c ^ 1}, "proof"),
+                    ({"s_alpha": (pr.s_alpha + 1) % q}, "proof"),
+                    ({"s_beta": (pr.s_beta + 1) % q}, "proof"),
+                    ({"s_beta": q}, "response range"),
+                    ({"c": 1 << gpk.profile.l_H}, "challenge range")):
+                bad = _tamper_entry(sig, tag, i, **fields)
+                res = verify(gpk, bad, sig_rl=sig_rl, issuer_rl=issuer_rl)
+                assert not res and res.reason == f"{tag} entry {i} {reason}", (
+                    tag, i, fields)
+
+
+def test_verifier_inverts_an_rl_key_outside_the_subgroup(desk_gpk, member_key,
+                                                        monkeypatch):
+    # K_i = p - 1 has order 2, so K_i^-s_beta must not become
+    # K_i^(-s_beta mod q): the two differ in sign for an odd q.
+    gpk = desk_gpk
+    p = gpk.p
+    rng = random.Random(32)
+    rl = _random_rl(gpk, 3, rng)
+    sig = sign(member_key, gpk, rng, sig_rl=rl)
+    entries = list(rl.entries)
+    B_1 = entries[1][0]
+    entries[1] = (B_1, p - 1)
+    altered = dataclasses.replace(rl, entries=tuple(entries))
+    hashed = []
+    challenge = epid._nonrevocation_challenge
+
+    def spy(tag, main_c, index, B_i, K_i, B, K, W, t_a, t_b, l_H):
+        hashed.append((index, t_a))
+        return challenge(tag, main_c, index, B_i, K_i, B, K, W, t_a, t_b, l_H)
+
+    monkeypatch.setattr(epid, "_nonrevocation_challenge", spy)
+    res = verify(gpk, sig, sig_rl=altered)
+    assert not res and res.reason == "sig-rl entry 1 proof"
+    pr = sig.nonrevocation_sig[1]
+    assert groupmath.in_subgroup(pr.W, p, gpk.q)
+    assert hashed[-1] == (1, pow(B_1, pr.s_alpha, p) * pow(p - 1, -pr.s_beta, p)
+                          * pow(pr.W, -pr.c, p) % p)
 
 
 def test_signature_doc_round_trip(desk_gpk, member_key):

@@ -29,6 +29,7 @@ from chainanchor.groupmath import (
     is_probable_prime,
     jacobi,
     load_profiles,
+    multiexp,
     random_subgroup_element,
     subgroup_pow,
 )
@@ -704,6 +705,29 @@ def test_known_small_subgroup_values():
         assert in_subgroup(x, 23, 11) == (x in subgroup), x
 
 
+def test_in_subgroup_remembers_each_verdict(monkeypatch):
+    in_subgroup.cache_clear()
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(groupmath, "pow", counting_pow, raising=False)
+    for _ in range(3):
+        assert in_subgroup(2, 23, 11)             # a repeat costs no power
+        assert not in_subgroup(22, 23, 11)        # nor does a repeated refusal
+    assert calls == [(2, 11, 23), (22, 11, 23)]
+    # the record is bounded, and what it forgot is simply tested again
+    cap = in_subgroup.cache_info().maxsize
+    assert cap == 64
+    for p in range(23, 23 + 2 * cap):
+        in_subgroup(2, p, 11)
+    assert in_subgroup.cache_info().currsize == cap
+    del calls[:]
+    assert in_subgroup(2, 23, 11) and len(calls) == 1
+
+
 def test_rsa_group_tiny():
     rng = random.Random(8)
     p_N, q_N = gen_rsa_group(TINY, rng)
@@ -1033,6 +1057,56 @@ def test_fixed_base_pow_builds_tables_without_pow(monkeypatch):
         assert calls == []
     fixed_base_pow(base, -5, mod)
     assert len(calls) == 1                       # the inversion only
+
+
+# ---------------------------------------------------------------------------
+# products of powers: every answer must be the product of builtin pows
+
+def _pow_product(pairs, mod):
+    product = 1 % mod
+    for base, exp in pairs:
+        product = product * pow(base, exp, mod) % mod
+    return product
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_multiexp_equals_product_of_pows(data):
+    mod = data.draw(st.one_of(
+        st.just(1),
+        st.integers(min_value=1, max_value=2 ** 64).map(lambda k: 2 * k),
+        st.integers(min_value=2, max_value=2 ** 700)))
+    base = st.one_of(st.just(0),
+                     st.integers(min_value=0, max_value=2 ** 700),
+                     st.integers(min_value=0, max_value=2 ** 64).map(
+                         lambda k: mod + k))
+    exp = st.one_of(st.just(0), st.integers(min_value=0, max_value=2 ** 700))
+    pairs = data.draw(st.lists(st.tuples(base, exp), max_size=3))
+    assert multiexp(pairs, mod) == _pow_product(pairs, mod)
+
+
+@pytest.mark.parametrize("mod", [1, 2, 1 << 64, (1 << 127) - 1])
+def test_multiexp_edge_moduli(mod):
+    for pairs in ([], [(0, 0)], [(0, 5)], [(3, 0), (mod, 0)],
+                  [(mod + 3, 2 ** 100 + 1), (5, 7), (2, 3 ** 50)]):
+        assert multiexp(pairs, mod) == _pow_product(pairs, mod), pairs
+    with pytest.raises(ValueError, match="non-negative"):
+        multiexp([(3, -1)], mod)
+
+
+def test_multiexp_calls_no_pow(monkeypatch):
+    # Like the combs, a product costs the census no builtin power.
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(groupmath, "pow", counting_pow, raising=False)
+    mod = (1 << 521) - 1
+    pairs = [(0xC0FFEE, 3 ** 300), (mod - 2, 2 ** 255 - 19), (7, 1)]
+    assert multiexp(pairs, mod) == _pow_product(pairs, mod)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from chainanchor.channels import Envelope, LogicalClock, Transcript
 from chainanchor.errors import CredentialError, ProtocolError, RevokedKeyError
 from chainanchor.groupmath import DESK, int_to_bytes
 from chainanchor.serial import doc_bytes
+from chainanchor.world import World
 
 
 class Stage:
@@ -484,6 +485,23 @@ def test_full_flow_invariant_many_runs(desk_group):
                                   cert.body_bytes(), cert.signature)
             runs += 1
     assert runs == 50
+
+
+def test_refused_member_key_index_sends_nothing():
+    # A direct roles caller, not World.prove, which refuses the index first.
+    world = World.create("g", DESK, 11)
+    world.enroll("alice")
+    world.join("alice")
+    session_id, _, _ = roles.pv_challenge(world.verifier, world.rng,
+                                          world.clock)
+    sent = len(world.transcript.envelopes)
+    assert sent == 7
+    with pytest.raises(ProtocolError, match="no such member key"):
+        roles.user_prove_membership(world.users["alice"], world.verifier,
+                                    session_id, 3, world.transcript,
+                                    world.rng, world.clock)
+    assert len(world.transcript.envelopes) == sent
+    assert not world.verifier.pending_challenges[session_id].used
 
 
 def test_actor_state_docs_round_trip(stage):
