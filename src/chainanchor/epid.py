@@ -25,6 +25,7 @@ from .errors import (
 )
 from .groupmath import (
     ParameterProfile,
+    beside,
     canonical_encode,
     fiat_shamir_challenge,
     fixed_base_pow,
@@ -37,6 +38,7 @@ from .groupmath import (
     is_probable_prime,
     jacobi,
     multiexp,
+    power_product,
     rand_below,
     rand_range,
     remember,
@@ -150,10 +152,13 @@ class GroupIssuingPrivateKey:
 
         ``bits`` marks a fixed base (R, S) and bounds its exponents: the
         half-size powers then run on comb tables, which hold powers modulo
-        the secret factors and so stay in this process's memory.
+        the secret factors and so stay in this process's memory and its
+        partner's (see ``groupmath.beside``), which computes the q_N half.
         """
-        x_p = _pow_mod_prime(base, exp, self.p_N, bits)
-        x_q = _pow_mod_prime(base, exp, self.q_N, bits)
+        x_q, x_p = beside(
+            (_prime_term(base, exp, self.q_N, bits),), self.q_N,
+            lambda: power_product((_prime_term(base, exp, self.p_N, bits),),
+                                  self.p_N))
         h = (x_p - x_q) * pow(self.q_N, -1, self.p_N) % self.p_N
         return x_q + h * self.q_N
 
@@ -162,16 +167,15 @@ class GroupIssuingPrivateKey:
         return jacobi(x, self.p_N) == 1 and jacobi(x, self.q_N) == 1
 
 
-def _pow_mod_prime(base: int, exp: int, P: int,
-                   bits: Optional[int] = None) -> int:
-    if bits is not None and base % P:
-        return fixed_base_pow(base, exp % (P - 1), P, min(bits, P.bit_length()))
-    # Invert first: a short negative exponent (a challenge) stays short.
-    if exp < 0:
-        base, exp = pow(base, -1, P), -exp
+def _prime_term(base: int, exp: int, P: int, bits: Optional[int]):
+    """The ``power_product`` term for ``base^exp`` mod the prime P."""
     if base % P == 0:
-        return 0 if exp else 1
-    return pow(base, exp % (P - 1), P)
+        return base, exp, None  # pow's 0, 1 or ValueError
+    if bits is not None:
+        return base, exp % (P - 1), min(bits, P.bit_length())
+    # Builtin pow inverts first: a short negative exponent (a challenge)
+    # stays short.
+    return base, exp % (P - 1) if exp >= 0 else -(-exp % (P - 1)), None
 
 
 def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
@@ -361,12 +365,11 @@ def join_request(gpk: GroupPublicKey, issuer_nonce: bytes, rng):
     B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
     f = rng.getrandbits(prof.l_f)
     v_prime = rng.getrandbits(prof.l_v)
-    U = _R_pow(gpk, f) * _S_pow(gpk, v_prime) % gpk.N
-    K_I = subgroup_pow(B_I, f, gpk.p, gpk.q)
-
     r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
     r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
-    t1 = _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % gpk.N
+    U, t1 = beside(((gpk.R, f, _f_bits(prof)), (gpk.S, v_prime, _v_bits(prof))),
+                   gpk.N, lambda: _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % gpk.N)
+    K_I = subgroup_pow(B_I, f, gpk.p, gpk.q)
     t2 = subgroup_pow(B_I, r_f, gpk.p, gpk.q)
     c = _join_challenge(gpk, B_I, U, K_I, t1, t2, issuer_nonce, prof.l_H)
     proof = JoinProof(c=c, s_f=r_f + c * f, s_v=r_v + c * v_prime)
@@ -460,9 +463,10 @@ class UserMemberPrivateKey:
 
 
 def key_relation_holds(gpk: GroupPublicKey, key: UserMemberPrivateKey) -> bool:
-    lhs = (pow(key.A, key.e, gpk.N) * _R_pow(gpk, key.f)
-           * _S_pow(gpk, key.v)) % gpk.N
-    return lhs == gpk.Z
+    A_e, R_f_S_v = beside(
+        ((key.A, key.e, None),), gpk.N,
+        lambda: _R_pow(gpk, key.f) * _S_pow(gpk, key.v) % gpk.N)
+    return A_e * R_f_S_v % gpk.N == gpk.Z
 
 
 # (member key, group key) pairs whose relation this process has checked and
@@ -596,6 +600,9 @@ def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, B_pow, f, main_c,
 def _verify_not_revoked(tag, index, B_i, K_i, B, K, proof, main_c, gpk) -> Check:
     p, q = gpk.p, gpk.q
     label = f"{tag.decode()} entry {index}"
+    # The signer's rule for an entry: a K_i outside (1, p) has no inverse.
+    if not 1 < K_i < p:
+        return _fail(f"{label} range")
     if proof.W == 1:
         return _fail(f"{label} W identity")
     if not in_subgroup(proof.W, p, q):
@@ -605,9 +612,8 @@ def _verify_not_revoked(tag, index, B_i, K_i, B, K, proof, main_c, gpk) -> Check
     if not 0 <= proof.c < (1 << gpk.profile.l_H):
         return _fail(f"{label} challenge range")
     # W, B and K have passed in_subgroup, so their exponents reduce mod q;
-    # B_i and K_i are unchecked, so K_i is inverted, never reduced.  Like
-    # pow(K_i, -0, p), an s_beta of 0 gives 1 even for a K_i with no inverse.
-    K_i_inv = pow(K_i, -1, p) if proof.s_beta else 1
+    # B_i and K_i are unchecked, so K_i is inverted, never reduced.
+    K_i_inv = pow(K_i, -1, p)
     t_a = multiexp(((B_i, proof.s_alpha), (K_i_inv, proof.s_beta),
                     (proof.W, -proof.c % q)), p)
     t_b = multiexp(((B, proof.s_alpha), (K, -proof.s_beta % q)), p)
@@ -662,13 +668,20 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
 
     # The widest w with e*w still inside the declared s_v response interval.
     w = rng.getrandbits(prof.l_v + prof.l_phi - prof.l_e)
-    T = sk.A * _S_pow(gpk, w) % N
     v_hat = sk.v - sk.e * w
 
     r_e = rng.getrandbits(prof.l_e_prime + prof.l_phi + prof.l_H)
     r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
     r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
-    t1 = pow(T, r_e, N) * _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % N
+
+    def T_and_power():
+        T = sk.A * _S_pow(gpk, w) % N
+        return T, pow(T, r_e, N)
+
+    R_S, (T, T_r_e) = beside(
+        ((gpk.R, r_f, _f_bits(prof)), (gpk.S, r_v, _v_bits(prof))), N,
+        T_and_power)
+    t1 = T_r_e * R_S % N
     t2 = B_pow(r_f)
     c = _sigma1_challenge(gpk, B, K, T, t1, t2, sig_rl.epoch, issuer_rl.epoch,
                           nonce_pv, message)
@@ -716,27 +729,36 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
     if basename is not None and sig.B != hash_to_subgroup(basename, p, q):
         return _fail("basename")
 
-    for name, value in (("B", sig.B), ("K", sig.K)):
-        if not in_subgroup(value, p, q):
-            return _fail(f"{name} subgroup")
-    if not 1 <= sig.T < N:
-        return _fail("T range")
-    if not 0 <= sig.c < (1 << prof.l_H):
-        return _fail("challenge range")
-    if not 0 <= sig.s_e < (1 << (prof.l_e_prime + prof.l_phi + prof.l_H + 1)):
-        return _fail("s_e interval")
-    if not 0 <= sig.s_f < (1 << _f_bits(prof)):
-        return _fail("s_f interval")
-    if not abs(sig.s_v) < (1 << _v_bits(prof)):
-        return _fail("s_v interval")
+    # t1 leaves for the partner only once every range holds, so a hostile T
+    # or s_v never reaches it; B's and K's reasons still come first.
+    bad = next((reason for ok, reason in (
+        (1 <= sig.T < N, "T range"),
+        (0 <= sig.c < (1 << prof.l_H), "challenge range"),
+        (0 <= sig.s_e < (1 << (prof.l_e_prime + prof.l_phi + prof.l_H + 1)),
+         "s_e interval"),
+        (0 <= sig.s_f < (1 << _f_bits(prof)), "s_f interval"),
+        (abs(sig.s_v) < (1 << _v_bits(prof)), "s_v interval")) if not ok), None)
 
-    try:
-        t1 = (fixed_base_pow(gpk.Z, -sig.c, N, prof.l_H)
-              * pow(sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), N)
-              * _R_pow(gpk, sig.s_f) * _S_pow(gpk, sig.s_v)) % N
+    def t2_here():
+        for name, value in (("B", sig.B), ("K", sig.K)):
+            if not in_subgroup(value, p, q):
+                return _fail(f"{name} subgroup")
         # B and K passed in_subgroup, so their exponents reduce mod q.
-        t2 = multiexp(((sig.B, sig.s_f % q), (sig.K, -sig.c % q)), p)
+        return _fail(bad) if bad else multiexp(
+            ((sig.B, sig.s_f % q), (sig.K, -sig.c % q)), p)
+
+    if bad:
+        return t2_here()
+    t1_terms = ((gpk.Z, -sig.c, prof.l_H),
+                (sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), None),
+                (gpk.R, sig.s_f, _f_bits(prof)), (gpk.S, sig.s_v, _v_bits(prof)))
+    try:
+        t1, t2 = beside(t1_terms, N, t2_here)
     except ValueError:
+        t1, t2 = None, t2_here()
+    if isinstance(t2, Check):
+        return t2
+    if t1 is None:
         return _fail("sigma1")
     expect = _sigma1_challenge(gpk, sig.B, sig.K, sig.T, t1, t2,
                                sig.sig_rl_epoch, sig.issuer_rl_epoch,

@@ -9,12 +9,15 @@ global RNG state, so every function is reproducible under a seeded source.
 
 from __future__ import annotations
 
+import atexit
 import bisect
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import itertools
 import json
+import marshal
 import math
 import operator
 import os
@@ -342,6 +345,140 @@ def multiexp(pairs, mod: int) -> int:
         for entry in steps.get(position, ()):
             acc = acc * entry % mod
     return acc
+
+
+def power_product(terms, mod: int) -> int:
+    """The product mod ``mod`` of ``base^exp`` over ``(base, exp, bits)``
+    terms: by :func:`fixed_base_pow` where ``bits`` is given, else by
+    builtin ``pow``, whose ``ValueError`` for a base with no inverse
+    passes through."""
+    acc = 1 % mod
+    for base, exp, bits in terms:
+        acc = acc * (pow(base, exp, mod) if bits is None
+                     else fixed_base_pow(base, exp, mod, bits)) % mod
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# the partner process
+
+# One forked copy of this process computes products of powers on a second
+# CPU while the caller does other work.  A product mod fewer bits is too
+# cheap for a pipe round trip, so desk never starts one.
+_PARTNER_MIN_BITS = 1024
+# None until first needed; (pid, request pipe, reply pipe) while it runs;
+# False in a forked child of a process that runs one.
+_partner = None
+_partner_busy = False
+
+
+def _start_partner():
+    requests_r, requests_w = os.pipe()
+    replies_r, replies_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (requests_r, requests_w, replies_r, replies_w):
+            os.close(fd)
+        return None
+    if pid == 0:
+        # As _across_workers' children, it leaves by os._exit alone: at EOF,
+        # once every copy of the request pipe is closed.
+        try:
+            os.close(requests_w)
+            os.close(replies_r)
+            with open(requests_r, "rb") as requests, \
+                    open(replies_w, "wb") as replies, \
+                    contextlib.suppress(EOFError):
+                while True:
+                    terms, mod = marshal.load(requests)
+                    try:
+                        reply = power_product(terms, mod), ""
+                    except ValueError as exc:
+                        reply = 0, str(exc)
+                    marshal.dump(reply, replies)
+                    replies.flush()
+        finally:
+            os._exit(0)
+    os.close(requests_r)
+    os.close(replies_w)
+    return pid, open(requests_w, "wb"), open(replies_r, "rb")
+
+
+def stop_partner() -> None:
+    """Close the partner's pipes and reap it (at exit, or once it has died);
+    a later product that wants a partner starts another."""
+    global _partner
+    if _partner:
+        pid, requests, replies = _partner
+        _partner = None
+        with contextlib.suppress(OSError):  # unsent bytes for a dead partner
+            requests.close()
+        replies.close()
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def _leave_partner() -> None:
+    """In a forked child: close the copies of the parent's pipes, so that
+    the partner still exits with its parent, and never start one."""
+    global _partner
+    if _partner:
+        for pipe in _partner[1:]:
+            pipe.close()
+        _partner = False
+
+
+atexit.register(stop_partner)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_leave_partner)
+
+
+def beside(terms, mod: int, here):
+    """``(power_product(terms, mod), here())``, the product computed by the
+    partner process while ``here()`` runs in this one; the partner's
+    ``ValueError`` is raised here.
+
+    The product runs in the caller instead for a small modulus, on one CPU,
+    without ``fork``, beside other threads (which could share the pipes or
+    hold a lock at the fork), in a nested call, in a forked child, or when
+    the partner has died (it is then reaped): the result is the same.
+    """
+    global _partner, _partner_busy
+    if (_partner_busy or _partner is False
+            or mod.bit_length() < _PARTNER_MIN_BITS
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2
+            or threading.active_count() > 1):
+        return power_product(terms, mod), here()
+    if _partner is None:
+        # Fork after this first product, so that the partner inherits the
+        # comb tables it built (a one-shot command raises few powers).
+        product, result = power_product(terms, mod), here()
+        _partner = _start_partner()
+        return product, result
+    _, requests, replies = _partner
+    _partner_busy, reply = True, None
+    try:
+        with contextlib.suppress(OSError):  # a dead partner: its reply is EOF
+            marshal.dump((terms, mod), requests)
+            requests.flush()
+        try:
+            result = here()
+        finally:
+            with contextlib.suppress(EOFError, OSError):  # it has died
+                reply = marshal.load(replies)
+    finally:
+        _partner_busy = False
+        if reply is None:
+            # It has died, or an interrupt cut a message short, whose rest
+            # must never be read as another: reap it.
+            stop_partner()
+    if reply is None:
+        return power_product(terms, mod), result
+    if reply[1]:
+        raise ValueError(reply[1])
+    return reply[0], result
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,8 @@ def pv_revoke(verifier: VerifierActor, B: int, K: int, which: str):
     if which == "sig":
         verifier.sig_rl = epid.revoke_signature(verifier.sig_rl, B, K)
     elif which == "issuer":
+        if B != hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q):
+            raise ProtocolError("issuer-RL entry is not on the issuer base")
         verifier.issuer_rl = epid.revoke_signature(verifier.issuer_rl, B, K)
     else:
         raise ProtocolError(f"unknown revocation list {which!r}")

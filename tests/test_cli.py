@@ -252,6 +252,17 @@ def test_revoke_and_prove_prints_revoked(ready_world, capsys):
     assert "revoked" in err and "revoked" in out
 
 
+def test_revoke_on_the_issuer_list_needs_the_issuer_base(ready_world, capsys):
+    for cmd in (("enroll", "a"), ("join", "a"), ("prove", "a")):
+        assert run(capsys, *cmd, "--world", ready_world)[0] == 0
+    before = Path(ready_world).read_bytes()
+    B, K, _ = World.load(ready_world).verifier.verified_pseudonyms[0]
+    code, _, err = run(capsys, "revoke", hex(B), hex(K), "--list", "issuer",
+                       "--world", ready_world)
+    assert code == 2 and "issuer-RL entry is not on the issuer base" in err
+    assert Path(ready_world).read_bytes() == before
+
+
 def test_disclose_cli(ready_world, capsys):
     for cmd in (("enroll", "a"), ("join", "a"), ("prove", "a"), ("register", "a")):
         assert run(capsys, *cmd, "--world", ready_world)[0] == 0

@@ -533,6 +533,22 @@ def test_verifier_inverts_an_rl_key_outside_the_subgroup(desk_gpk, member_key,
                           * pow(pr.W, -pr.c, p) % p)
 
 
+@pytest.mark.parametrize("K_i", ["p", 0, 1])
+def test_verifier_refuses_an_rl_key_outside_the_signers_range(
+        desk_gpk, member_key, K_i):
+    # A K_i the signer would refuse (not in (1, p)) is named, never
+    # inverted: a multiple of p has no inverse.
+    gpk = desk_gpk
+    p, u = gpk.p, gpk.u
+    rl = epid.RevocationList(entries=((u, pow(u, 5, p)),), epoch=1)
+    sig = sign(member_key, gpk, random.Random(11), sig_rl=rl)
+    assert sig.nonrevocation_sig[0].s_beta
+    altered = epid.RevocationList(entries=((u, p if K_i == "p" else K_i),),
+                                  epoch=1)
+    res = verify(gpk, sig, sig_rl=altered)
+    assert not res and res.reason == "sig-rl entry 0 range"
+
+
 def test_signature_doc_round_trip(desk_gpk, member_key):
     rng = random.Random(19)
     sig = sign(member_key, desk_gpk, rng)

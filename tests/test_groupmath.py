@@ -37,6 +37,14 @@ from chainanchor.world import World
 from conftest import TINY
 
 
+@pytest.fixture(autouse=True)
+def no_partner():
+    # A full-profile test earlier in the session may have left this
+    # process's partner running; the fork counts and the no-child checks
+    # below are about the safe-prime search alone.
+    groupmath.stop_partner()
+
+
 def trial_division_is_prime(n):
     # independent primality oracle for small n
     if n < 2:

@@ -280,6 +280,20 @@ def test_revoke_rejects_garbage_pairs(stage):
     stage.prove(user)
 
 
+def test_issuer_rl_refuses_a_pair_off_the_issuer_base(stage):
+    user = stage.enroll_and_join("alice")
+    session_id, _ = stage.prove(user)
+    B, K, _ = next(p for p in stage.verifier.verified_pseudonyms
+                   if p[2] == session_id)
+    # a session pseudonym is in the group, but not on B_I
+    with pytest.raises(ProtocolError,
+                       match="issuer-RL entry is not on the issuer base"):
+        roles.pv_revoke(stage.verifier, B, K, "issuer")
+    assert stage.verifier.issuer_rl == epid.RevocationList()
+    roles.pv_revoke(stage.verifier, B, K, "sig")
+    assert stage.verifier.sig_rl.entries == ((B, K),)
+
+
 def test_revoked_member_cannot_prove(stage):
     user = stage.enroll_and_join("alice")
     session_id, _ = stage.prove(user)
