@@ -196,7 +196,19 @@ def _save_world(world, path, parser):
         parser.error(f"cannot write world file {path}: {exc.strerror or exc}")
 
 
+def _refuse_undecodable(args, parser):
+    """Refuse a text argument whose bytes were not UTF-8 (they arrive as
+    lone surrogates); file paths may hold such bytes and are exempt."""
+    for name, value in vars(args).items():
+        if isinstance(value, str) and name not in ("world", "profiles_file"):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                parser.error(f"argument {name} is not valid UTF-8")
+
+
 def _dispatch(args, parser) -> int:
+    _refuse_undecodable(args, parser)
     if args.command == "setup":
         profile = _resolve_profile(args, parser)
         _check_output_path(args.world, args.force, parser)

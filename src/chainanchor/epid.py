@@ -28,7 +28,6 @@ from .groupmath import (
     beside,
     canonical_encode,
     fiat_shamir_challenge,
-    fixed_base_pow,
     gen_prime_in_range,
     gen_rsa_group,
     gen_schnorr_group,
@@ -37,7 +36,6 @@ from .groupmath import (
     int_to_bytes,
     is_probable_prime,
     jacobi,
-    multiexp,
     power_product,
     rand_below,
     rand_range,
@@ -92,7 +90,7 @@ def _dlog_challenge(label: str, N: int, base: int, value: int, t: int, l_H: int)
 def _prove_dlog(label, N, base, value, exponent, profile, rng,
                 gipk) -> DlogProof:
     r = rng.getrandbits(profile.l_N + profile.l_phi + profile.l_H)
-    t = gipk.pow_N(base, r)
+    t = gipk.pow_N(((base, r, None),))
     c = _dlog_challenge(label, N, base, value, t, profile.l_H)
     return DlogProof(label, c, r + c * exponent)
 
@@ -102,7 +100,7 @@ def _verify_dlog(proof: DlogProof, N, base, value, profile) -> bool:
     if not (0 <= proof.c < (1 << profile.l_H) and 0 <= proof.s < bound):
         return False
     try:
-        t = pow(base, proof.s, N) * pow(value, -proof.c, N) % N
+        t = power_product(((base, proof.s, None), (value, -proof.c, None)), N)
     except ValueError:
         return False
     return _dlog_challenge(proof.label, N, base, value, t, profile.l_H) == proof.c
@@ -146,19 +144,19 @@ class GroupIssuingPrivateKey:
     def qr_order(self) -> int:
         return self.p_N_prime * self.q_N_prime
 
-    def pow_N(self, base: int, exp: int, bits: Optional[int] = None) -> int:
-        """``pow(base, exp, N)`` by the Chinese remainder theorem: two
-        half-size powers with the exponent reduced mod p_N-1 and q_N-1.
+    def pow_N(self, terms) -> int:
+        """``power_product(terms, N)`` by the Chinese remainder theorem: two
+        half-size products with each exponent reduced mod p_N-1 and q_N-1.
 
-        ``bits`` marks a fixed base (R, S) and bounds its exponents: the
-        half-size powers then run on comb tables, which hold powers modulo
+        A term's ``bits`` mark a fixed base (R, S) and bound its exponents:
+        its half-size powers run on comb tables, which hold powers modulo
         the secret factors and so stay in this process's memory and its
         partner's (see ``groupmath.beside``), which computes the q_N half.
         """
         x_q, x_p = beside(
-            (_prime_term(base, exp, self.q_N, bits),), self.q_N,
-            lambda: power_product((_prime_term(base, exp, self.p_N, bits),),
-                                  self.p_N))
+            [_prime_term(*term, self.q_N) for term in terms], self.q_N,
+            lambda: power_product(
+                [_prime_term(*term, self.p_N) for term in terms], self.p_N))
         h = (x_p - x_q) * pow(self.q_N, -1, self.p_N) % self.p_N
         return x_q + h * self.q_N
 
@@ -167,13 +165,13 @@ class GroupIssuingPrivateKey:
         return jacobi(x, self.p_N) == 1 and jacobi(x, self.q_N) == 1
 
 
-def _prime_term(base: int, exp: int, P: int, bits: Optional[int]):
+def _prime_term(base: int, exp: int, bits: Optional[int], P: int):
     """The ``power_product`` term for ``base^exp`` mod the prime P."""
     if base % P == 0:
         return base, exp, None  # pow's 0, 1 or ValueError
     if bits is not None:
         return base, exp % (P - 1), min(bits, P.bit_length())
-    # Builtin pow inverts first: a short negative exponent (a challenge)
+    # The base is inverted first: a short negative exponent (a challenge)
     # stays short.
     return base, exp % (P - 1) if exp >= 0 else -(-exp % (P - 1)), None
 
@@ -204,7 +202,7 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
             a = rand_range(rng, 1, order)
             if generator_needed and math.gcd(a, order) != 1:
                 continue
-            return gipk.pow_N(base, a), a
+            return gipk.pow_N(((base, a, None),)), a
 
     g, exp_g = random_power(g_prime)
     h, exp_h = random_power(g_prime, generator_needed=True)
@@ -253,9 +251,11 @@ def validate_gpk(gpk: GroupPublicKey) -> Check:
     return check
 
 
-def _check_gpk(gpk: GroupPublicKey) -> Check:
+def check_gpk_ranges(gpk: GroupPublicKey) -> Check:
+    """The checks of a group key that cost no power: lengths, ranges and
+    gcds.  :func:`validate_gpk` runs them first, and a world file's keys
+    pass them when it loads."""
     prof = gpk.profile
-    # The cheap checks come first, so a malformed key costs no power.
     if gpk.N.bit_length() != prof.l_N:
         return _fail("N length")
     if gpk.p.bit_length() != prof.l_p:
@@ -266,7 +266,14 @@ def _check_gpk(gpk: GroupPublicKey) -> Check:
                         ("R", gpk.R), ("S", gpk.S), ("Z", gpk.Z)):
         if not 2 <= value < gpk.N or math.gcd(value, gpk.N) != 1:
             return _fail(f"{name} range")
+    return OK
 
+
+def _check_gpk(gpk: GroupPublicKey) -> Check:
+    # The cheap checks come first, so a malformed key costs no power.
+    if not (check := check_gpk_ranges(gpk)):
+        return check
+    prof = gpk.profile
     bases = {"g": (gpk.g_prime, gpk.g), "h": (gpk.g_prime, gpk.h),
              "R": (gpk.h, gpk.R), "S": (gpk.h, gpk.S), "Z": (gpk.h, gpk.Z)}
     seen = set()
@@ -309,12 +316,10 @@ def _v_bits(prof: ParameterProfile) -> int:
     return prof.l_v + prof.l_phi + prof.l_H + 1
 
 
-def _R_pow(gpk: GroupPublicKey, exp: int) -> int:
-    return fixed_base_pow(gpk.R, exp, gpk.N, _f_bits(gpk.profile))
-
-
-def _S_pow(gpk: GroupPublicKey, exp: int) -> int:
-    return fixed_base_pow(gpk.S, exp, gpk.N, _v_bits(gpk.profile))
+def _R_S(gpk: GroupPublicKey, f: int, v: int) -> tuple:
+    """The terms of R^f S^v, on R's and S's combs."""
+    prof = gpk.profile
+    return (gpk.R, f, _f_bits(prof)), (gpk.S, v, _v_bits(prof))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +372,8 @@ def join_request(gpk: GroupPublicKey, issuer_nonce: bytes, rng):
     v_prime = rng.getrandbits(prof.l_v)
     r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
     r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
-    U, t1 = beside(((gpk.R, f, _f_bits(prof)), (gpk.S, v_prime, _v_bits(prof))),
-                   gpk.N, lambda: _R_pow(gpk, r_f) * _S_pow(gpk, r_v) % gpk.N)
+    U, t1 = beside(_R_S(gpk, f, v_prime), gpk.N,
+                   lambda: power_product(_R_S(gpk, r_f, r_v), gpk.N))
     K_I = subgroup_pow(B_I, f, gpk.p, gpk.q)
     t2 = subgroup_pow(B_I, r_f, gpk.p, gpk.q)
     c = _join_challenge(gpk, B_I, U, K_I, t1, t2, issuer_nonce, prof.l_H)
@@ -400,18 +405,13 @@ def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
         return _fail("s_f interval")
     if not 0 <= pr.s_v < (1 << _v_bits(prof)):
         return _fail("s_v interval")
-    N = gpk.N
-    if gipk is not None:
-        t1 = (gipk.pow_N(gpk.R, pr.s_f, _f_bits(prof))
-              * gipk.pow_N(gpk.S, pr.s_v, _v_bits(prof))
-              * gipk.pow_N(req.U, -pr.c)) % N
-    else:
-        t1 = (_R_pow(gpk, pr.s_f) * _S_pow(gpk, pr.s_v)
-              * pow(req.U, -pr.c, N)) % N
-    B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
+    N, p, q = gpk.N, gpk.p, gpk.q
+    terms = _R_S(gpk, pr.s_f, pr.s_v) + ((req.U, -pr.c, None),)
+    t1 = gipk.pow_N(terms) if gipk is not None else power_product(terms, N)
+    B_I = hash_to_subgroup(gpk.issuer_basename, p, q)
     # K_I passed in_subgroup, so its exponent reduces mod q.
-    t2 = (subgroup_pow(B_I, pr.s_f, gpk.p, gpk.q)
-          * pow(req.K_I, -pr.c % gpk.q, gpk.p) % gpk.p)
+    t2 = power_product(((B_I, pr.s_f % q, q.bit_length()),
+                        (req.K_I, -pr.c % q, None)), p)
     if _join_challenge(gpk, B_I, req.U, req.K_I, t1, t2,
                        issuer_nonce, prof.l_H) != pr.c:
         return _fail("proof")
@@ -443,11 +443,12 @@ def issue_credential(gpk: GroupPublicKey, gipk: GroupIssuingPrivateKey,
         if math.gcd(e, order) == 1:
             break
     v_double_prime = rng.getrandbits(gpk.profile.l_v)
-    blinded = req.U * gipk.pow_N(gpk.S, v_double_prime,
-                                 _v_bits(gpk.profile)) % gpk.N
-    A = gipk.pow_N(gpk.Z * pow(blinded, -1, gpk.N) % gpk.N, pow(e, -1, order))
+    blinded = req.U * gipk.pow_N(
+        ((gpk.S, v_double_prime, _v_bits(gpk.profile)),)) % gpk.N
+    A = gipk.pow_N(((gpk.Z * pow(blinded, -1, gpk.N) % gpk.N,
+                     pow(e, -1, order), None),))
     # A faulty A must never leave: gcd(A^e - x, N) would factor N.
-    if gipk.pow_N(A, e) * blinded % gpk.N != gpk.Z:
+    if gipk.pow_N(((A, e, None),)) * blinded % gpk.N != gpk.Z:
         raise ProtocolError("issued credential failed its self-check")
     return CredentialResponse(A=A, e=e, v_double_prime=v_double_prime)
 
@@ -463,9 +464,8 @@ class UserMemberPrivateKey:
 
 
 def key_relation_holds(gpk: GroupPublicKey, key: UserMemberPrivateKey) -> bool:
-    A_e, R_f_S_v = beside(
-        ((key.A, key.e, None),), gpk.N,
-        lambda: _R_pow(gpk, key.f) * _S_pow(gpk, key.v) % gpk.N)
+    A_e, R_f_S_v = beside(((key.A, key.e, None),), gpk.N,
+                          lambda: power_product(_R_S(gpk, key.f, key.v), gpk.N))
     return A_e * R_f_S_v % gpk.N == gpk.Z
 
 
@@ -588,7 +588,7 @@ def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, B_pow, f, main_c,
     r_b = rand_below(rng, q)
     # B_i^r_a * K_i^-r_b: K_i is only range-checked, so it is inverted,
     # never given an exponent reduced mod q.
-    t_a = multiexp(((B_i, r_a), (K_i_inv, r_b)), p)
+    t_a = power_product(((B_i, r_a, None), (K_i_inv, r_b, None)), p)
     # B^r_a * K^-r_b with K = B^f.
     t_b = B_pow(r_a - f * r_b)
     c = _nonrevocation_challenge(tag, main_c, index, B_i, K_i, B, K, W,
@@ -614,9 +614,11 @@ def _verify_not_revoked(tag, index, B_i, K_i, B, K, proof, main_c, gpk) -> Check
     # W, B and K have passed in_subgroup, so their exponents reduce mod q;
     # B_i and K_i are unchecked, so K_i is inverted, never reduced.
     K_i_inv = pow(K_i, -1, p)
-    t_a = multiexp(((B_i, proof.s_alpha), (K_i_inv, proof.s_beta),
-                    (proof.W, -proof.c % q)), p)
-    t_b = multiexp(((B, proof.s_alpha), (K, -proof.s_beta % q)), p)
+    t_a = power_product(((B_i, proof.s_alpha, None),
+                         (K_i_inv, proof.s_beta, None),
+                         (proof.W, -proof.c % q, None)), p)
+    t_b = power_product(((B, proof.s_alpha, None),
+                         (K, -proof.s_beta % q, None)), p)
     expect = _nonrevocation_challenge(tag, main_c, index, B_i, K_i, B, K,
                                       proof.W, t_a, t_b, gpk.profile.l_H)
     if expect != proof.c:
@@ -675,12 +677,10 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
 
     def T_and_power():
-        T = sk.A * _S_pow(gpk, w) % N
+        T = power_product(((sk.A, 1, None), (gpk.S, w, _v_bits(prof))), N)
         return T, pow(T, r_e, N)
 
-    R_S, (T, T_r_e) = beside(
-        ((gpk.R, r_f, _f_bits(prof)), (gpk.S, r_v, _v_bits(prof))), N,
-        T_and_power)
+    R_S, (T, T_r_e) = beside(_R_S(gpk, r_f, r_v), N, T_and_power)
     t1 = T_r_e * R_S % N
     t2 = B_pow(r_f)
     c = _sigma1_challenge(gpk, B, K, T, t1, t2, sig_rl.epoch, issuer_rl.epoch,
@@ -744,14 +744,14 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
             if not in_subgroup(value, p, q):
                 return _fail(f"{name} subgroup")
         # B and K passed in_subgroup, so their exponents reduce mod q.
-        return _fail(bad) if bad else multiexp(
-            ((sig.B, sig.s_f % q), (sig.K, -sig.c % q)), p)
+        return _fail(bad) if bad else power_product(
+            ((sig.B, sig.s_f % q, None), (sig.K, -sig.c % q, None)), p)
 
     if bad:
         return t2_here()
     t1_terms = ((gpk.Z, -sig.c, prof.l_H),
                 (sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), None),
-                (gpk.R, sig.s_f, _f_bits(prof)), (gpk.S, sig.s_v, _v_bits(prof)))
+                *_R_S(gpk, sig.s_f, sig.s_v))
     try:
         t1, t2 = beside(t1_terms, N, t2_here)
     except ValueError:

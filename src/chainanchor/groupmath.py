@@ -309,23 +309,34 @@ def fixed_base_pow(base: int, exp: int, mod: int, bits: int = 0) -> int:
 _WINDOW_FROM_BITS = (19, 25, 81, 241, 673)
 
 
-def multiexp(pairs, mod: int) -> int:
-    """The product of ``pow(base, exp, mod)`` over ``(base, exp)`` pairs with
-    non-negative exponents, by Straus's method (Amer. Math. Monthly 1964).
+def power_product(terms, mod: int) -> int:
+    """The product mod ``mod`` of ``base^exp`` over ``(base, exp, bits)``
+    terms; it always equals the product of builtin ``pow`` calls.
 
-    Every base reads its exponent in sliding windows over a table of its
-    odd powers, and all of them share one squaring chain, so a product of
-    k powers pays for the squarings of one.  Built from ``*`` and ``%``
-    alone; like ``pow``, the running time depends on the exponents.
+    A term with ``bits`` runs on its base's combs (:func:`fixed_base_pow`).
+    The other, fresh, terms share one squaring chain by Straus's method
+    (Amer. Math. Monthly 1964): each reads its exponent in sliding windows
+    over a table of its odd powers, so k powers pay for the squarings of
+    one.  A negative exponent first inverts its base with builtin ``pow``,
+    whose ``ValueError`` for a base with no inverse passes through, and a
+    lone fresh term is one builtin ``pow``; the rest is ``*`` and ``%``.
+    Like ``pow``, the running time depends on the exponents.
     """
+    combs, fresh = 1 % mod, []
+    for base, exp, bits in terms:
+        if bits is not None:
+            combs = combs * fixed_base_pow(base, exp, mod, bits) % mod
+        elif exp:  # base^0 = 1, 0^0 included, as pow has it
+            fresh.append((base, exp))
+    if len(fresh) == 1:
+        (base, exp), = fresh
+        return combs * pow(base, exp, mod) % mod
     steps: dict[int, list[int]] = {}  # bit position -> table entries
-    for base, exp in pairs:
+    for base, exp in fresh:
         if exp < 0:
-            raise ValueError("multiexp takes non-negative exponents")
-        if not exp:
-            continue  # base^0 = 1, 0^0 included, as pow has it
-        bits = format(exp, "b")
-        width = 1 + bisect.bisect_right(_WINDOW_FROM_BITS, len(bits))
+            base, exp = pow(base, -1, mod), -exp
+        digits = format(exp, "b")
+        width = 1 + bisect.bisect_right(_WINDOW_FROM_BITS, len(digits))
         odd = [base % mod]
         if width > 1:
             square = odd[0] * odd[0] % mod
@@ -333,30 +344,18 @@ def multiexp(pairs, mod: int) -> int:
                 odd.append(odd[-1] * square % mod)
         # Each window runs from a set bit to the last set bit at most
         # ``width`` bits below it, so its value is odd.
-        i = bits.find("1")
+        i = digits.find("1")
         while i >= 0:
-            j = bits.rfind("1", i, i + width)
-            steps.setdefault(len(bits) - 1 - j, []).append(
-                odd[int(bits[i:j + 1], 2) >> 1])
-            i = bits.find("1", j + 1)
+            j = digits.rfind("1", i, i + width)
+            steps.setdefault(len(digits) - 1 - j, []).append(
+                odd[int(digits[i:j + 1], 2) >> 1])
+            i = digits.find("1", j + 1)
     acc = 1 % mod
     for position in range(max(steps, default=-1), -1, -1):
         acc = acc * acc % mod
         for entry in steps.get(position, ()):
             acc = acc * entry % mod
-    return acc
-
-
-def power_product(terms, mod: int) -> int:
-    """The product mod ``mod`` of ``base^exp`` over ``(base, exp, bits)``
-    terms: by :func:`fixed_base_pow` where ``bits`` is given, else by
-    builtin ``pow``, whose ``ValueError`` for a base with no inverse
-    passes through."""
-    acc = 1 % mod
-    for base, exp, bits in terms:
-        acc = acc * (pow(base, exp, mod) if bits is None
-                     else fixed_base_pow(base, exp, mod, bits)) % mod
-    return acc
+    return acc * combs % mod
 
 
 # ---------------------------------------------------------------------------

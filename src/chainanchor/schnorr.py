@@ -19,6 +19,7 @@ from .groupmath import (
     hash_expand,
     in_subgroup,
     int_to_bytes,
+    power_product,
     rand_range,
     subgroup_pow,
 )
@@ -32,6 +33,10 @@ class SigningGroup(Record):
     p: int
     q: int
     u: int
+
+    def __post_init__(self):
+        if not 1 < self.q < self.p or (self.p - 1) % self.q:
+            raise ValueError("need 1 < q < p with q | (p - 1)")
 
     def transcript_bytes(self) -> bytes:
         return canonical_encode(
@@ -69,8 +74,8 @@ def verify(group: SigningGroup, public: int, message: bytes, signature) -> bool:
     if not (0 <= s < group.q and in_subgroup(public, group.p, group.q)):
         return False
     # public passed in_subgroup, so its exponent reduces mod q.
-    t = (subgroup_pow(group.u, s, group.p, group.q)
-         * pow(public, -c % group.q, group.p) % group.p)
+    t = power_product(((group.u, s, group.q.bit_length()),
+                       (public, -c % group.q, None)), group.p)
     return _challenge(group, public, t, message) == c
 
 

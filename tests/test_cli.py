@@ -276,6 +276,23 @@ def test_disclose_cli(ready_world, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("args", [("tx", "bob", "\udcff\udcfe"),
+                                  ("enroll", "\udcff")], ids=["tx", "enroll"])
+def test_non_utf8_argument_is_refused_before_the_world_changes(
+        ready_world, capsys, args):
+    # Undecodable argv bytes arrive as lone surrogates.
+    before = Path(ready_world).read_bytes()
+    code, _, err = run(capsys, *args, "--world", ready_world)
+    assert code == 1 and "is not valid UTF-8" in err
+    assert Path(ready_world).read_bytes() == before
+
+
+def test_world_path_may_hold_non_utf8_bytes(tmp_path, capsys):
+    path = str(tmp_path / "w\udcff.json")
+    assert run(capsys, "setup", "g", "--seed", "5", "--world", path)[0] == 0
+    assert run(capsys, "enroll", "alice", "--world", path)[0] == 0
+
+
 def test_show_prints_state_hash(ready_world, capsys):
     code, out, _ = run(capsys, "show", "--world", ready_world)
     assert code == 0 and "state hash" in out

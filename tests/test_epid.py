@@ -191,11 +191,29 @@ def test_issuer_crt_power_matches_builtin_pow(desk_group):
             bases.append(x)
     for base in bases:
         for exp in exponents:
-            assert gipk.pow_N(base, exp) == pow(base, exp, N), (base, exp)
+            assert (gipk.pow_N(((base, exp, None),))
+                    == pow(base, exp, N)), (base, exp)
     for exp in (0, 1, 5, gipk.p_N - 1):
-        assert gipk.pow_N(gipk.p_N, exp) == pow(gipk.p_N, exp, N)
+        assert gipk.pow_N(((gipk.p_N, exp, None),)) == pow(gipk.p_N, exp, N)
     with pytest.raises(ValueError):
-        gipk.pow_N(gipk.q_N, -1)
+        gipk.pow_N(((gipk.q_N, -1, None),))
+    # Products: fresh and comb terms together, one base divisible by p_N.
+    v_bits = epid._v_bits(gpk.profile)
+    for terms in (((gpk.R, 5, None), (gpk.S, -3, None)),
+                  ((bases[4], exponents[3], None), (bases[5], exponents[8], None),
+                   (gpk.Z, -1, None)),
+                  ((gipk.p_N, 3, None), (gpk.R, 7, None)),
+                  ((5 * gipk.p_N, order + 3, None), (bases[6], -1, None),
+                   (gpk.S, exponents[8], v_bits)),
+                  ((gpk.R, order, v_bits), (gipk.q_N, 0, None),
+                   (bases[7], -exponents[8], None))):
+        expect = 1
+        for base, exp, _ in terms:
+            expect = expect * pow(base, exp, N) % N
+        assert gipk.pow_N(terms) == expect, terms
+    with pytest.raises(ValueError):
+        gipk.pow_N(((gpk.R, 3, None), (bases[4], 2, None),
+                    (gipk.p_N, -1, None)))
 
 
 def _outcome(fn, *args):
@@ -219,11 +237,11 @@ def test_issuer_fixed_base_crt_power_matches_builtin_pow(desk_group):
     bases = [gpk.R, gpk.S, p_N, q_N, 3 * p_N, q_N * (N - 1), N - 1, N + gpk.S]
     for base in bases:
         for exp in exponents:
-            assert (_outcome(gipk.pow_N, base, exp, bits)
+            assert (_outcome(gipk.pow_N, ((base, exp, bits),))
                     == _outcome(pow, base, exp, N)), (base, exp)
     # an exponent longer than the stated bound still gets a right answer
     long_exp = rng.getrandbits(3 * gpk.profile.l_N)
-    assert gipk.pow_N(gpk.Z, long_exp, 8) == pow(gpk.Z, long_exp, N)
+    assert gipk.pow_N(((gpk.Z, long_exp, 8),)) == pow(gpk.Z, long_exp, N)
 
 
 def test_setup_group_raises_if_its_key_fails_validation(monkeypatch):

@@ -29,7 +29,7 @@ from chainanchor.groupmath import (
     is_probable_prime,
     jacobi,
     load_profiles,
-    multiexp,
+    power_product,
     random_subgroup_element,
     subgroup_pow,
 )
@@ -1070,40 +1070,75 @@ def test_fixed_base_pow_builds_tables_without_pow(monkeypatch):
 # ---------------------------------------------------------------------------
 # products of powers: every answer must be the product of builtin pows
 
-def _pow_product(pairs, mod):
+def _pow_product(terms, mod):
     product = 1 % mod
-    for base, exp in pairs:
+    for base, exp, _ in terms:
         product = product * pow(base, exp, mod) % mod
     return product
 
 
+def _product_outcome(fn, terms, mod):
+    try:
+        return fn(terms, mod)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _forget_combs(terms, mod):
+    for base, _, bits in terms:
+        if bits is not None:
+            groupmath._COMB_TABLES.pop((base, mod), None)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.data())
-def test_multiexp_equals_product_of_pows(data):
-    mod = data.draw(st.one_of(
-        st.just(1),
-        st.integers(min_value=1, max_value=2 ** 64).map(lambda k: 2 * k),
-        st.integers(min_value=2, max_value=2 ** 700)))
+def test_power_product_equals_product_of_pows(data):
+    # Comb and fresh terms mixed, negative exponents, bases 0, >= mod and
+    # without an inverse, moduli 1, even and odd: the value or pow's error.
+    draw = data.draw
+    kind = draw(st.sampled_from(("one", "even", "odd")))
+    if kind == "one":
+        factor = mod = 1
+    else:
+        # mod has the factor's parity, and no multiple of it has an inverse
+        factor = (2 * draw(st.integers(min_value=1, max_value=2 ** 300))
+                  + (kind == "odd"))
+        mod = factor * (2 * draw(st.integers(min_value=0, max_value=2 ** 300))
+                        + 1)
     base = st.one_of(st.just(0),
                      st.integers(min_value=0, max_value=2 ** 700),
                      st.integers(min_value=0, max_value=2 ** 64).map(
-                         lambda k: mod + k))
-    exp = st.one_of(st.just(0), st.integers(min_value=0, max_value=2 ** 700))
-    pairs = data.draw(st.lists(st.tuples(base, exp), max_size=3))
-    assert multiexp(pairs, mod) == _pow_product(pairs, mod)
+                         lambda k: mod + k),
+                     st.integers(min_value=1, max_value=2 ** 64).map(
+                         lambda k: k * factor))     # no inverse unless mod 1
+    exp = st.one_of(st.just(0), st.just(-1),
+                    st.integers(min_value=-2 ** 700, max_value=2 ** 700))
+    bits = st.one_of(st.none(), st.integers(min_value=0, max_value=800))
+    terms = draw(st.lists(st.tuples(base, exp, bits), max_size=4))
+    try:
+        assert (_product_outcome(power_product, terms, mod)
+                == _product_outcome(_pow_product, terms, mod))
+    finally:
+        _forget_combs(terms, mod)
 
 
 @pytest.mark.parametrize("mod", [1, 2, 1 << 64, (1 << 127) - 1])
-def test_multiexp_edge_moduli(mod):
-    for pairs in ([], [(0, 0)], [(0, 5)], [(3, 0), (mod, 0)],
-                  [(mod + 3, 2 ** 100 + 1), (5, 7), (2, 3 ** 50)]):
-        assert multiexp(pairs, mod) == _pow_product(pairs, mod), pairs
-    with pytest.raises(ValueError, match="non-negative"):
-        multiexp([(3, -1)], mod)
+def test_power_product_edge_moduli(mod):
+    for terms in ([], [(0, 0, None)], [(0, 5, None)],
+                  [(3, 0, None), (mod, 0, None)],
+                  [(mod + 3, 2 ** 100 + 1, None), (5, 7, None),
+                   (2, 3 ** 50, None)],
+                  [(3, -1, None)], [(3, -1, None), (5, -7, None)],
+                  [(2, -1, None), (3, 5, None)], [(mod, -1, None), (3, 2, 8)],
+                  [(3, -1, 8), (mod + 5, 9, None), (7, 2 ** 70, None)]):
+        assert (_product_outcome(power_product, terms, mod)
+                == _product_outcome(_pow_product, terms, mod)), terms
+        _forget_combs(terms, mod)
 
 
-def test_multiexp_calls_no_pow(monkeypatch):
-    # Like the combs, a product costs the census no builtin power.
+def test_power_product_calls_pow_only_to_invert(monkeypatch):
+    # Fresh terms share one chain, so the census sees a builtin power only
+    # for a lone fresh term or for the inverse of a negative exponent's base.
     calls = []
 
     def counting_pow(*args):
@@ -1112,9 +1147,18 @@ def test_multiexp_calls_no_pow(monkeypatch):
 
     monkeypatch.setattr(groupmath, "pow", counting_pow, raising=False)
     mod = (1 << 521) - 1
-    pairs = [(0xC0FFEE, 3 ** 300), (mod - 2, 2 ** 255 - 19), (7, 1)]
-    assert multiexp(pairs, mod) == _pow_product(pairs, mod)
+    terms = [(0xC0FFEE, 3 ** 300, None), (mod - 2, 2 ** 255 - 19, None),
+             (7, 1, None)]
+    assert power_product(terms, mod) == _pow_product(terms, mod)
     assert calls == []
+    terms = [(0xC0FFEE, -3 ** 300, None), (mod - 2, 2 ** 255 - 19, None),
+             (7, -1, None)]
+    assert power_product(terms, mod) == _pow_product(terms, mod)
+    assert calls == [(0xC0FFEE, -1, mod), (7, -1, mod)]
+    del calls[:]
+    terms = [(0xC0FFEE, 3 ** 300, None), (5, 0, None)]
+    assert power_product(terms, mod) == _pow_product(terms, mod)
+    assert calls == [(0xC0FFEE, 3 ** 300, mod)]
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,72 @@ def test_world_file_with_a_number_out_of_range_is_corrupt(
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def enrolled_doc():
+    """A seed-5 world where alice has registered a key and bob enrolled."""
+    world = World.create("g", DESK, seed=5)
+    for step in (world.enroll, world.join, world.prove, world.register):
+        step("alice")
+    world.enroll("bob")
+    return world.to_doc()
+
+
+def _set(*path, value):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, command, field", [
+    (_set("verifier", "gpk", "q", value="0x1"), ("enroll", "carol"),
+     "verifier.gpk: q length"),
+    (_set("verifier", "gpk", "p", value="0x0"), ("enroll", "carol"),
+     "verifier.gpk: p length"),
+    (_set("issuer", "groups", "g", "gipk", "p_N", value="0x0"),
+     ("join", "bob"), "issuer.groups.g.gipk: not the factors of N"),
+    (_set("issuer", "groups", "g", "gipk", "q_N_prime", value="0x1"),
+     ("join", "bob"), "issuer.groups.g.gipk: not the factors of N"),
+    (_set("users", "alice", "transaction_keys", 0, "group", "q", value="0x0"),
+     ("tx", "alice", "x"), "transaction_keys.group: need 1 < q < p"),
+    (_set("users", "alice", "transaction_keys", 0, "group", "q", value="0x1"),
+     ("tx", "alice", "x"), "transaction_keys.group: need 1 < q < p"),
+    (_set("users", "alice", "enrollments", "g", "gpk", "N", value="0x0"),
+     ("prove", "alice"), "users.alice.enrollments.g.gpk: N length"),
+    (_set("users", "alice", "enrollments", "g", "gpk", "q", value="0x0"),
+     ("prove", "alice"), "users.alice.enrollments.g.gpk: q length"),
+], ids=["verifier-q-1", "verifier-p-0", "issuer-p_N-0", "issuer-q_N'-1",
+        "tx-key-q-0",
+        "tx-key-q-1", "enrollment-N-0", "enrollment-q-0"])
+def test_world_file_with_corrupt_group_parameters_is_corrupt(
+        tmp_path, capsys, enrolled_doc, mutate, command, field):
+    doc = json.loads(doc_bytes(enrolled_doc))
+    mutate(doc)
+    bad = tmp_path / "w.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _run(capsys, *command, "--world", str(bad))
+    assert code == 1 and "is corrupt" in err and field in err
+    assert "Traceback" not in err
+
+
+def test_delivered_group_key_that_a_world_file_refuses_is_not_kept(base_doc):
+    # Whatever enroll keeps, the world file it is saved to loads again.
+    world = World.from_doc(base_doc)
+
+    def zero_q(env, doc):
+        doc["gpk"]["q"] = "0x0"
+        return dataclasses.replace(env, payload=doc_bytes(doc))
+    _tamper_enrollment(world, "delivery", zero_q)
+    with pytest.raises(ProtocolError, match="group public key rejected"):
+        world.enroll("alice")
+    assert world.group_id not in world.users["alice"].enrollments
+    World.from_doc(json.loads(doc_bytes(world.to_doc())))
+    world.transcript.tamper = None
+    world.enroll("alice")
+    world.join("alice")
+
+
 def test_deeply_nested_world_file_is_corrupt(tmp_path, capsys):
     bad = tmp_path / "nested.json"
     bad.write_text("[" * 200_000)

@@ -95,8 +95,9 @@ def _lifecycle(gpk, gipk, seed):
               sig.transcript_bytes(),
               epid.verify_membership(gpk, b"msg", b"pv", sig, rl,
                                      epid.RevocationList()),
-              gipk.pow_N(gpk.S, rng.getrandbits(3000), 2400),
-              gipk.pow_N(rng.getrandbits(2048), -rng.getrandbits(256)))
+              gipk.pow_N(((gpk.S, rng.getrandbits(3000), 2400),)),
+              gipk.pow_N(((rng.getrandbits(2048), -rng.getrandbits(256),
+                           None),)))
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
@@ -135,7 +136,7 @@ def test_partner_crt_power_raises_as_pow_does(desk_group, desk_partner):
     for base in (gpk.R, gpk.S, p_N, q_N, 3 * q_N, N - 1):
         for exp in (0, 1, -1, -(1 << 200) - 3, q_N - 1, N, (1 << bits) - 1):
             for b in (None, bits):
-                assert (_outcome(gipk.pow_N, base, exp, b)
+                assert (_outcome(gipk.pow_N, ((base, exp, b),))
                         == _outcome(pow, base, exp, N)), (base, exp, b)
     assert groupmath._partner
 
@@ -217,7 +218,7 @@ def test_killed_partner_is_reaped_and_its_product_made_here(
         desk_group, desk_partner, when):
     gpk, gipk = desk_group
     N = gpk.N
-    assert gipk.pow_N(gpk.S, 12345) == pow(gpk.S, 12345, N)
+    assert gipk.pow_N(((gpk.S, 12345, None),)) == pow(gpk.S, 12345, N)
     pid = _partner_pid()
     assert pid
     exp = (1 << 60000) - 1  # long enough to be cut off mid-product
@@ -233,7 +234,7 @@ def test_killed_partner_is_reaped_and_its_product_made_here(
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
     # the next product starts a new partner
-    assert gipk.pow_N(gpk.R, -7) == pow(gpk.R, -7, N)
+    assert gipk.pow_N(((gpk.R, -7, None),)) == pow(gpk.R, -7, N)
     assert _partner_pid() not in (0, pid)
 
 
@@ -241,7 +242,7 @@ def test_nested_partner_call_runs_in_the_caller(desk_group, desk_partner):
     # A product asked for while one is in flight must not read its reply.
     gpk, gipk = desk_group
     N, R, S = gpk.N, gpk.R, gpk.S
-    assert gipk.pow_N(S, 9) == pow(S, 9, N)
+    assert gipk.pow_N(((S, 9, None),)) == pow(S, 9, N)
 
     def inner():
         return groupmath.beside(((S, 7, None),), N, int)
@@ -279,13 +280,13 @@ def test_interrupted_exchange_reaps_the_partner(desk_group, desk_partner):
     def interrupted():
         raise _Interrupt
 
-    assert gipk.pow_N(gpk.S, 9) == pow(gpk.S, 9, N)
+    assert gipk.pow_N(((gpk.S, 9, None),)) == pow(gpk.S, 9, N)
     pid = _partner_pid()
     assert pid
     with pytest.raises(_Interrupt):
         groupmath.beside(((gpk.R, 5, None),), N, interrupted)
     assert _partner_pid() == pid
-    assert gipk.pow_N(gpk.S, 11) == pow(gpk.S, 11, N)
+    assert gipk.pow_N(((gpk.S, 11, None),)) == pow(gpk.S, 11, N)
     _, requests, replies = groupmath._partner
     groupmath._partner = pid, requests, _CutOff(replies)
     with pytest.raises(_Interrupt):
@@ -293,7 +294,7 @@ def test_interrupted_exchange_reaps_the_partner(desk_group, desk_partner):
     assert groupmath._partner is None
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
-    assert gipk.pow_N(gpk.Z, -3) == pow(gpk.Z, -3, N)
+    assert gipk.pow_N(((gpk.Z, -3, None),)) == pow(gpk.Z, -3, N)
     assert _partner_pid() not in (0, pid)
 
 
@@ -301,7 +302,7 @@ def test_forked_child_leaves_its_parents_partner_alone(desk_group,
                                                        desk_partner):
     gpk, gipk = desk_group
     N = gpk.N
-    assert gipk.pow_N(gpk.R, 99) == pow(gpk.R, 99, N)
+    assert gipk.pow_N(((gpk.R, 99, None),)) == pow(gpk.R, 99, N)
     pid = _partner_pid()
     child = os.fork()
     if child == 0:
@@ -309,13 +310,13 @@ def test_forked_child_leaves_its_parents_partner_alone(desk_group,
         status = 1
         try:
             if (groupmath._partner is False
-                    and gipk.pow_N(gpk.S, -5) == pow(gpk.S, -5, N)
+                    and gipk.pow_N(((gpk.S, -5, None),)) == pow(gpk.S, -5, N)
                     and groupmath._partner is False):
                 status = 0
         finally:
             os._exit(status)
     assert os.waitpid(child, 0)[1] == 0
-    assert gipk.pow_N(gpk.Z, 77) == pow(gpk.Z, 77, N)
+    assert gipk.pow_N(((gpk.Z, 77, None),)) == pow(gpk.Z, 77, N)
     assert _partner_pid() == pid
 
 
@@ -325,7 +326,7 @@ def test_process_that_used_a_partner_leaves_none_at_exit():
         "from chainanchor.epid import GroupIssuingPrivateKey\n"
         f"p, q = {FULL_P_N}, {FULL_Q_N}\n"
         "key = GroupIssuingPrivateKey(p, q, (p - 1) // 2, (q - 1) // 2)\n"
-        "ok = key.pow_N(3, 1 << 2100) == pow(3, 1 << 2100, p * q)\n"
+        "ok = key.pow_N(((3, 1 << 2100, None),)) == pow(3, 1 << 2100, p * q)\n"
         "pid = groupmath._partner[0] if groupmath._partner else 0\n"
         "print(pid, ok)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
