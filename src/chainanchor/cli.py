@@ -8,6 +8,8 @@ rejected step is part of the simulated history.  A proved PSK session is
 not burned; it stays open until a key is registered in it.
 
 Exit codes: 0 success, 1 usage, 2 protocol error, 3 invariant violation.
+A profile whose lengths leave too few primes for a search ends in 1, and
+the command writes no world file.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 
 from .demo import run_demo
-from .errors import InvariantViolation, ProtocolError
+from .errors import InvariantViolation, ProtocolError, SearchExhausted
 from .groupmath import PROFILES, load_profiles
 from .world import World
 
@@ -175,6 +177,11 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"{exc}", file=sys.stderr)
         return EXIT_PROTOCOL
+    except SearchExhausted as exc:
+        print(f"{args.command} failed: {exc} (the profile's lengths leave "
+              f"too few primes, or the randomness source is broken)",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _load_world(args, parser) -> World:

@@ -23,5 +23,10 @@ class CredentialError(ProtocolError):
         super().__init__(message)
 
 
+class SearchExhausted(ChainAnchorError, RuntimeError):
+    """A capped search drew every candidate it may without the prime it
+    needs: the profile's lengths leave too few, or the source is broken."""
+
+
 class InvariantViolation(ChainAnchorError):
     """A scripted run detected a broken system invariant."""

@@ -25,7 +25,7 @@ import threading
 from array import array
 from dataclasses import dataclass
 
-from .errors import ProtocolError
+from .errors import ProtocolError, SearchExhausted
 from .serial import Record, SignedJsonInt
 
 # Single fixed hash for Fiat-Shamir challenges, basename derivation and key
@@ -362,8 +362,9 @@ def power_product(terms, mod: int) -> int:
 # the partner process
 
 # One forked copy of this process computes products of powers on a second
-# CPU while the caller does other work.  A product mod fewer bits is too
-# cheap for a pipe round trip, so desk never starts one.
+# CPU while the caller does other work, and takes half of every window of a
+# safe-prime search.  A product mod fewer bits is too cheap for a pipe round
+# trip, so desk never starts one.
 _PARTNER_MIN_BITS = 1024
 # None until first needed; (pid, request pipe, reply pipe) while it runs;
 # False in a forked child of a process that runs one.
@@ -371,7 +372,23 @@ _partner = None
 _partner_busy = False
 
 
-def _start_partner():
+def _partner_usable() -> bool:
+    """Whether work may go to a partner: this process may run on two CPUs
+    or more, has ``fork``, runs no other thread (which could share the
+    pipes or hold a lock at the fork), is not a forked child of a process
+    with a partner, and is not already waiting on the partner."""
+    return (not _partner_busy and _partner is not False
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1)
+
+
+def _start_partner() -> None:
+    """Fork the partner, if none runs and one may be used; if ``fork``
+    fails, the work stays in this process."""
+    global _partner
+    if _partner is not None or not _partner_usable():
+        return
     requests_r, requests_w = os.pipe()
     replies_r, replies_w = os.pipe()
     try:
@@ -379,10 +396,12 @@ def _start_partner():
     except OSError:
         for fd in (requests_r, requests_w, replies_r, replies_w):
             os.close(fd)
-        return None
+        return
     if pid == 0:
-        # As _across_workers' children, it leaves by os._exit alone: at EOF,
-        # once every copy of the request pipe is closed.
+        # It leaves by os._exit alone, so it never runs its parent's cleanup
+        # or flushes its inherited buffers: at EOF, once every copy of the
+        # request pipe is closed, or when a task raises other than
+        # ValueError, which its parent sees as a death.
         try:
             os.close(requests_w)
             os.close(replies_r)
@@ -390,9 +409,9 @@ def _start_partner():
                     open(replies_w, "wb") as replies, \
                     contextlib.suppress(EOFError):
                 while True:
-                    terms, mod = marshal.load(requests)
+                    name, args = marshal.load(requests)
                     try:
-                        reply = power_product(terms, mod), ""
+                        reply = _TASKS[name](*args), ""
                     except ValueError as exc:
                         reply = 0, str(exc)
                     marshal.dump(reply, replies)
@@ -401,7 +420,7 @@ def _start_partner():
             os._exit(0)
     os.close(requests_r)
     os.close(replies_w)
-    return pid, open(requests_w, "wb"), open(replies_r, "rb")
+    _partner = pid, open(requests_w, "wb"), open(replies_r, "rb")
 
 
 def stop_partner() -> None:
@@ -433,34 +452,24 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_leave_partner)
 
 
-def beside(terms, mod: int, here):
-    """``(power_product(terms, mod), here())``, the product computed by the
-    partner process while ``here()`` runs in this one; the partner's
-    ``ValueError`` is raised here.
+def _on_partner(name: str, args: tuple, here):
+    """``(_TASKS[name](*args), here())``, the task run by the partner while
+    ``here()`` runs in this one; the partner's ``ValueError`` is raised
+    here.
 
-    The product runs in the caller instead for a small modulus, on one CPU,
-    without ``fork``, beside other threads (which could share the pipes or
-    hold a lock at the fork), in a nested call, in a forked child, or when
-    the partner has died (it is then reaped): the result is the same.
+    The task runs in the caller instead when no partner runs or none may be
+    used (:func:`_partner_usable`), or when the partner dies (it is then
+    reaped): each task is a pure function of its arguments, so the result
+    is the same.
     """
-    global _partner, _partner_busy
-    if (_partner_busy or _partner is False
-            or mod.bit_length() < _PARTNER_MIN_BITS
-            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2
-            or threading.active_count() > 1):
-        return power_product(terms, mod), here()
-    if _partner is None:
-        # Fork after this first product, so that the partner inherits the
-        # comb tables it built (a one-shot command raises few powers).
-        product, result = power_product(terms, mod), here()
-        _partner = _start_partner()
-        return product, result
+    global _partner_busy
+    if not (_partner and _partner_usable()):
+        return _TASKS[name](*args), here()
     _, requests, replies = _partner
     _partner_busy, reply = True, None
     try:
         with contextlib.suppress(OSError):  # a dead partner: its reply is EOF
-            marshal.dump((terms, mod), requests)
+            marshal.dump((name, args), requests)
             requests.flush()
         try:
             result = here()
@@ -474,10 +483,26 @@ def beside(terms, mod: int, here):
             # must never be read as another: reap it.
             stop_partner()
     if reply is None:
-        return power_product(terms, mod), result
+        return _TASKS[name](*args), result
     if reply[1]:
         raise ValueError(reply[1])
     return reply[0], result
+
+
+def beside(terms, mod: int, here):
+    """``(power_product(terms, mod), here())``, the product computed by the
+    partner process (:func:`_on_partner`) while ``here()`` runs in this
+    one.  A product mod fewer than ``_PARTNER_MIN_BITS`` bits runs in the
+    caller, and the first larger one starts the partner.
+    """
+    if mod.bit_length() < _PARTNER_MIN_BITS or _partner is None:
+        product, result = power_product(terms, mod), here()
+        if mod.bit_length() >= _PARTNER_MIN_BITS:
+            # Fork after this first product, so that the partner inherits
+            # the comb tables it built (a one-shot command raises few powers).
+            _start_partner()
+        return product, result
+    return _on_partner("power_product", (terms, mod), here)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +644,9 @@ def _strong_lucas(n: int) -> bool:
 
 
 # Candidates that gen_prime, gen_prime_in_range and a safe-prime search
-# below 20 bits draw before they give up: a source that offers this many
-# without a prime among them is broken.
+# below 20 bits draw before they give up with SearchExhausted: a range that
+# holds a fair share of primes offers one long before, unless the source is
+# broken.
 _PRIME_MAX_ATTEMPTS = 100000
 
 
@@ -632,8 +658,8 @@ def gen_prime(bits: int, rng) -> int:
         cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(cand):
             return cand
-    raise RuntimeError(f"no {bits}-bit prime after {_PRIME_MAX_ATTEMPTS} "
-                       f"attempts")
+    raise SearchExhausted(f"no {bits}-bit prime after "
+                          f"{_PRIME_MAX_ATTEMPTS} attempts")
 
 
 def gen_prime_in_range(lo: int, hi: int, rng) -> int:
@@ -642,106 +668,44 @@ def gen_prime_in_range(lo: int, hi: int, rng) -> int:
         cand = rand_range(rng, lo, hi + 1) | 1
         if lo <= cand <= hi and is_probable_prime(cand):
             return cand
-    raise RuntimeError(f"no prime found in [{lo}, {hi}]")
+    raise SearchExhausted(f"no prime found in [{lo}, {hi}] after "
+                          f"{_PRIME_MAX_ATTEMPTS} attempts")
 
 
-# At most this many processes share one window of a safe-prime search,
-# however many CPUs the host offers: each is a copy of the calling process.
-_MAX_SEARCH_WORKERS = 4
-
-
-def _search_workers(bits: int) -> int:
-    """How many processes share each window of a ``bits``-bit safe-prime
-    search.
-
-    One per CPU this process may run on, up to ``_MAX_SEARCH_WORKERS``, from
-    the wide-sieve size up, where the work pays for the forks many times
-    over.  Forking copies only the calling thread, so a process running
-    other threads (whose locks could be held at the fork) works alone, as
-    does a platform without ``fork``.
-    """
-    if (bits < 512 or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), _MAX_SEARCH_WORKERS)
-
-
-def _across_workers(task, workers: int) -> list[bytes]:
-    """``[task(0), ..., task(workers - 1)]``: ``task(0)`` runs in this
-    process, the others in forked children that send back their bytes.
-
-    ``task`` returns non-empty bytes, so a child that exits without a report
-    (it raised, or was killed) raises RuntimeError here.  No child outlives
-    the call: one still running when this process raises is killed, and
-    every child is reaped.  If ``os.fork`` fails (a process limit, short of
-    memory), this process runs the tasks left over itself: a task is a pure
-    function of ``w``, so the results are the same.
-    """
-    children = []  # (pid, read end of its pipe)
-    try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                # The child leaves by os._exit alone, on every path: it must
-                # not run the caller's cleanup or flush its inherited
-                # buffers.  A child that raises exits 1 without a report.
-                status = 1
-                try:
-                    os.close(read_fd)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(task(w))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        results = [task(0)]
-        left_over = [task(w) for w in range(1 + len(children), workers)]
-        for pid, pipe in children:
-            report = pipe.read()
-            if not report:
-                raise RuntimeError(f"prime-test worker {pid} exited "
-                                   f"without a result")
-            results.append(report)
-    finally:
-        if children:
-            import signal  # only a forking search needs it
-            for pid, pipe in children:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return results + left_over
+def _shares(name: str, *args) -> list:
+    """The results of ``_TASKS[name](*args, share, shares)`` for every
+    share of a search window: two shares, share 1 on the partner
+    (:func:`_on_partner`), while a partner runs and may be used, else the
+    whole window as one share here."""
+    task = _TASKS[name]
+    if not (_partner and _partner_usable()):
+        return [task(*args, 0, 1)]
+    theirs, mine = _on_partner(name, (*args, 1, 2),
+                               lambda: task(*args, 0, 2))
+    return [mine, theirs]
 
 
 def _safe_prime_interval(q0: int, bits: int, span: int):
     """Indices i where neither q0+2i nor 2(q0+2i)+1 has a small factor.
 
-    The sieving primes are dealt out among the search's workers, and an
-    index survives only if every worker's share of the primes left it.
+    An index survives only if every share of the sieving primes
+    (:func:`_shares`) left it.
     """
-    sieve = _sieve(_WIDE_SIEVE_LIMIT) if bits >= 512 else _SMALL_PRIMES
-    workers = _search_workers(bits)
-    shares = _across_workers(
-        lambda w: _sieve_share(q0, sieve, span, w, workers), workers)
-    ok = functools.reduce(
-        operator.and_, (int.from_bytes(share, "big") for share in shares))
+    ok = functools.reduce(operator.and_, (
+        int.from_bytes(share, "big")
+        for share in _shares("_sieve_share", q0, bits, span)))
     return bytearray(ok.to_bytes(span, "big"))
 
 
-def _sieve_share(q0: int, sieve, span: int, share: int, workers: int):
-    """The sieve of :func:`_safe_prime_interval` by the odd primes of
-    ``sieve`` at positions ``share``, ``share + workers``, ... alone."""
+def _sieve_share(q0: int, bits: int, span: int, share: int, shares: int):
+    """The sieve of :func:`_safe_prime_interval` by the odd sieving primes
+    at positions ``share``, ``share + shares``, ... alone: those below 2^20
+    from 512 bits, else those below 4096."""
+    sieve = _sieve(_WIDE_SIEVE_LIMIT) if bits >= 512 else _SMALL_PRIMES
     ok = bytearray([1]) * span
     # One big-int reduction per prime; the rest is small-int arithmetic.
     cut = bisect.bisect_right(sieve, 4 * span)
-    for sp in itertools.islice(sieve, 1 + share, cut, workers):
+    for sp in itertools.islice(sieve, 1 + share, cut, shares):
         # q0 + 2i ≡ 0 (mod sp) at i0 = -r/2; 2(q0 + 2i) + 1 ≡ 0 at
         # i1 = -(2r + 1)/4 = i0 - 1/4.
         inv2 = (sp + 1) >> 1
@@ -753,7 +717,7 @@ def _sieve_share(q0: int, sieve, span: int, share: int, workers: int):
     # with t = -q0 mod sp, q0 + 2i ≡ 0 iff 2i = t, and 2(q0 + 2i) + 1 ≡ 0
     # iff 4i = (2t - 1) mod sp.  Each marks at most one index.
     neg_q0 = -q0
-    for sp in itertools.islice(sieve, cut + share, None, workers):
+    for sp in itertools.islice(sieve, cut + share, None, shares):
         t = neg_q0 % sp
         if t < 2 * span and not t & 1:
             ok[t >> 1] = 0
@@ -771,30 +735,30 @@ def _euler_base2(q: int) -> bool:
     return pow(2, q, p) == (1 if p % 8 in (1, 7) else p - 1)
 
 
-def _first_safe(qs: list[int], workers: int):
+def _first_passing(qs: list[int], share: int, shares: int) -> int:
+    """The index of the first of qs[share], qs[share + shares], ... that
+    passes the power on p and the test on q, or -1."""
+    for k in range(share, len(qs), shares):
+        if _euler_base2(qs[k]) and is_probable_prime(qs[k]):
+            return k
+    return -1
+
+
+def _first_safe(qs: list[int]):
     """The safe prime 2q + 1 for the first q in the sieved candidates
     ``qs`` that gives one, or None.
 
-    Worker w tests qs[w], qs[w + workers], ... and reports the index of its
-    first pass; the answer is the lowest index reported.  Each test is a
-    pure function of its candidate, so this is the q that a scan in order
-    finds, for any number of workers.
+    Each share of the window (:func:`_shares`) scans its candidates in
+    order and gives the index of its first pass; the answer is the lowest
+    index given.  Each test is a pure function of its candidate, so this is
+    the q that a scan in order finds, for one share or two.
 
     One power on p weeds out nearly every candidate, and q is then tested
     by :func:`is_probable_prime`.  Once q passes, p is proved prime by
     Pocklington's theorem: q > sqrt(p), 2^(p-1) = (2^q)^2 = 1 (mod p), and
     gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1 because 3 is sieved.
     """
-    workers = max(1, min(workers, len(qs)))
-
-    def first_passing(w: int) -> bytes:
-        for k in range(w, len(qs), workers):
-            if _euler_base2(qs[k]) and is_probable_prime(qs[k]):
-                return b"%d" % k
-        return b"-1"
-
-    hits = [k for k in map(int, _across_workers(first_passing, workers))
-            if k >= 0]
+    hits = [k for k in _shares("_first_passing", qs) if k >= 0]
     return 2 * qs[min(hits)] + 1 if hits else None
 
 
@@ -808,11 +772,12 @@ def gen_safe_prime(bits: int, rng, _top_two: bool = False) -> int:
     two such primes has exactly twice their bit length (RSA modulus shaping).
     Below 20 bits the search draws ``_PRIME_MAX_ATTEMPTS`` candidates,
     above it sieves a number of windows derived from ``bits``; running out
-    of either raises RuntimeError and means the randomness source is
-    broken.  From 512 bits each window is sieved and tested by forked
-    worker processes (:func:`_search_workers`), which leave no process
-    behind; the prime found does not depend on how many there are.  This
-    is the only prime search that forks.
+    of either raises :class:`SearchExhausted`, which at a small size can
+    mean that too few safe primes have the forced bits, and otherwise that
+    the randomness source is broken.  A search of 512 bits or more starts
+    the partner process (:func:`_start_partner`), which then sieves and
+    tests half of each window; the prime found does not depend on whether
+    it runs.
     """
     if bits < 4:
         raise ValueError("need bits >= 4")
@@ -825,14 +790,17 @@ def gen_safe_prime(bits: int, rng, _top_two: bool = False) -> int:
             p = 2 * q + 1
             if p.bit_length() == bits and is_probable_prime(q) and is_probable_prime(p):
                 return p
-        raise RuntimeError(f"no {bits}-bit safe prime found")
+        raise SearchExhausted(f"no {bits}-bit safe prime found")
     span = 1 << 14
     # 64 windows, plus enough that an honest source exhausts the extra ones
     # with a chance below 1e-9: a window holds about 0.086 safe primes at
     # 1024 bits and the density falls as 1/bits^2 (241 extra at 1024 bits).
     # Keeping the first 64 keeps every draw that finds a prime in them.
     windows = 64 + math.ceil(math.log(1e9) / (0.086 * (1024 / bits) ** 2))
-    workers = _search_workers(bits)
+    if bits >= 512:
+        # Built first, so that the partner inherits the wide sieve.
+        _sieve(_WIDE_SIEVE_LIMIT)
+        _start_partner()
     top = 1 << (bits - 1)
     for _ in range(windows):
         # q is (bits-1) bits; force its top bit (and next, for _top_two) so
@@ -843,10 +811,16 @@ def gen_safe_prime(bits: int, rng, _top_two: bool = False) -> int:
         ok = _safe_prime_interval(q0, bits, span)
         qs = [q0 + 2 * i for i in itertools.compress(range(span), ok)
               if q0 + 2 * i < top]
-        p = _first_safe(qs, workers)
+        p = _first_safe(qs)
         if p:
             return p
-    raise RuntimeError(f"no {bits}-bit safe prime after {windows} windows")
+    raise SearchExhausted(f"no {bits}-bit safe prime after {windows} "
+                          f"windows")
+
+
+# The only work the partner process runs, by name.
+_TASKS = {task.__name__: task
+          for task in (power_product, _sieve_share, _first_passing)}
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +851,9 @@ def subgroup_pow(base: int, exp: int, p: int, q: int) -> int:
     return fixed_base_pow(base, exp % q, p, q.bit_length())
 
 
-# A randomness source that offers this many candidates p without a prime
-# among them is broken: at 1632 bits about one in 570 is prime.
+# Candidates p that gen_schnorr_group draws before it gives up: at 1632 bits
+# about one in 570 is prime, so only a broken source or lengths that leave
+# few multipliers k (l_q close to l_p) run out.
 _SCHNORR_MAX_ATTEMPTS = 100000
 
 
@@ -894,18 +869,23 @@ def gen_schnorr_group(profile: ParameterProfile, rng):
         if (k >= lo and k % q and p.bit_length() == profile.l_p
                 and is_probable_prime(p)):
             return p, q, random_subgroup_element(p, q, rng)
-    raise RuntimeError(f"no {profile.l_p}-bit p after "
-                       f"{_SCHNORR_MAX_ATTEMPTS} attempts")
+    raise SearchExhausted(f"no {profile.l_p}-bit p after "
+                          f"{_SCHNORR_MAX_ATTEMPTS} attempts")
 
 
 def gen_rsa_group(profile: ParameterProfile, rng) -> tuple[int, int]:
-    """Safe primes (p_N, q_N) whose product N has exactly l_N bits."""
+    """Distinct safe primes (p_N, q_N) whose product N has exactly l_N
+    bits.  q_N is redrawn while it equals p_N, at most
+    ``_MAX_REJECTED_DRAWS`` times: at l_N 16, 227 is the only safe prime
+    with its top two bits set."""
     half = profile.l_N // 2
     p_N = gen_safe_prime(half, rng, _top_two=True)
-    while True:
+    for _ in range(_MAX_REJECTED_DRAWS):
         q_N = gen_safe_prime(half, rng, _top_two=True)
         if q_N != p_N:
             break
+    else:
+        raise SearchExhausted(f"no {half}-bit safe prime other than {p_N}")
     bits = (p_N * q_N).bit_length()
     if bits != profile.l_N:
         raise RuntimeError(f"modulus has {bits} bits, not {profile.l_N}")

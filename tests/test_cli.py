@@ -1,16 +1,24 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from chainanchor import cli, roles
+from chainanchor import cli, groupmath, roles
 from chainanchor.groupmath import DESK
 from chainanchor.world import World
 from conftest import TINY
+
+
+def _child_env():
+    # a child interpreter imports this checkout's package
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
 def run(capsys, *args):
@@ -82,6 +90,56 @@ def test_profiles_file_with_bad_length_is_usage_error(tmp_path, capsys,
     assert code == 1 and "cannot load profiles: profile 'bad': " in err
     assert reason in err
     assert not os.path.exists(world_path)
+
+
+def _few_primes_profile(tmp_path, **overrides):
+    lengths = {k: v for k, v in TINY.to_doc().items() if k != "name"}
+    lengths.update(overrides)
+    prof_path = tmp_path / "profiles.json"
+    prof_path.write_text(json.dumps({"few": lengths}))
+    return str(prof_path)
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    # 227 is the only 8-bit safe prime with its top two bits set, so q_N
+    # can never differ from p_N
+    (dict(l_N=16, l_f=2, l_e=6, l_e_prime=2, l_v=19, l_phi=1, l_H=8, l_p=8,
+          l_q=4), "no 8-bit safe prime other than 227"),
+    # a 30- or 31-bit q leaves a handful of multipliers k for p = kq + 1
+    ({"l_q": 31}, "no 32-bit p after 100000 attempts"),
+    ({"l_q": 30}, "no 32-bit p after 100000 attempts"),
+])
+def test_setup_on_a_profile_with_too_few_primes_is_usage_error(
+        tmp_path, overrides, reason):
+    # In a subprocess with a timeout, so that a search that never ends
+    # fails the test instead of hanging the suite.
+    world_path = str(tmp_path / "w.json")
+    env = _child_env()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainanchor.cli", "setup", "g", "--profile",
+         "few", "--profiles-file", _few_primes_profile(tmp_path, **overrides),
+         "--world", world_path],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert f"setup failed: {reason}" in proc.stderr
+    assert not os.path.exists(world_path)
+
+
+def test_join_on_a_profile_with_too_few_primes_is_usage_error(tmp_path,
+                                                              capsys):
+    # l_e_prime 1 leaves e the interval [2^15, 2^15 + 1], which holds no
+    # prime; set-up and step 2 never draw e.
+    world_path = str(tmp_path / "w.json")
+    for cmd in (("setup", "g", "--profile", "few", "--profiles-file",
+                 _few_primes_profile(tmp_path, l_e_prime=1)),
+                ("enroll", "alice")):
+        assert run(capsys, *cmd, "--world", world_path)[0] == 0
+    before = Path(world_path).read_bytes()
+    code, _, err = run(capsys, "join", "alice", "--world", world_path)
+    assert code == 1
+    assert "join failed: no prime found in [32768, 32769]" in err
+    assert Path(world_path).read_bytes() == before
+    assert "alice" in World.load(world_path).users
 
 
 def test_enroll_join_prove_register_flow(ready_world, capsys):
@@ -207,9 +265,7 @@ def test_cli_import_leaves_out_cryptography():
     # AES-GCM is imported by the sealed steps that use it, not at start-up.
     code = ("import sys, chainanchor.cli; "
             "sys.exit('cryptography' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")]
-        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env = _child_env()
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -431,12 +487,28 @@ def test_transcript_step_tags_in_protocol_order(ready_world, capsys):
     assert tags[0] == 0 and 6.7 in tags and 8 in tags
 
 
-def test_full_profile_setup_smoke(tmp_path, capsys):
-    # deployment-scale parameters: slow path, generation plus validation
+def test_full_profile_setup_smoke(tmp_path, capsys, monkeypatch):
+    # deployment-scale parameters: slow path, generation plus validation.
+    # With 2 CPUs seen, the first safe-prime search forks the partner
+    # process, and nothing else forks: not the search windows, not a
+    # second full-size search, not a desk set-up.
+    groupmath.stop_partner()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     path = str(tmp_path / "full.json")
     code, out, _ = run(capsys, "setup", "big", "--profile", "full",
                        "--seed", "1", "--world", path)
     assert code == 0 and "N 2048 bits" in out
+    assert forks == [os.getpid()]
+    groupmath.gen_safe_prime(1024, random.Random(5), _top_two=True)
+    World.create("desk", DESK, 1)
+    assert forks == [os.getpid()]
     world = World.load(path)
     assert world.profile.name == "full"
     # N comes from the two 1024-bit safe-prime searches alone; this is its

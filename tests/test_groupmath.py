@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -208,53 +209,72 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _see_cpus(monkeypatch, cpus):
+    # This process sees ``cpus`` CPUs and starts the partner if it may, so
+    # that a window has two shares on two CPUs or more and one on one.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    groupmath._start_partner()
+    assert bool(groupmath._partner) == (cpus > 1)
+
+
 @pytest.mark.parametrize("cpus", [1, None, 8])
 def test_safe_prime_512_same_for_any_worker_count(monkeypatch, cpus):
-    # One worker, one per CPU of this host (None), and the cap (8 CPUs
-    # seen) all find the prime that a scan in order finds.
-    forks = _count_forks(monkeypatch, cpus or len(os.sched_getaffinity(0)))
+    # One CPU, this host's CPUs (None) and 8 CPUs seen all find the prime
+    # that a scan in order finds; the searches fork one partner between
+    # them on two CPUs or more, and none on one.
+    cpus = cpus or len(os.sched_getaffinity(0))
+    forks = _count_forks(monkeypatch, cpus)
     for seed, prime in SAFE_512.items():
         assert gen_safe_prime(512, random.Random(seed)) == prime
-    assert bool(forks) == (groupmath._search_workers(512) > 1)
+    assert forks == ([os.getpid()] if cpus > 1 else [])
+    groupmath.stop_partner()
     assert_no_child_left()
 
 
-def test_safe_prime_window_answer_is_its_lowest_passing_index():
-    # Two workers both find one (worker 0 at index 2, worker 1 at index 1):
-    # the window's answer is index 1's for every worker count.
+def test_safe_prime_window_answer_is_its_lowest_passing_index(monkeypatch):
+    # Both shares find one (share 0 at index 2, share 1 at index 1): the
+    # window's answer is index 1's, for one share or two.
     a, b, c = ((SAFE_512[seed] - 1) // 2 for seed in (1, 2, 3))
     qs = [3 * a, b, a, c]
-    for workers in (1, 2, 3, 4):
-        assert groupmath._first_safe(qs, workers) == SAFE_512[2]
-    assert groupmath._first_safe([3 * a, 3 * b], 2) is None
-    assert groupmath._first_safe([], 2) is None
+    assert [groupmath._first_passing(qs, share, 2)
+            for share in (0, 1)] == [2, 1]
+    for cpus in (1, 2):
+        _see_cpus(monkeypatch, cpus)
+        assert groupmath._first_safe(qs) == SAFE_512[2]
+        assert groupmath._first_safe([3 * a, 3 * b]) is None
+        assert groupmath._first_safe([]) is None
+    groupmath.stop_partner()
     assert_no_child_left()
 
 
 def test_safe_prime_window_resumes_after_a_refused_confirmation(
         monkeypatch):
     # The lowest pass of the power on p (a) is refused by the prime test on
-    # q: the worker that holds it scans on, and the window finds c, ahead of
-    # b, for every worker count.
+    # q: the share that holds it scans on, and the window finds c, ahead of
+    # b, for one share or two.  The partner, forked after the patch, runs
+    # it too.
     a, b, c = ((SAFE_512[seed] - 1) // 2 for seed in (1, 2, 3))
     prime_test = groupmath.is_probable_prime
     monkeypatch.setattr(groupmath, "is_probable_prime",
                         lambda n: n != a and prime_test(n))
-    for workers in (1, 2, 3, 4):
-        assert groupmath._first_safe([3 * b, a, 3 * c, c, b],
-                                     workers) == SAFE_512[3]
+    for cpus in (1, 2):
+        _see_cpus(monkeypatch, cpus)
+        assert groupmath._first_safe([3 * b, a, 3 * c, c, b]) == SAFE_512[3]
+    groupmath.stop_partner()
     assert_no_child_left()
 
 
 def test_safe_prime_window_that_finds_its_prime_forks_once(monkeypatch):
-    # Two workers: the window's one child tests its share, and the q found
-    # is confirmed by that same test, with no second fork.
+    # Two CPUs: the partner tests its share of each window, and the q found
+    # is confirmed by that same test; the windows fork nothing beyond the
+    # partner.
     a, b = ((SAFE_512[seed] - 1) // 2 for seed in (1, 2))
     forks = _count_forks(monkeypatch, 2)
-    assert groupmath._first_safe([3 * a, b, a], 2) == SAFE_512[2]
+    groupmath._start_partner()
+    assert groupmath._first_safe([3 * a, b, a]) == SAFE_512[2]
+    assert groupmath._first_safe([a, 3 * b]) == SAFE_512[1]
     assert len(forks) == 1
-    assert groupmath._first_safe([a, 3 * b], 2) == SAFE_512[1]
-    assert len(forks) == 2
+    groupmath.stop_partner()
     assert_no_child_left()
 
 
@@ -262,26 +282,40 @@ class _Refused(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["child", "caller"])
+@pytest.mark.parametrize("failing", ["child", "killed", "caller"])
 def test_safe_prime_search_leaves_no_child_when_a_worker_fails(monkeypatch,
                                                                failing):
-    # A child that raises exits without a report, which the caller turns
-    # into RuntimeError; the caller's own error propagates as it is.  Every
-    # worker runs the power on p (not memoized, unlike the test on q) on
-    # its first candidate.
+    # A task that raises in the partner (child) or a partner killed in the
+    # middle of a window leaves its share to the caller, which finds the
+    # same prime; the caller's own error propagates as it is.  Every share
+    # runs the power on p (not memoized, unlike the test on q) on its first
+    # candidate.
     forks = _count_forks(monkeypatch, 2)
     caller, euler = os.getpid(), groupmath._euler_base2
+    killed = []
 
     def refuse(q):
-        if (os.getpid() == caller) == (failing == "caller"):
+        if os.getpid() != caller:
+            if failing == "child":
+                raise _Refused
+        elif failing == "caller":
             raise _Refused
+        elif failing == "killed" and groupmath._partner and not killed:
+            killed.append(groupmath._partner[0])
+            os.kill(killed[0], signal.SIGKILL)
         return euler(q)
 
     monkeypatch.setattr(groupmath, "_euler_base2", refuse)
-    with (pytest.raises(_Refused) if failing == "caller" else
-          pytest.raises(RuntimeError, match="without a result")):
-        gen_safe_prime(512, random.Random(1))
-    assert forks
+    if failing == "caller":
+        with pytest.raises(_Refused):
+            gen_safe_prime(512, random.Random(1))
+        assert groupmath._partner
+    else:
+        assert gen_safe_prime(512, random.Random(1)) == SAFE_512[1]
+        assert groupmath._partner is None
+        assert killed or failing == "child"
+    assert forks == [caller]
+    groupmath.stop_partner()
     assert_no_child_left()
 
 
@@ -338,20 +372,22 @@ def test_split_prime_test_same_for_any_worker_count(monkeypatch, cpus):
     for n in SPLIT_INPUTS:
         assert is_probable_prime.__wrapped__(n) == sympy.isprime(n), n
     assert not forks
-    # A window of one candidate per worker whose first or last candidate is
-    # a found q: the worker that holds it gives the safe prime, for every
-    # worker count.
+    # A window of one candidate per CPU whose first or last candidate is a
+    # found q: the share that holds it gives the safe prime, for one share
+    # or two.
+    groupmath._start_partner()
     for p in SAFE_512.values():
         q = (p - 1) // 2
         for qs in ([q] + [3 * q] * (cpus - 1), [3 * q] * (cpus - 1) + [q]):
-            assert groupmath._first_safe(qs, cpus) == p
+            assert groupmath._first_safe(qs) == p
     # The inputs, as candidates q, ahead of found ones: the answer is the
     # first q in order for which q and 2q + 1 are prime.
     qs = SPLIT_INPUTS + [(p - 1) // 2 for p in sorted(SAFE_512.values())]
     expected = next(2 * q + 1 for q in qs
                     if sympy.isprime(q) and sympy.isprime(2 * q + 1))
-    assert groupmath._first_safe(qs, cpus) == expected
-    assert bool(forks) == (cpus > 1)
+    assert groupmath._first_safe(qs) == expected
+    assert forks == ([os.getpid()] if cpus > 1 else [])
+    groupmath.stop_partner()
     assert_no_child_left()
 
 
@@ -359,8 +395,8 @@ def test_split_prime_test_turns_down_a_fermat_composite_before_forking(
         monkeypatch):
     # is_probable_prime refuses in this process every composite that trial
     # division leaves, a base-2 Fermat liar included; only a safe-prime
-    # search's window forks, and with the power on p passing every
-    # candidate, its workers' tests on q refuse them all too.
+    # search forks, to start the partner, and with the power on p passing
+    # every candidate, both shares' tests on q refuse them all too.
     forks = _count_forks(monkeypatch, 2)
     composites = [_P256 * _Q256, _P256 * _P600, _LIAR_P * (2 * _LIAR_P - 1),
                   FERMAT_LIAR_512]
@@ -368,8 +404,10 @@ def test_split_prime_test_turns_down_a_fermat_composite_before_forking(
         assert not is_probable_prime.__wrapped__(n)
     assert not forks
     monkeypatch.setattr(groupmath, "_euler_base2", lambda q: True)
-    assert groupmath._first_safe(composites, 2) is None
+    groupmath._start_partner()
+    assert groupmath._first_safe(composites) is None
     assert forks
+    groupmath.stop_partner()
     assert_no_child_left()
 
 
@@ -407,10 +445,11 @@ def test_split_prime_test_runs_in_process_when_fork_fails(monkeypatch,
 
 def test_split_prime_test_refuses_on_a_failure_in_a_childs_share(
         monkeypatch):
-    # Every round the caller runs passes and every round a child runs
-    # fails: a found q in the child's share gives no safe prime, the same
-    # window in one process gives it.  The memo is cleared first, since a
-    # child that inherits q's verdict never runs a round on it.
+    # Every round the caller runs passes and every round the partner runs
+    # fails: a found q in the partner's share gives no safe prime, the same
+    # window in one process gives it.  The memo is cleared before the
+    # partner starts, since a partner that inherits q's verdict never runs
+    # a round on it.
     forks = _count_forks(monkeypatch, 2)
     caller, mr = os.getpid(), groupmath._miller_rabin
 
@@ -418,12 +457,15 @@ def test_split_prime_test_refuses_on_a_failure_in_a_childs_share(
         return mr(n, rounds) and os.getpid() == caller
 
     monkeypatch.setattr(groupmath, "_miller_rabin", child_refuses)
+    is_probable_prime.cache_clear()
+    groupmath._start_partner()
     for p in SAFE_512.values():
-        q = (p - 1) // 2
-        is_probable_prime.cache_clear()
-        assert groupmath._first_safe([3 * q, q], 2) is None
-        assert groupmath._first_safe([3 * q, q], 1) == p
-    assert forks
+        assert groupmath._first_safe([3 * ((p - 1) // 2), (p - 1) // 2]) is None
+    groupmath.stop_partner()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for p in SAFE_512.values():
+        assert groupmath._first_safe([3 * ((p - 1) // 2), (p - 1) // 2]) == p
+    assert len(forks) == 1
     assert_no_child_left()
 
 
@@ -456,16 +498,16 @@ def test_safe_prime_interval_matches_trial_division(bits):
 
 @pytest.mark.parametrize("bits", [512, 1024])
 def test_safe_prime_interval_same_for_any_worker_count(monkeypatch, bits):
-    # The workers' shares of the sieving primes mark a full window as one
-    # process does.
+    # The two shares of the sieving primes, one on the partner, mark a full
+    # window as one process does, whatever the CPU count seen.
     rng = random.Random(bits)
     q0s = [rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1 for _ in range(3)]
     windows = []
     for cpus in (1, 2, 8):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid, cpus=cpus: set(range(cpus)))
+        _see_cpus(monkeypatch, cpus)
         windows.append([groupmath._safe_prime_interval(q0, bits, 1 << 14)
                         for q0 in q0s])
+        groupmath.stop_partner()
     assert windows[0] == windows[1] == windows[2]
     assert_no_child_left()
 
