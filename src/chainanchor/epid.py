@@ -36,11 +36,11 @@ from .groupmath import (
     int_to_bytes,
     is_probable_prime,
     jacobi,
+    modexp,
     power_product,
     rand_below,
     rand_range,
     remember,
-    subgroup_pow,
 )
 from .serial import JsonInt, Record, SignedInt
 
@@ -99,10 +99,8 @@ def _verify_dlog(proof: DlogProof, N, base, value, profile) -> bool:
     bound = 1 << (profile.l_N + profile.l_phi + profile.l_H + 1)
     if not (0 <= proof.c < (1 << profile.l_H) and 0 <= proof.s < bound):
         return False
-    try:
-        t = power_product(((base, proof.s, None), (value, -proof.c, None)), N)
-    except ValueError:
-        return False
+    # check_gpk_ranges has found value prime to N, so it has an inverse.
+    t = power_product(((base, proof.s, None), (value, -proof.c, None)), N)
     return _dlog_challenge(proof.label, N, base, value, t, profile.l_H) == proof.c
 
 
@@ -157,7 +155,7 @@ class GroupIssuingPrivateKey:
             [_prime_term(*term, self.q_N) for term in terms], self.q_N,
             lambda: power_product(
                 [_prime_term(*term, self.p_N) for term in terms], self.p_N))
-        h = (x_p - x_q) * pow(self.q_N, -1, self.p_N) % self.p_N
+        h = (x_p - x_q) * modexp(self.q_N, -1, self.p_N) % self.p_N
         return x_q + h * self.q_N
 
     def is_quadratic_residue(self, x: int) -> bool:
@@ -307,7 +305,8 @@ def _check_gpk(gpk: GroupPublicKey) -> Check:
 
 # The widest exponents of R and S are the responses: s_f for R, s_v for S,
 # one bit longer than r_f and r_v.  A comb table sized for them on first use
-# is never rebuilt.  (B_I's exponents reduce mod q: see subgroup_pow.)
+# is never rebuilt.  B_I has order q, so its exponents reduce mod q and its
+# table is sized from q.
 def _f_bits(prof: ParameterProfile) -> int:
     return prof.l_f + prof.l_phi + prof.l_H + 1
 
@@ -374,8 +373,8 @@ def join_request(gpk: GroupPublicKey, issuer_nonce: bytes, rng):
     r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
     U, t1 = beside(_R_S(gpk, f, v_prime), gpk.N,
                    lambda: power_product(_R_S(gpk, r_f, r_v), gpk.N))
-    K_I = subgroup_pow(B_I, f, gpk.p, gpk.q)
-    t2 = subgroup_pow(B_I, r_f, gpk.p, gpk.q)
+    K_I, t2 = (modexp(B_I, exp % gpk.q, gpk.p, gpk.q.bit_length())
+               for exp in (f, r_f))
     c = _join_challenge(gpk, B_I, U, K_I, t1, t2, issuer_nonce, prof.l_H)
     proof = JoinProof(c=c, s_f=r_f + c * f, s_v=r_v + c * v_prime)
 
@@ -445,8 +444,8 @@ def issue_credential(gpk: GroupPublicKey, gipk: GroupIssuingPrivateKey,
     v_double_prime = rng.getrandbits(gpk.profile.l_v)
     blinded = req.U * gipk.pow_N(
         ((gpk.S, v_double_prime, _v_bits(gpk.profile)),)) % gpk.N
-    A = gipk.pow_N(((gpk.Z * pow(blinded, -1, gpk.N) % gpk.N,
-                     pow(e, -1, order), None),))
+    A = gipk.pow_N(((gpk.Z * modexp(blinded, -1, gpk.N) % gpk.N,
+                     modexp(e, -1, order), None),))
     # A faulty A must never leave: gcd(A^e - x, N) would factor N.
     if gipk.pow_N(((A, e, None),)) * blinded % gpk.N != gpk.Z:
         raise ProtocolError("issued credential failed its self-check")
@@ -577,11 +576,11 @@ def _prove_not_revoked(tag, index, B_i, K_i, B_i_f, B, K, B_pow, f, main_c,
                        gpk, rng):
     p, q = gpk.p, gpk.q
     mu = rand_range(rng, 1, q)
-    K_i_inv = pow(K_i, -1, p)
+    K_i_inv = modexp(K_i, -1, p)
     base = B_i_f * K_i_inv % p
     if base == 1:
         raise RevokedKeyError()
-    W = pow(base, mu, p)
+    W = modexp(base, mu, p)
     alpha = f * mu % q
     beta = mu
     r_a = rand_below(rng, q)
@@ -613,7 +612,7 @@ def _verify_not_revoked(tag, index, B_i, K_i, B, K, proof, main_c, gpk) -> Check
         return _fail(f"{label} challenge range")
     # W, B and K have passed in_subgroup, so their exponents reduce mod q;
     # B_i and K_i are unchecked, so K_i is inverted, never reduced.
-    K_i_inv = pow(K_i, -1, p)
+    K_i_inv = modexp(K_i, -1, p)
     t_a = power_product(((B_i, proof.s_alpha, None),
                          (K_i_inv, proof.s_beta, None),
                          (proof.W, -proof.c % q, None)), p)
@@ -641,32 +640,27 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     prof = gpk.profile
     p, q, N = gpk.p, gpk.q, gpk.N
 
-    # B_i^f per entry, sig-RL then issuer-RL; the non-revocation proofs
-    # reuse them.
-    B_i_f = []
+    # B_i^f per revocation-list base; the non-revocation proofs reuse them.
+    B_i_f = {}
     for B_i, K_i in sig_rl.entries + issuer_rl.entries:
         # B_i outside the subgroup would make B_i^f == K_i leak f (Lim-Lee).
         if not (in_subgroup(B_i, p, q) and 1 < K_i < p):
             raise ProtocolError("revocation list entry out of range")
-        B_i_f.append(pow(B_i, sk.f, p))
-        if B_i_f[-1] == K_i:
+        B_i_f[B_i] = modexp(B_i, sk.f, p)
+        if B_i_f[B_i] == K_i:
             raise RevokedKeyError()
 
     if basename is None:
         # B = u^r for a uniform r in [1, q): uniform over the subgroup minus
         # 1, as a verifier sees it, while every power of B the signer needs
         # is one power of u on its comb.  r is never kept or sent.
-        r = rand_range(rng, 1, q)
-        B = subgroup_pow(gpk.u, r, p, q)
-
-        def B_pow(exp: int) -> int:
-            return subgroup_pow(gpk.u, r * exp, p, q)
+        base, r, bits = gpk.u, rand_range(rng, 1, q), q.bit_length()
     else:
-        B = hash_to_subgroup(basename, p, q)
+        base, r, bits = hash_to_subgroup(basename, p, q), 1, None
 
-        def B_pow(exp: int) -> int:
-            return pow(B, exp % q, p)
-    K = B_pow(sk.f)
+    def B_pow(exp: int) -> int:
+        return modexp(base, r * exp % q, p, bits)
+    B, K = B_pow(1), B_pow(sk.f)
 
     # The widest w with e*w still inside the declared s_v response interval.
     w = rng.getrandbits(prof.l_v + prof.l_phi - prof.l_e)
@@ -678,7 +672,7 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
 
     def T_and_power():
         T = power_product(((sk.A, 1, None), (gpk.S, w, _v_bits(prof))), N)
-        return T, pow(T, r_e, N)
+        return T, modexp(T, r_e, N)
 
     R_S, (T, T_r_e) = beside(_R_S(gpk, r_f, r_v), N, T_and_power)
     t1 = T_r_e * R_S % N
@@ -690,15 +684,11 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     s_f = r_f + c * sk.f
     s_v = r_v + c * v_hat
 
-    n_sig = len(sig_rl.entries)
-    sigma2 = tuple(
-        _prove_not_revoked(b"sig-rl", i, B_i, K_i, B_i_f[i], B, K, B_pow,
-                           sk.f, c, gpk, rng)
-        for i, (B_i, K_i) in enumerate(sig_rl.entries))
-    sigma3 = tuple(
-        _prove_not_revoked(b"issuer-rl", i, B_i, K_i, B_i_f[n_sig + i], B, K,
-                           B_pow, sk.f, c, gpk, rng)
-        for i, (B_i, K_i) in enumerate(issuer_rl.entries))
+    sigma2, sigma3 = (tuple(
+        _prove_not_revoked(tag, i, B_i, K_i, B_i_f[B_i], B, K, B_pow, sk.f,
+                           c, gpk, rng)
+        for i, (B_i, K_i) in enumerate(rl.entries))
+        for tag, rl in ((b"sig-rl", sig_rl), (b"issuer-rl", issuer_rl)))
 
     return MembershipSignature(B=B, K=K, T=T, c=c, s_e=s_e, s_f=s_f, s_v=s_v,
                                sig_rl_epoch=sig_rl.epoch,

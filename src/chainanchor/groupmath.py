@@ -23,6 +23,7 @@ import operator
 import os
 import threading
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ProtocolError, SearchExhausted
@@ -195,7 +196,7 @@ def load_profiles(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# fixed-base exponentiation
+# single powers
 
 def remember(record: dict, key, value, cap: int) -> None:
     """Store ``key`` in a bounded per-process record, evicting the oldest."""
@@ -211,7 +212,8 @@ def remember(record: dict, key, value, cap: int) -> None:
 # base^(2^(8*cols*k + j*cols)) over the set bits j of i.  A power reads one
 # column of every block it reaches per squaring, so it costs ``cols``
 # squarings, shared by the blocks, and at most ``cols`` multiplications per
-# block read.  Tables are built from ``*`` and ``%`` alone.
+# block read.  Tables are built from ``*`` and ``%`` alone: 7*cols squarings
+# and 255 products each, and cols more squarings per block above the first.
 _COMB_ROWS = 8
 # Up to this many blocks, each at least this many columns wide, so a short
 # table (desk's u, 20 columns) stays one block.
@@ -223,6 +225,11 @@ _COMB_MIN_COLS = 16
 # on `full`, so the cap leaves room for a second key.
 _COMB_TABLES: dict[tuple[int, int], tuple[int, list[list[int]]]] = {}
 _COMB_TABLES_MAX = 16
+
+# Modular multiplications by modulus bit length, done in this process or
+# for it by the partner (its replies carry its counts).  Each power, product
+# or table build adds its count once, from a model of its work.
+MULTIPLICATIONS: Counter[int] = Counter()
 
 
 def _comb_table(base: int, mod: int, cols: int) -> list[int]:
@@ -248,23 +255,30 @@ def _stacked_combs(base: int, mod: int, width: int):
         for _ in range(cols):
             row = row * row % mod
         tables.append(_comb_table(row, mod, cols))
+    MULTIPLICATIONS[mod.bit_length()] += blocks * (8 * cols + 255) - cols
     return cols, tables
 
 
-def fixed_base_pow(base: int, exp: int, mod: int, bits: int = 0) -> int:
-    """``pow(base, exp, mod)`` for a base that recurs, by cached combs.
+def modexp(base: int, exp: int, mod: int, bits: int | None = None) -> int:
+    """``pow(base, exp, mod)``, the one single power, counted in
+    :data:`MULTIPLICATIONS`.
 
-    The tables for (base, mod) are built on first use for exponents of up
-    to ``bits`` bits, or of ``exp``'s length if that is longer, and rebuilt
-    wider when a longer exponent arrives: a caller that passes the widest
-    exponent the base will take never pays for a second build.  A shorter
-    exponent reads only the blocks it reaches.  A negative exponent inverts
-    the result with builtin ``pow``, which raises the same ``ValueError``
-    for a base that has no inverse.  The result always equals ``pow``'s;
-    like ``pow``, the running time depends on the exponent.
+    ``bits=None`` is builtin ``pow``, counted as the binary method would
+    do it: the exponent's bit length plus its set bits.  A number marks a
+    recurring base, raised on combs for (base, mod) built on first use for
+    exponents of up to ``bits`` bits, or ``exp``'s length if longer, and
+    rebuilt wider for a longer one: a caller that passes the widest
+    exponent never pays a second build.  A shorter exponent reads only the
+    blocks it reaches, and a negative one inverts the result.  The result,
+    and the ``ValueError`` for a base with no inverse, are ``pow``'s; like
+    ``pow``, the running time depends on the exponent.
     """
+    if bits is None:
+        e = abs(exp)
+        MULTIPLICATIONS[mod.bit_length()] += e.bit_length() + e.bit_count()
+        return pow(base, exp, mod)
     if exp < 0:
-        return pow(fixed_base_pow(base, -exp, mod, bits), -1, mod)
+        return modexp(modexp(base, -exp, mod, bits), -1, mod)
     if exp == 0:
         return 1 % mod
     n = exp.bit_length()
@@ -290,6 +304,9 @@ def fixed_base_pow(base: int, exp: int, mod: int, bits: int = 0) -> int:
                 spread += (int.from_bytes(format(row, f"0{cols}b").encode(),
                                           "big") - zero) << j
         indices.append(spread.to_bytes(cols, "big"))
+    # A squaring per column and a multiplication per non-zero index.
+    MULTIPLICATIONS[mod.bit_length()] += cols + sum(
+        cols - index.count(0) for index in indices)
     acc = 1
     blocks = range(len(tables))
     for column in zip(*indices):
@@ -313,28 +330,29 @@ def power_product(terms, mod: int) -> int:
     """The product mod ``mod`` of ``base^exp`` over ``(base, exp, bits)``
     terms; it always equals the product of builtin ``pow`` calls.
 
-    A term with ``bits`` runs on its base's combs (:func:`fixed_base_pow`).
-    The other, fresh, terms share one squaring chain by Straus's method
+    A term with ``bits`` runs on its base's combs (:func:`modexp`).  The
+    other, fresh, terms share one squaring chain by Straus's method
     (Amer. Math. Monthly 1964): each reads its exponent in sliding windows
     over a table of its odd powers, so k powers pay for the squarings of
-    one.  A negative exponent first inverts its base with builtin ``pow``,
+    one.  A negative exponent first inverts its base with :func:`modexp`,
     whose ``ValueError`` for a base with no inverse passes through, and a
-    lone fresh term is one builtin ``pow``; the rest is ``*`` and ``%``.
+    lone fresh term is one builtin power; the rest is ``*`` and ``%``.
     Like ``pow``, the running time depends on the exponents.
     """
     combs, fresh = 1 % mod, []
     for base, exp, bits in terms:
         if bits is not None:
-            combs = combs * fixed_base_pow(base, exp, mod, bits) % mod
+            combs = combs * modexp(base, exp, mod, bits) % mod
         elif exp:  # base^0 = 1, 0^0 included, as pow has it
             fresh.append((base, exp))
     if len(fresh) == 1:
         (base, exp), = fresh
-        return combs * pow(base, exp, mod) % mod
+        return combs * modexp(base, exp, mod) % mod
     steps: dict[int, list[int]] = {}  # bit position -> table entries
+    tables = 0  # multiplications that build the tables
     for base, exp in fresh:
         if exp < 0:
-            base, exp = pow(base, -1, mod), -exp
+            base, exp = modexp(base, -1, mod), -exp
         digits = format(exp, "b")
         width = 1 + bisect.bisect_right(_WINDOW_FROM_BITS, len(digits))
         odd = [base % mod]
@@ -342,6 +360,7 @@ def power_product(terms, mod: int) -> int:
             square = odd[0] * odd[0] % mod
             for _ in range((1 << (width - 1)) - 1):
                 odd.append(odd[-1] * square % mod)
+            tables += 1 << (width - 1)
         # Each window runs from a set bit to the last set bit at most
         # ``width`` bits below it, so its value is odd.
         i = digits.find("1")
@@ -350,8 +369,11 @@ def power_product(terms, mod: int) -> int:
             steps.setdefault(len(digits) - 1 - j, []).append(
                 odd[int(digits[i:j + 1], 2) >> 1])
             i = digits.find("1", j + 1)
+    top = max(steps, default=-1)
+    MULTIPLICATIONS[mod.bit_length()] += top + 1 + tables + sum(
+        map(len, steps.values()))
     acc = 1 % mod
-    for position in range(max(steps, default=-1), -1, -1):
+    for position in range(top, -1, -1):
         acc = acc * acc % mod
         for entry in steps.get(position, ()):
             acc = acc * entry % mod
@@ -410,11 +432,12 @@ def _start_partner() -> None:
                     contextlib.suppress(EOFError):
                 while True:
                     name, args = marshal.load(requests)
+                    MULTIPLICATIONS.clear()
                     try:
                         reply = _TASKS[name](*args), ""
                     except ValueError as exc:
                         reply = 0, str(exc)
-                    marshal.dump(reply, replies)
+                    marshal.dump((*reply, dict(MULTIPLICATIONS)), replies)
                     replies.flush()
         finally:
             os._exit(0)
@@ -460,7 +483,7 @@ def _on_partner(name: str, args: tuple, here):
     The task runs in the caller instead when no partner runs or none may be
     used (:func:`_partner_usable`), or when the partner dies (it is then
     reaped): each task is a pure function of its arguments, so the result
-    is the same.
+    is the same.  The partner's multiplications are counted here too.
     """
     global _partner_busy
     if not (_partner and _partner_usable()):
@@ -484,6 +507,7 @@ def _on_partner(name: str, args: tuple, here):
             stop_partner()
     if reply is None:
         return _TASKS[name](*args), result
+    MULTIPLICATIONS.update(reply[2])
     if reply[1]:
         raise ValueError(reply[1])
     return reply[0], result
@@ -513,7 +537,7 @@ def jacobi(a: int, n: int) -> int:
     if n <= 0 or n % 2 == 0:
         raise ValueError("the Jacobi symbol needs an odd positive modulus")
     a %= n
-    result = 1
+    result, bits, steps = 1, n.bit_length(), 0
     while a:
         twos = (a & -a).bit_length() - 1
         a >>= twos
@@ -521,7 +545,8 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         if a % 4 == 3 and n % 4 == 3:
             result = -result
-        a, n = n % a, a
+        a, n, steps = n % a, a, steps + 1
+    MULTIPLICATIONS[bits] += steps  # one reduction a step
     return result if n == 1 else 0
 
 
@@ -581,11 +606,11 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     """One Miller-Rabin round: whether the odd n > 3 is a strong probable
     prime to ``base``."""
     r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
-    x = pow(base, (n - 1) >> r, n)
+    x = modexp(base, (n - 1) >> r, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(r - 1):
-        x = pow(x, 2, n)
+        x = modexp(x, 2, n)
         if x == n - 1:
             return True
     return False
@@ -611,7 +636,8 @@ def _strong_lucas(n: int) -> bool:
 
     With n + 1 = d * 2^s, d odd, n passes if U_d = 0 or V_(d*2^r) = 0 mod
     n for some 0 <= r < s.  Every prime above 5 passes.  The sequences run
-    on ``*`` and ``%`` alone.
+    on ``*`` and ``%`` alone: three full-size products per bit of d and two
+    per later step, not counting those by the small D and Q.
     """
     if math.isqrt(n) ** 2 == n:
         return False  # no D has (D|n) = -1
@@ -634,13 +660,12 @@ def _strong_lucas(n: int) -> bool:
             U = ((U + n if U & 1 else U) >> 1) % n
             V = ((V + n if V & 1 else V) >> 1) % n
             Qk = Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
+    steps = 0
+    while U and V and steps < s - 1:
         V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
+        steps += 1
+    MULTIPLICATIONS[n.bit_length()] += 3 * (d.bit_length() - 1) + 2 * steps
+    return not (U and V)
 
 
 # Candidates that gen_prime, gen_prime_in_range and a safe-prime search
@@ -732,7 +757,7 @@ def _euler_base2(q: int) -> bool:
     2^q = 2^((p-1)/2) is the Legendre symbol (2|p), +1 for p = ±1 mod 8
     and -1 otherwise.  Every odd prime p passes."""
     p = 2 * q + 1
-    return pow(2, q, p) == (1 if p % 8 in (1, 7) else p - 1)
+    return modexp(2, q, p) == (1 if p % 8 in (1, 7) else p - 1)
 
 
 def _first_passing(qs: list[int], share: int, shares: int) -> int:
@@ -837,18 +862,7 @@ def in_subgroup(x: int, p: int, q: int) -> bool:
     a transaction key checked at registration and again per signature, costs
     one power per process while it stays in the record.
     """
-    return 1 < x < p and pow(x, q, p) == 1
-
-
-def subgroup_pow(base: int, exp: int, p: int, q: int) -> int:
-    """``pow(base, exp, p)`` for a recurring ``base`` of order q (u, B_I).
-
-    The exponent is reduced mod q, so one comb table sized from q serves
-    every exponent, a negative one included, and is never rebuilt.  The
-    result equals ``pow``'s only because ``base^q = 1``: callers pass bases
-    built in, or checked against, the subgroup.
-    """
-    return fixed_base_pow(base, exp % q, p, q.bit_length())
+    return 1 < x < p and modexp(x, q, p) == 1
 
 
 # Candidates p that gen_schnorr_group draws before it gives up: at 1632 bits
@@ -892,6 +906,15 @@ def gen_rsa_group(profile: ParameterProfile, rng) -> tuple[int, int]:
     return p_N, q_N
 
 
+def _into_subgroup(candidates, p: int, q: int) -> int:
+    """The first cofactor power x^((p-1)/q) of the candidates above 1."""
+    if (p - 1) % q != 0:
+        raise ValueError("q must divide p - 1")
+    cofactor = (p - 1) // q
+    return next(value for value in (modexp(x, cofactor, p)
+                                    for x in candidates) if value > 1)
+
+
 @functools.lru_cache(maxsize=32)
 def hash_to_subgroup(basename: bytes, p: int, q: int) -> int:
     """Deterministically map a basename into the order-q subgroup of Z_p^*.
@@ -901,30 +924,15 @@ def hash_to_subgroup(basename: bytes, p: int, q: int) -> int:
     result is a non-identity subgroup element.  The map is pure, so results
     are memoized: the issuer base B_I is needed several times per join.
     """
-    if (p - 1) % q != 0:
-        raise ValueError("q must divide p - 1")
-    cofactor = (p - 1) // q
     nbytes = (p.bit_length() + 128) // 8
-    counter = 0
-    while True:
-        seed = canonical_encode([b"base-from-name", basename,
-                                 counter.to_bytes(4, "big")])
-        x = int.from_bytes(hash_expand(seed, nbytes), "big") % p
-        counter += 1
-        if x == 0:
-            continue
-        value = pow(x, cofactor, p)
-        if value != 1:
-            return value
+    seeds = (canonical_encode([b"base-from-name", basename,
+                               counter.to_bytes(4, "big")])
+             for counter in itertools.count())
+    return _into_subgroup((int.from_bytes(hash_expand(seed, nbytes), "big") % p
+                           for seed in seeds), p, q)
 
 
 def random_subgroup_element(p: int, q: int, rng) -> int:
     """Uniform non-identity element of the order-q subgroup of Z_p^*."""
-    if (p - 1) % q != 0:
-        raise ValueError("q must divide p - 1")
-    cofactor = (p - 1) // q
-    while True:
-        x = rand_range(rng, 2, p - 1)
-        value = pow(x, cofactor, p)
-        if value != 1:
-            return value
+    return _into_subgroup((rand_range(rng, 2, p - 1)
+                           for _ in itertools.count()), p, q)

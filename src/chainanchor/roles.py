@@ -31,6 +31,7 @@ from .groupmath import (
     hash_to_subgroup,
     in_subgroup,
     int_to_bytes,
+    modexp,
     rand_bytes,
 )
 from .serial import (
@@ -451,8 +452,8 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
         raise ProtocolError("key agreement share invalid")
     delivered_hash = hashlib.sha256(delivered_sigma.transcript_bytes()).digest()
     share_pv = schnorr.generate_keypair(params, rng)
-    psk_pv = _psk(pow(delivered_share, share_pv.secret, gpk.p), delivered_hash,
-                  challenge.m, challenge.n_pv)
+    psk_pv = _psk(modexp(delivered_share, share_pv.secret, gpk.p),
+                  delivered_hash, challenge.m, challenge.n_pv)
     confirm_pv = mac_tag(psk_pv, b"confirm-pv", [session_id.encode()])
     env = transcript.send(Envelope(
         VERIFIER_ID, ANON_ID, "step-6.5",
@@ -461,7 +462,7 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
 
     delivered_share_pv, delivered_confirm = _in_session(_SHARE_CONFIRM, env,
                                                         session_id)
-    psk_user = _psk(pow(delivered_share_pv, share_user.secret, gpk.p),
+    psk_user = _psk(modexp(delivered_share_pv, share_user.secret, gpk.p),
                     sigma_hash, m, n_pv)
     if not hmac.compare_digest(delivered_confirm, mac_tag(
             psk_user, b"confirm-pv", [session_id.encode()])):

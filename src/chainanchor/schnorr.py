@@ -19,9 +19,9 @@ from .groupmath import (
     hash_expand,
     in_subgroup,
     int_to_bytes,
+    modexp,
     power_product,
     rand_range,
-    subgroup_pow,
 )
 from .serial import Record
 
@@ -52,8 +52,8 @@ class SchnorrKeypair(Record):
 
 def generate_keypair(group: SigningGroup, rng) -> SchnorrKeypair:
     secret = rand_range(rng, 1, group.q)
-    return SchnorrKeypair(group, subgroup_pow(group.u, secret, group.p,
-                                              group.q), secret)
+    return SchnorrKeypair(group, modexp(group.u, secret % group.q, group.p,
+                                        group.q.bit_length()), secret)
 
 
 def sign(keypair: SchnorrKeypair, message: bytes):
@@ -63,7 +63,7 @@ def sign(keypair: SchnorrKeypair, message: bytes):
         [b"schnorr-nonce", int_to_bytes(keypair.secret), message])
     digest = hash_expand(nonce_seed, (g.q.bit_length() + 128) // 8)
     r = 1 + int.from_bytes(digest, "big") % (g.q - 1)
-    t = subgroup_pow(g.u, r, g.p, g.q)
+    t = modexp(g.u, r % g.q, g.p, g.q.bit_length())
     c = _challenge(g, keypair.public, t, message)
     s = (r + c * keypair.secret) % g.q
     return (c, s)

@@ -1,4 +1,3 @@
-import builtins
 import dataclasses
 import functools
 import math
@@ -422,12 +421,12 @@ def test_signer_raises_each_revoked_base_to_f_once(desk_gpk, member_key,
     rl = epid.RevocationList(entries=tuple(entries), epoch=1)
     raised = []
 
-    def counting_pow(base, exp, mod=None):
-        if mod == desk_gpk.p and exp == member_key.f:
+    def counting_modexp(base, exp, mod, bits=None):
+        if mod == desk_gpk.p and bits is None and exp == member_key.f:
             raised.append(base)
-        return builtins.pow(base, exp, mod)
+        return groupmath.modexp(base, exp, mod, bits)
 
-    monkeypatch.setattr(epid, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(epid, "modexp", counting_modexp)
     sig = sign(member_key, desk_gpk, rng, sig_rl=rl)
     assert sorted(raised) == sorted(B_i for B_i, _ in entries)
     assert verify(desk_gpk, sig, sig_rl=rl)
@@ -442,17 +441,18 @@ def _random_rl(gpk, n, rng, epoch=None):
 
 
 def _count_epid_powers_mod_p(gpk, monkeypatch):
-    """The (base, exponent) pairs of the builtin powers mod p that epid
-    takes from now on, with the subgroup-verdict record cleared first."""
+    """The (base, exponent) pairs of the single builtin powers mod p
+    (``modexp`` without ``bits``) that epid takes from now on, with the
+    subgroup-verdict record cleared first."""
     groupmath.in_subgroup.cache_clear()
     bases = []
 
-    def counting_pow(base, exp, mod=None):
-        if mod == gpk.p:
+    def counting_modexp(base, exp, mod, bits=None):
+        if mod == gpk.p and bits is None:
             bases.append((base, exp))
-        return builtins.pow(base, exp, mod)
+        return groupmath.modexp(base, exp, mod, bits)
 
-    monkeypatch.setattr(epid, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(epid, "modexp", counting_modexp)
     return bases
 
 
@@ -460,8 +460,8 @@ def _count_epid_powers_mod_p(gpk, monkeypatch):
 def test_random_base_signer_powers_mod_p_are_per_entry_only(
         desk_gpk, member_key, monkeypatch, n):
     # B = u^r, so K, t2 and each t_b run on u's comb, and t_a is one
-    # multiexp: the builtin powers left are B_i^f, K_i^-1 and W, three per
-    # entry, and each B_i and K_i is raised once.
+    # power_product: the single builtin powers left are B_i^f, K_i^-1 and
+    # W, three per entry, and each B_i and K_i is raised once.
     rng = random.Random(23)
     rl = _random_rl(desk_gpk, n, rng)
     powers = _count_epid_powers_mod_p(desk_gpk, monkeypatch)
@@ -478,8 +478,9 @@ def test_random_base_signer_powers_mod_p_are_per_entry_only(
 @pytest.mark.parametrize("n", [0, 3])
 def test_random_base_verifier_powers_mod_p_are_the_entry_inverses(
         desk_gpk, member_key, monkeypatch, n):
-    # t2, t_a and t_b are multiexp products; besides the order checks
-    # (in groupmath), the verifier's only builtin powers mod p are K_i^-1.
+    # t2, t_a and t_b are each one power_product; besides the order checks
+    # (in groupmath), the verifier's only single builtin powers mod p are
+    # K_i^-1.
     rng = random.Random(27)
     rl = _random_rl(desk_gpk, n, rng)
     sig = sign(member_key, desk_gpk, rng, sig_rl=rl)

@@ -1,12 +1,15 @@
+import ast
 import dataclasses
 import functools
 import json
 import os
+import pathlib
 import random
 import signal
 import subprocess
 import sys
 import threading
+from collections import Counter
 
 import pytest
 import sympy
@@ -19,7 +22,6 @@ from chainanchor.groupmath import (
     ParameterProfile,
     canonical_encode,
     fiat_shamir_challenge,
-    fixed_base_pow,
     gen_prime_in_range,
     gen_rsa_group,
     gen_safe_prime,
@@ -30,9 +32,9 @@ from chainanchor.groupmath import (
     is_probable_prime,
     jacobi,
     load_profiles,
+    modexp,
     power_product,
     random_subgroup_element,
-    subgroup_pow,
 )
 from chainanchor.world import World
 from conftest import TINY
@@ -913,7 +915,11 @@ def test_load_profiles_from_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fixed-base exponentiation: every answer must be builtin pow's
+# comb powers (modexp with bits): every answer must be builtin pow's
+
+def _comb_pow(base, exp, mod):
+    return modexp(base, exp, mod, 0)
+
 
 def _pow_outcome(fn, base, exp, mod):
     try:
@@ -931,7 +937,7 @@ def test_fixed_base_pow_matches_pow_on_group_bases(desk_group):
             rng.getrandbits(DESK.l_f), rng.getrandbits(DESK.l_H)]
     for base in (gpk.R, gpk.S, gpk.Z):
         for exp in exps:
-            assert fixed_base_pow(base, exp, N) == pow(base, exp, N), exp
+            assert modexp(base, exp, N, 0) == pow(base, exp, N), exp
 
 
 def test_subgroup_pow_matches_pow_on_u_and_B_I(desk_gpk, monkeypatch):
@@ -943,7 +949,8 @@ def test_subgroup_pow_matches_pow_on_u_and_B_I(desk_gpk, monkeypatch):
     s_f = rng.getrandbits(441) | 1 << 440
     for base in (desk_gpk.u, B_I):
         for exp in (0, 1, q - 1, q, q + 1, -1, -c, s_f):
-            assert subgroup_pow(base, exp, p, q) == pow(base, exp, p), exp
+            assert (modexp(base, exp % q, p, q.bit_length())
+                    == pow(base, exp, p)), exp
     # one table per base, sized from q and never widened by a longer exponent
     assert groupmath._COMB_TABLES[(B_I, p)][0] == -(-DESK.l_q // 8)
     assert len(groupmath._COMB_TABLES) == 2
@@ -958,13 +965,13 @@ def test_fixed_base_pow_grows_for_a_longer_exponent(desk_gpk, monkeypatch):
     monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
     N, base = desk_gpk.N, desk_gpk.S
     v_bits = epid._v_bits(DESK)                  # 793 bits: 100 columns
-    assert fixed_base_pow(base, 12345, N, v_bits) == pow(base, 12345, N)
+    assert modexp(base, 12345, N, v_bits) == pow(base, 12345, N)
     assert _layout(base, N) == (25, 4)           # 4 blocks of 25 columns
     exp = random.Random(41).getrandbits(900) | 1 << 900
-    assert fixed_base_pow(base, exp, N, v_bits) == pow(base, exp, N)
+    assert modexp(base, exp, N, v_bits) == pow(base, exp, N)
     assert _layout(base, N) == (29, 4)           # 901 bits: 113 columns
     # a shorter exponent keeps the wider tables
-    assert fixed_base_pow(base, 7, N, v_bits) == pow(base, 7, N)
+    assert modexp(base, 7, N, v_bits) == pow(base, 7, N)
     assert _layout(base, N) == (29, 4)
 
 
@@ -972,12 +979,12 @@ def test_fixed_base_pow_sizes_a_new_table_for_the_stated_bits():
     mod = (1 << 89) - 1
     base = 0xFACADE
     groupmath._COMB_TABLES.pop((base, mod), None)
-    assert fixed_base_pow(base, 5, mod, 200) == pow(base, 5, mod)
+    assert modexp(base, 5, mod, 200) == pow(base, 5, mod)
     assert _layout(base, mod) == (25, 1)        # fewer than 2 x 16 columns
     for exp in (2 ** 199 + 1, -(2 ** 150)):
-        assert fixed_base_pow(base, exp, mod, 200) == pow(base, exp, mod)
+        assert modexp(base, exp, mod, 200) == pow(base, exp, mod)
     assert _layout(base, mod) == (25, 1)
-    assert fixed_base_pow(base, 2 ** 260 + 7, mod, 200) == pow(base, 2 ** 260 + 7, mod)
+    assert modexp(base, 2 ** 260 + 7, mod, 200) == pow(base, 2 ** 260 + 7, mod)
     assert _layout(base, mod) == (17, 2)        # 261 bits: 33 columns
 
 
@@ -991,7 +998,7 @@ def test_fixed_base_pow_stacks_blocks_on_full_profile_widths():
                           (FULL.l_q, (16, 2)),
                           (DESK.l_q, (20, 1))):
         groupmath._COMB_TABLES.pop((3, mod), None)
-        assert fixed_base_pow(3, 5, mod, width) == pow(3, 5, mod)
+        assert modexp(3, 5, mod, width) == pow(3, 5, mod)
         assert _layout(3, mod) == layout, width
 
 
@@ -1023,15 +1030,15 @@ def test_short_exponent_reads_only_the_first_block(desk_gpk, monkeypatch):
 
     monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
     N, base = desk_gpk.N, desk_gpk.S
-    fixed_base_pow(base, 1, N, epid._v_bits(DESK))
+    modexp(base, 1, N, epid._v_bits(DESK))
     cols, tables = groupmath._COMB_TABLES[(base, N)]
     assert len(tables) == 4
     tables[1:] = [Unread() for _ in tables[1:]]
     width = cols * groupmath._COMB_ROWS
     for exp in (1, 2 ** (width - 1), 2 ** width - 1, -(2 ** width - 1)):
-        assert fixed_base_pow(base, exp, N) == pow(base, exp, N), exp
+        assert modexp(base, exp, N, 0) == pow(base, exp, N), exp
     with pytest.raises(AssertionError, match="above the exponent"):
-        fixed_base_pow(base, 2 ** width, N)
+        modexp(base, 2 ** width, N, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1045,14 +1052,14 @@ def test_stacked_combs_equal_pow_at_block_edges(data):
                           st.integers(min_value=1, max_value=2 ** 1024).map(
                               lambda k: k * factor)))   # no inverse mod mod
     groupmath._COMB_TABLES.pop((base, mod), None)
-    assert fixed_base_pow(base, 1, mod, bits) == pow(base, 1, mod)
+    assert modexp(base, 1, mod, bits) == pow(base, 1, mod)
     cols, blocks = _layout(base, mod)
     k = draw(st.integers(min_value=1, max_value=blocks))
     length = max(1, k * groupmath._COMB_ROWS * cols + draw(st.sampled_from((-1, 0, 1))))
     exp = draw(st.integers(min_value=0, max_value=2 ** (length - 1) - 1)) | 1 << (length - 1)
     if draw(st.booleans()):
         exp = -exp
-    assert (_pow_outcome(lambda b, e, m: fixed_base_pow(b, e, m, bits), base, exp, mod)
+    assert (_pow_outcome(lambda b, e, m: modexp(b, e, m, bits), base, exp, mod)
             == _pow_outcome(pow, base, exp, mod)), (cols, blocks, length)
     groupmath._COMB_TABLES.pop((base, mod), None)
 
@@ -1062,11 +1069,11 @@ def test_fixed_base_pow_odd_bases(desk_group):
     N = gpk.N
     for base in (0, N, N + gpk.R, 3 * N + 1, gipk.p_N, gipk.q_N * 5):
         for exp in (0, 1, 5, 2 ** 200 + 3, -1, -7):
-            assert (_pow_outcome(fixed_base_pow, base, exp, N)
+            assert (_pow_outcome(_comb_pow, base, exp, N)
                     == _pow_outcome(pow, base, exp, N)), (base, exp)
     # a base with no inverse raises pow's own error
     with pytest.raises(ValueError) as mine:
-        fixed_base_pow(gipk.p_N, -3, N)
+        modexp(gipk.p_N, -3, N, 0)
     with pytest.raises(ValueError) as builtin:
         pow(gipk.p_N, -3, N)
     assert str(mine.value) == str(builtin.value)
@@ -1076,14 +1083,14 @@ def test_fixed_base_pow_odd_bases(desk_group):
        st.integers(min_value=-2 ** 300, max_value=2 ** 300),
        st.integers(min_value=1, max_value=2 ** 64))
 def test_fixed_base_pow_equals_pow(base, exp, mod):
-    assert (_pow_outcome(fixed_base_pow, base, exp, mod)
+    assert (_pow_outcome(_comb_pow, base, exp, mod)
             == _pow_outcome(pow, base, exp, mod))
 
 
 def test_fixed_base_pow_record_stays_bounded():
     mod = (1 << 127) - 1
     for base in range(2, groupmath._COMB_TABLES_MAX + 5):
-        assert fixed_base_pow(base, mod - 2, mod) == pow(base, mod - 2, mod)
+        assert modexp(base, mod - 2, mod, 0) == pow(base, mod - 2, mod)
         assert (base, mod) in groupmath._COMB_TABLES
         assert len(groupmath._COMB_TABLES) <= groupmath._COMB_TABLES_MAX
     assert len(groupmath._COMB_TABLES) == groupmath._COMB_TABLES_MAX
@@ -1103,10 +1110,55 @@ def test_fixed_base_pow_builds_tables_without_pow(monkeypatch):
     base = 0xC0FFEE
     groupmath._COMB_TABLES.pop((base, mod), None)
     for _ in range(2):                           # cold, then warm
-        assert fixed_base_pow(base, 3 ** 300, mod) == pow(base, 3 ** 300, mod)
+        assert modexp(base, 3 ** 300, mod, 0) == pow(base, 3 ** 300, mod)
         assert calls == []
-    fixed_base_pow(base, -5, mod)
+    modexp(base, -5, mod, 0)
     assert len(calls) == 1                       # the inversion only
+
+
+# ---------------------------------------------------------------------------
+# the multiplication count
+
+def test_modexp_is_the_only_caller_of_pow_with_a_modulus():
+    # Every power in the package goes through modexp, which counts it.
+    calls = []
+    for path in sorted(pathlib.Path(groupmath.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, inner overwrite
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                owner.update(dict.fromkeys(ast.walk(fn),
+                                           getattr(fn, "name", "lambda")))
+        calls += [(path.name, owner.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "pow"
+                  and len(node.args) + len(node.keywords) > 2]
+    assert calls == [("groupmath.py", "modexp")]
+
+
+def test_modexp_and_power_product_count_by_their_models(monkeypatch):
+    counts = Counter()
+    monkeypatch.setattr(groupmath, "MULTIPLICATIONS", counts)
+    mod = (1 << 127) - 1
+    # builtin: the exponent's bit length plus its set bits, sign aside
+    for exp in (0b1011 << 100, -(0b1011 << 100)):
+        assert modexp(5, exp, mod) == pow(5, exp, mod)
+    assert counts == {127: 2 * (104 + 3)}
+    # a comb of 2 columns: 7 x 2 squarings and 255 entries to build, then a
+    # squaring per column and a multiplication per non-zero index
+    groupmath._COMB_TABLES.pop((3, mod), None)
+    counts.clear()
+    assert modexp(3, 0xFFFF, mod, 16) == pow(3, 0xFFFF, mod)
+    assert counts == {127: 7 * 2 + 255 + 2 + 2}
+    assert modexp(3, 1, mod, 16) == 3
+    assert counts == {127: 7 * 2 + 255 + 2 + 2 + 2 + 1}
+    groupmath._COMB_TABLES.pop((3, mod), None)
+    # a Straus chain: 4 squarings for 9's 4 bits, 2 windows per exponent
+    counts.clear()
+    assert power_product(((3, 5, None), (7, 9, None)), mod) == (
+        pow(3, 5, mod) * pow(7, 9, mod) % mod)
+    assert counts == {127: 4 + 2 + 2}
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,37 @@ def test_partner_leaves_every_byte_unchanged(profile, desk_group, full_group,
     assert groupmath._partner is None
 
 
+def _multiplications_of_a_lifecycle(gpk, gipk):
+    """The multiplications counted over a lifecycle from cleared records."""
+    groupmath._COMB_TABLES.clear()
+    for memo in (groupmath.in_subgroup, groupmath.hash_to_subgroup,
+                 groupmath.is_probable_prime):
+        memo.cache_clear()
+    epid._ACCEPTED_GPKS.clear()
+    groupmath.MULTIPLICATIONS.clear()
+    _lifecycle(gpk, gipk, 7)
+    return dict(groupmath.MULTIPLICATIONS)
+
+
+# By modulus bit length: p and the factors of N (256), N (512), the order
+# of the quadratic residues (510), q (160) and the candidates for e (120).
+LIFECYCLE_MULTIPLICATIONS = {120: 2207, 160: 1688, 256: 15837, 510: 2,
+                             512: 9715}
+
+
+def test_partner_leaves_the_multiplication_count_unchanged(
+        desk_group, desk_partner, monkeypatch):
+    # The partner's counts come back with its replies, so a product counts
+    # the same in whichever process it ran.
+    with_partner = _multiplications_of_a_lifecycle(*desk_group)
+    assert groupmath._partner
+    groupmath.stop_partner()
+    monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", 1 << 16)
+    alone = _multiplications_of_a_lifecycle(*desk_group)
+    assert groupmath._partner is None
+    assert with_partner == alone == LIFECYCLE_MULTIPLICATIONS
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
