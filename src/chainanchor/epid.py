@@ -13,6 +13,7 @@ the first failed clause; prover-side failures raise exceptions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -40,7 +41,6 @@ from .groupmath import (
     power_product,
     rand_below,
     rand_range,
-    remember,
 )
 from .serial import JsonInt, Record, SignedInt
 
@@ -228,25 +228,16 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
     return gpk, gipk
 
 
-# Group keys this process has accepted, oldest first.  Keyed on the frozen
-# key itself, so a hit needs every field equal, proofs and profile included.
-_ACCEPTED_GPKS: dict[GroupPublicKey, None] = {}
-_ACCEPTED_GPKS_MAX = 8
-
-
+@functools.lru_cache(maxsize=8)
 def validate_gpk(gpk: GroupPublicKey) -> Check:
     """Check proofs, subgroup structure and parameter lengths of a group key.
 
-    A key that passes is remembered for the life of the process, so a key
-    equal to one already accepted (a reload, a delivered copy) costs a hash
-    lookup; a rejected key is never remembered.
+    The verdict is a pure function of the key and is memoized on the frozen
+    key itself, so a hit needs every field equal, proofs and profile
+    included: a key equal to one already checked (a reload, a delivered
+    copy) costs a hash lookup, and a rejected one gives the same reason.
     """
-    if gpk in _ACCEPTED_GPKS:
-        return OK
-    check = _check_gpk(gpk)
-    if check:
-        remember(_ACCEPTED_GPKS, gpk, None, _ACCEPTED_GPKS_MAX)
-    return check
+    return _check_gpk(gpk)
 
 
 def check_gpk_ranges(gpk: GroupPublicKey) -> Check:
@@ -304,9 +295,10 @@ def _check_gpk(gpk: GroupPublicKey) -> Check:
 # fixed-base powers
 
 # The widest exponents of R and S are the responses: s_f for R, s_v for S,
-# one bit longer than r_f and r_v.  A comb table sized for them on first use
-# is never rebuilt.  B_I has order q, so its exponents reduce mod q and its
-# table is sized from q.
+# one bit longer than r_f and r_v.  Their comb tables are sized for these
+# widths, and every exponent fits them (a longer one would be a builtin
+# power).  B_I has order q, so its exponents reduce mod q and its table is
+# sized from q.
 def _f_bits(prof: ParameterProfile) -> int:
     return prof.l_f + prof.l_phi + prof.l_H + 1
 
@@ -468,20 +460,10 @@ def key_relation_holds(gpk: GroupPublicKey, key: UserMemberPrivateKey) -> bool:
     return A_e * R_f_S_v % gpk.N == gpk.Z
 
 
-# (member key, group key) pairs whose relation this process has checked and
-# found to hold, oldest first.  A rejected pair is never recorded.
-_ACCEPTED_MEMBER_KEYS: dict[tuple[UserMemberPrivateKey, GroupPublicKey], None] = {}
-_ACCEPTED_MEMBER_KEYS_MAX = 16
-
-
+@functools.lru_cache(maxsize=16)
 def _member_key_matches(gpk: GroupPublicKey, key: UserMemberPrivateKey) -> bool:
-    """``key_relation_holds``, run once per equal (key, gpk) pair."""
-    if (key, gpk) in _ACCEPTED_MEMBER_KEYS:
-        return True
-    if not key_relation_holds(gpk, key):
-        return False
-    remember(_ACCEPTED_MEMBER_KEYS, (key, gpk), None, _ACCEPTED_MEMBER_KEYS_MAX)
-    return True
+    """``key_relation_holds``, memoized per equal (gpk, key) pair."""
+    return key_relation_holds(gpk, key)
 
 
 def complete_join(state: JoinState, resp: CredentialResponse,

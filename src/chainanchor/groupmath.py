@@ -198,14 +198,6 @@ def load_profiles(path) -> dict:
 # ---------------------------------------------------------------------------
 # single powers
 
-def remember(record: dict, key, value, cap: int) -> None:
-    """Store ``key`` in a bounded per-process record, evicting the oldest."""
-    record.pop(key, None)
-    if len(record) >= cap:
-        del record[next(iter(record))]
-    record[key] = value
-
-
 # Lim-Lee comb (CRYPTO 1994) with h = 8 rows, stacked v = ``blocks`` high:
 # block k covers exponent bits [8*cols*k, 8*cols*(k+1)), cut into 8 rows of
 # ``cols`` bits, and entry i of its table is the product of
@@ -219,12 +211,6 @@ _COMB_ROWS = 8
 # table (desk's u, 20 columns) stays one block.
 _COMB_BLOCKS = 4
 _COMB_MIN_COLS = 16
-# (base, mod) -> (cols, [table of block 0, block 1, ...]), oldest first; a
-# 256-entry 2048-bit table is ~79 KB.  One group key uses 9 records (R, S, Z
-# mod N; u, B_I mod p; the issuer's R and S mod each factor of N), ~1.5 MB
-# on `full`, so the cap leaves room for a second key.
-_COMB_TABLES: dict[tuple[int, int], tuple[int, list[list[int]]]] = {}
-_COMB_TABLES_MAX = 16
 
 # Modular multiplications by modulus bit length, done in this process or
 # for it by the partner (its replies carry its counts).  Each power, product
@@ -242,9 +228,13 @@ def _comb_table(base: int, mod: int, cols: int) -> list[int]:
     return table
 
 
+# A 256-entry 2048-bit table is ~79 KB.  One group key uses 9 entries (R,
+# S, Z mod N; u, B_I mod p; the issuer's R and S mod each factor of N),
+# ~1.5 MB on `full`, so the cap leaves room for a second key.
+@functools.lru_cache(maxsize=16)
 def _stacked_combs(base: int, mod: int, width: int):
-    """``(cols, tables)`` for exponents of up to ``width`` bits: at most
-    ``_COMB_BLOCKS`` blocks of at least ``_COMB_MIN_COLS`` columns."""
+    """Shared, read-only ``(cols, tables)`` for exponents of up to ``width``
+    bits: at most ``_COMB_BLOCKS`` blocks of ``_COMB_MIN_COLS``+ columns."""
     columns = -(-width // _COMB_ROWS)
     blocks = max(1, min(_COMB_BLOCKS, columns // _COMB_MIN_COLS))
     cols = -(-columns // blocks)
@@ -265,28 +255,20 @@ def modexp(base: int, exp: int, mod: int, bits: int | None = None) -> int:
 
     ``bits=None`` is builtin ``pow``, counted as the binary method would
     do it: the exponent's bit length plus its set bits.  A number marks a
-    recurring base, raised on combs for (base, mod) built on first use for
-    exponents of up to ``bits`` bits, or ``exp``'s length if longer, and
-    rebuilt wider for a longer one: a caller that passes the widest
-    exponent never pays a second build.  A shorter exponent reads only the
-    blocks it reaches, and a negative one inverts the result.  The result,
-    and the ``ValueError`` for a base with no inverse, are ``pow``'s; like
-    ``pow``, the running time depends on the exponent.
+    recurring base, raised on the combs for (base, mod, bits), built on
+    first use for exponents of up to ``bits`` bits; a longer exponent, or
+    zero, is one builtin power.  A shorter exponent reads only the blocks
+    it reaches, and a negative one inverts the result.  The result, and the
+    ``ValueError`` for a base with no inverse, are ``pow``'s; like ``pow``,
+    the running time depends on the exponent.
     """
-    if bits is None:
-        e = abs(exp)
-        MULTIPLICATIONS[mod.bit_length()] += e.bit_length() + e.bit_count()
+    n = abs(exp).bit_length()
+    if bits is None or not 0 < n <= bits:
+        MULTIPLICATIONS[mod.bit_length()] += n + abs(exp).bit_count()
         return pow(base, exp, mod)
     if exp < 0:
         return modexp(modexp(base, -exp, mod, bits), -1, mod)
-    if exp == 0:
-        return 1 % mod
-    n = exp.bit_length()
-    entry = _COMB_TABLES.get((base, mod))
-    if entry is None or entry[0] * _COMB_ROWS * len(entry[1]) < n:
-        entry = _stacked_combs(base, mod, max(bits, n))
-        remember(_COMB_TABLES, (base, mod), entry, _COMB_TABLES_MAX)
-    cols, tables = entry
+    cols, tables = _stacked_combs(base, mod, bits)
     width = cols * _COMB_ROWS
     tables = tables[:-(-n // width)]
     mask = (1 << cols) - 1
@@ -769,22 +751,31 @@ def _first_passing(qs: list[int], share: int, shares: int) -> int:
     return -1
 
 
+# Candidates per share in each block of a safe-prime window, the most a
+# share tests past the answer; each block is a round trip to the partner.
+_SCAN_BLOCK = 8
+
+
 def _first_safe(qs: list[int]):
     """The safe prime 2q + 1 for the first q in the sieved candidates
     ``qs`` that gives one, or None.
 
-    Each share of the window (:func:`_shares`) scans its candidates in
-    order and gives the index of its first pass; the answer is the lowest
-    index given.  Each test is a pure function of its candidate, so this is
-    the q that a scan in order finds, for one share or two.
+    Each share (:func:`_shares`) of a block of ``2 * _SCAN_BLOCK``
+    candidates scans its candidates in order and gives the index of its
+    first pass; the answer is the lowest index given in the first block
+    with one.  Each test is a pure function of its candidate, so this is the
+    q that a scan in order finds, for one share or two.
 
     One power on p weeds out nearly every candidate, and q is then tested
     by :func:`is_probable_prime`.  Once q passes, p is proved prime by
     Pocklington's theorem: q > sqrt(p), 2^(p-1) = (2^q)^2 = 1 (mod p), and
     gcd(2^((p-1)/q) - 1, p) = gcd(3, p) = 1 because 3 is sieved.
     """
-    hits = [k for k in _shares("_first_passing", qs) if k >= 0]
-    return 2 * qs[min(hits)] + 1 if hits else None
+    size = 2 * _SCAN_BLOCK
+    for block in (qs[i:i + size] for i in range(0, len(qs), size)):
+        if hits := [k for k in _shares("_first_passing", block) if k >= 0]:
+            return 2 * block[min(hits)] + 1
+    return None
 
 
 def gen_safe_prime(bits: int, rng, _top_two: bool = False) -> int:

@@ -106,6 +106,8 @@ class World:
         """Step 2: provision the account and run the authenticated
         membership request; an account holder whose request was refused
         runs it again."""
+        if not name:
+            raise ProtocolError("user name is empty")
         user = self.users.get(name)
         if user is not None and (
                 self.group_id in user.enrollments
@@ -202,6 +204,8 @@ class World:
 
     def add_outsider(self, name: str):
         """A keypair-holder who never joined; used to exercise access control."""
+        if not name:
+            raise ProtocolError("user name is empty")
         if name in self.users:
             raise ProtocolError(f"user {name!r} already exists")
         self.clock.tick()
@@ -227,6 +231,8 @@ class World:
         return tx.txid
 
     def add_node(self, node_id: str, dishonest: bool = False):
+        if not node_id:
+            raise ProtocolError("node id is empty")
         if any(n.node_id == node_id for n in self.nodes):
             raise ProtocolError(f"node {node_id!r} already exists")
         self.nodes.append(ledger.ConsensusNode(node_id=node_id,

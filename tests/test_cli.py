@@ -197,6 +197,16 @@ def test_rejected_unknown_user_leaves_world_file_unchanged(ready_world, capsys):
         assert Path(ready_world).read_bytes() == before, cmd
 
 
+def test_empty_user_or_node_name_is_refused(ready_world, capsys):
+    before = Path(ready_world).read_bytes()
+    for cmd, reason in ((("enroll", ""), "user name is empty"),
+                        (("outsider", ""), "user name is empty"),
+                        (("add-node", ""), "node id is empty")):
+        code, _, err = run(capsys, *cmd, "--world", ready_world)
+        assert code == 2 and reason in err, cmd
+        assert Path(ready_world).read_bytes() == before, cmd
+
+
 def test_refused_key_index_leaves_world_file_unchanged(ready_world, capsys):
     for cmd in (("enroll", "alice"), ("join", "alice"), ("prove", "alice")):
         assert run(capsys, *cmd, "--world", ready_world)[0] == 0

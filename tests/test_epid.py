@@ -109,10 +109,12 @@ def test_malformed_key_is_refused_before_any_power(desk_gpk, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the per-process record of accepted group keys
+# the per-process memo of group-key verdicts
 
 def _spy_check(monkeypatch):
-    """Count the full validations that validate_gpk runs from now on."""
+    """Count the full validations that validate_gpk runs from now on, from
+    an empty memo, so that an earlier test cannot hide a run."""
+    epid.validate_gpk.cache_clear()
     runs = []
     check = epid._check_gpk
 
@@ -125,12 +127,12 @@ def _spy_check(monkeypatch):
 
 
 def test_validate_remembers_accepted_key_by_value(desk_gpk, monkeypatch):
-    assert epid.validate_gpk(desk_gpk)
     runs = _spy_check(monkeypatch)
+    assert epid.validate_gpk(desk_gpk)
     copy = epid.GroupPublicKey.from_doc(desk_gpk.to_doc())
     assert copy is not desk_gpk
     assert epid.validate_gpk(copy)
-    assert runs == []
+    assert runs == [desk_gpk]
 
 
 def _field_changes(gpk):
@@ -148,8 +150,8 @@ def _field_changes(gpk):
 
 
 def test_validate_reruns_and_rejects_any_changed_field(desk_gpk, monkeypatch):
-    assert epid.validate_gpk(desk_gpk)
     runs = _spy_check(monkeypatch)
+    assert epid.validate_gpk(desk_gpk)
     for name, change in _field_changes(desk_gpk).items():
         bad = dataclasses.replace(desk_gpk, **change)
         assert not epid.validate_gpk(bad), name
@@ -157,24 +159,29 @@ def test_validate_reruns_and_rejects_any_changed_field(desk_gpk, monkeypatch):
 
 
 def test_validate_never_records_rejected_key(desk_gpk, monkeypatch):
+    # Both verdicts are memoized: a repeated rejection gives the same
+    # reason from memory, and the check runs once.
     bad = dataclasses.replace(desk_gpk, u=desk_gpk.p - 1)
-    size = len(epid._ACCEPTED_GPKS)
     runs = _spy_check(monkeypatch)
     for _ in range(2):
         res = epid.validate_gpk(bad)
         assert not res and res.reason == "u order"
-    assert len(runs) == 2
-    assert len(epid._ACCEPTED_GPKS) == size
+    assert runs == [bad]
 
 
-def test_validate_record_stays_bounded(desk_gpk):
+def test_validate_record_stays_bounded(desk_gpk, monkeypatch):
     # The issuer basename is outside every validation clause, so each of
     # these keys is distinct and valid.
-    for i in range(epid._ACCEPTED_GPKS_MAX + 3):
-        key = dataclasses.replace(desk_gpk, issuer_basename=b"bound-%d" % i)
+    runs = _spy_check(monkeypatch)
+    info = epid.validate_gpk.cache_info
+    keys = [dataclasses.replace(desk_gpk, issuer_basename=b"bound-%d" % i)
+            for i in range(info().maxsize + 3)]
+    for key in keys:
         assert epid.validate_gpk(key)
-        assert key in epid._ACCEPTED_GPKS
-    assert len(epid._ACCEPTED_GPKS) == epid._ACCEPTED_GPKS_MAX
+        assert epid.validate_gpk(key)           # a hit
+        assert info().currsize <= info().maxsize
+    assert info().currsize == info().maxsize == 8
+    assert runs == keys
 
 
 def test_issuer_crt_power_matches_builtin_pow(desk_group):
@@ -666,7 +673,9 @@ def test_sign_rejects_mismatched_key(desk_gpk, member_key):
 
 
 def _spy_key_relation(monkeypatch):
-    """Count the member-key relation checks run from now on."""
+    """Count the member-key relation checks run from now on, from an empty
+    memo, so that an earlier test cannot hide a run."""
+    epid._member_key_matches.cache_clear()
     runs = []
     holds = epid.key_relation_holds
 
@@ -681,37 +690,41 @@ def _spy_key_relation(monkeypatch):
 def test_sign_checks_an_equal_member_key_once(desk_gpk, member_key,
                                               monkeypatch):
     rng = random.Random(29)
-    assert verify(desk_gpk, sign(member_key, desk_gpk, rng))
     runs = _spy_key_relation(monkeypatch)
+    assert verify(desk_gpk, sign(member_key, desk_gpk, rng))
     copy = dataclasses.replace(member_key)
     assert copy is not member_key
     assert verify(desk_gpk, sign(copy, desk_gpk, rng))
-    assert runs == []
+    assert runs == [member_key]
 
 
 @pytest.mark.parametrize("field", ["A", "e", "f", "v"])
 def test_sign_rejects_a_member_key_changed_in_one_field(desk_gpk, member_key,
                                                         field, monkeypatch):
-    sign(member_key, desk_gpk, random.Random(30))      # the pair is recorded
     runs = _spy_key_relation(monkeypatch)
+    sign(member_key, desk_gpk, random.Random(30))      # the pair is recorded
     wrong = dataclasses.replace(member_key,
                                 **{field: getattr(member_key, field) + 1})
+    # The failed relation is memoized too: the same refusal, checked once.
     for _ in range(2):
         with pytest.raises(ProtocolError,
                            match="member key does not match group public key"):
             sign(wrong, desk_gpk, random.Random(31))
-    assert runs == [wrong, wrong]
-    assert (wrong, desk_gpk) not in epid._ACCEPTED_MEMBER_KEYS
+    assert runs == [member_key, wrong]
 
 
-def test_member_key_record_stays_bounded(desk_group):
+def test_member_key_record_stays_bounded(desk_group, monkeypatch):
     gpk, gipk = desk_group
     rng = random.Random(32)
-    for _ in range(epid._ACCEPTED_MEMBER_KEYS_MAX + 2):
-        key = make_member(gpk, gipk, rng)
-        assert (key, gpk) in epid._ACCEPTED_MEMBER_KEYS
-        assert len(epid._ACCEPTED_MEMBER_KEYS) <= epid._ACCEPTED_MEMBER_KEYS_MAX
-    assert len(epid._ACCEPTED_MEMBER_KEYS) == epid._ACCEPTED_MEMBER_KEYS_MAX
+    runs = _spy_key_relation(monkeypatch)
+    info = epid._member_key_matches.cache_info
+    keys = []
+    for _ in range(info().maxsize + 2):
+        keys.append(make_member(gpk, gipk, rng))
+        assert epid._member_key_matches(gpk, keys[-1])     # a hit
+        assert info().currsize <= info().maxsize
+    assert info().currsize == info().maxsize == 16
+    assert runs == keys
 
 
 def test_verify_answers_sigma1_for_a_non_invertible_Z(desk_group, member_key):

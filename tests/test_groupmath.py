@@ -280,6 +280,27 @@ def test_safe_prime_window_that_finds_its_prime_forks_once(monkeypatch):
     assert_no_child_left()
 
 
+def test_safe_prime_search_with_a_partner_counts_at_most_one_block_more(
+        monkeypatch):
+    # The window that holds the prime is scanned in blocks, so past the
+    # answer the share without it tests at most one block of candidates:
+    # each at most two powers (on p, then the strong test of q) of at most
+    # two multiplications per bit.
+    one_block = groupmath._SCAN_BLOCK * 2 * 2 * 512
+    for seed, prime in SAFE_512.items():
+        counts = []
+        for cpus in (1, 2):
+            is_probable_prime.cache_clear()
+            _see_cpus(monkeypatch, cpus)
+            groupmath.MULTIPLICATIONS.clear()
+            assert gen_safe_prime(512, random.Random(seed)) == prime
+            counts.append(sum(groupmath.MULTIPLICATIONS.values()))
+            groupmath.stop_partner()
+        alone, beside = counts
+        assert alone <= beside <= alone + one_block, seed
+    assert_no_child_left()
+
+
 class _Refused(Exception):
     pass
 
@@ -918,7 +939,8 @@ def test_load_profiles_from_file(tmp_path):
 # comb powers (modexp with bits): every answer must be builtin pow's
 
 def _comb_pow(base, exp, mod):
-    return modexp(base, exp, mod, 0)
+    """``modexp`` on combs sized for the exponent's width."""
+    return modexp(base, exp, mod, abs(exp).bit_length())
 
 
 def _pow_outcome(fn, base, exp, mod):
@@ -937,11 +959,11 @@ def test_fixed_base_pow_matches_pow_on_group_bases(desk_group):
             rng.getrandbits(DESK.l_f), rng.getrandbits(DESK.l_H)]
     for base in (gpk.R, gpk.S, gpk.Z):
         for exp in exps:
-            assert modexp(base, exp, N, 0) == pow(base, exp, N), exp
+            assert _comb_pow(base, exp, N) == pow(base, exp, N), exp
 
 
-def test_subgroup_pow_matches_pow_on_u_and_B_I(desk_gpk, monkeypatch):
-    monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
+def test_subgroup_pow_matches_pow_on_u_and_B_I(desk_gpk):
+    groupmath._stacked_combs.cache_clear()
     p, q = desk_gpk.p, desk_gpk.q
     B_I = hash_to_subgroup(desk_gpk.issuer_basename, p, q)
     rng = random.Random(42)
@@ -951,41 +973,49 @@ def test_subgroup_pow_matches_pow_on_u_and_B_I(desk_gpk, monkeypatch):
         for exp in (0, 1, q - 1, q, q + 1, -1, -c, s_f):
             assert (modexp(base, exp % q, p, q.bit_length())
                     == pow(base, exp, p)), exp
-    # one table per base, sized from q and never widened by a longer exponent
-    assert groupmath._COMB_TABLES[(B_I, p)][0] == -(-DESK.l_q // 8)
-    assert len(groupmath._COMB_TABLES) == 2
+    # one table per base, sized from q
+    assert _layout(B_I, p, q.bit_length())[0] == -(-DESK.l_q // 8)
+    assert groupmath._stacked_combs.cache_info().currsize == 2
 
 
-def _layout(base, mod):
-    cols, tables = groupmath._COMB_TABLES[(base, mod)]
+def _layout(base, mod, bits):
+    """``(cols, blocks)`` of the combs already built for (base, mod, bits)."""
+    info = groupmath._stacked_combs.cache_info
+    hits = info().hits
+    cols, tables = groupmath._stacked_combs(base, mod, bits)
+    assert info().hits == hits + 1, "no combs were built for these bits"
     return cols, len(tables)
 
 
 def test_fixed_base_pow_grows_for_a_longer_exponent(desk_gpk, monkeypatch):
-    monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
+    groupmath._stacked_combs.cache_clear()
     N, base = desk_gpk.N, desk_gpk.S
     v_bits = epid._v_bits(DESK)                  # 793 bits: 100 columns
     assert modexp(base, 12345, N, v_bits) == pow(base, 12345, N)
-    assert _layout(base, N) == (25, 4)           # 4 blocks of 25 columns
+    assert _layout(base, N, v_bits) == (25, 4)   # 4 blocks of 25 columns
+    # a longer exponent is one builtin power, counted as one: no table is
+    # built or widened for it
+    counts = Counter()
+    monkeypatch.setattr(groupmath, "MULTIPLICATIONS", counts)
     exp = random.Random(41).getrandbits(900) | 1 << 900
-    assert modexp(base, exp, N, v_bits) == pow(base, exp, N)
-    assert _layout(base, N) == (29, 4)           # 901 bits: 113 columns
-    # a shorter exponent keeps the wider tables
-    assert modexp(base, 7, N, v_bits) == pow(base, 7, N)
-    assert _layout(base, N) == (29, 4)
+    for e in (exp, -exp):
+        assert modexp(base, e, N, v_bits) == pow(base, e, N)
+    assert counts == {512: 2 * (901 + exp.bit_count())}
+    assert groupmath._stacked_combs.cache_info().currsize == 1
+    assert _layout(base, N, v_bits) == (25, 4)
 
 
 def test_fixed_base_pow_sizes_a_new_table_for_the_stated_bits():
     mod = (1 << 89) - 1
     base = 0xFACADE
-    groupmath._COMB_TABLES.pop((base, mod), None)
+    groupmath._stacked_combs.cache_clear()
     assert modexp(base, 5, mod, 200) == pow(base, 5, mod)
-    assert _layout(base, mod) == (25, 1)        # fewer than 2 x 16 columns
+    assert _layout(base, mod, 200) == (25, 1)   # fewer than 2 x 16 columns
     for exp in (2 ** 199 + 1, -(2 ** 150)):
         assert modexp(base, exp, mod, 200) == pow(base, exp, mod)
-    assert _layout(base, mod) == (25, 1)
-    assert modexp(base, 2 ** 260 + 7, mod, 200) == pow(base, 2 ** 260 + 7, mod)
-    assert _layout(base, mod) == (17, 2)        # 261 bits: 33 columns
+    assert _layout(base, mod, 200) == (25, 1)
+    assert modexp(base, 2 ** 260 + 7, mod, 261) == pow(base, 2 ** 260 + 7, mod)
+    assert _layout(base, mod, 261) == (17, 2)   # 261 bits: 33 columns
 
 
 def test_fixed_base_pow_stacks_blocks_on_full_profile_widths():
@@ -997,48 +1027,42 @@ def test_fixed_base_pow_stacks_blocks_on_full_profile_widths():
                           (FULL.l_N // 2, (32, 4)),
                           (FULL.l_q, (16, 2)),
                           (DESK.l_q, (20, 1))):
-        groupmath._COMB_TABLES.pop((3, mod), None)
         assert modexp(3, 5, mod, width) == pow(3, 5, mod)
-        assert _layout(3, mod) == layout, width
+        assert _layout(3, mod, width) == layout, width
 
 
-def test_member_lifecycles_build_each_comb_table_once(monkeypatch):
+def test_member_lifecycles_build_each_comb_table_once():
     # One group key needs 9 records: R, S, Z mod N; u, B_I mod p; the
     # issuer's R and S mod p_N and mod q_N.  Each is sized for its widest
-    # exponent and the record holds them all, so two lifecycles in one
+    # exponent and the memo holds them all, so two lifecycles in one
     # process build each record's blocks exactly once.
-    monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
-    stacked_combs = groupmath._stacked_combs
-    builds = []
-
-    def counting_combs(base, mod, width):
-        builds.append((base, mod))
-        return stacked_combs(base, mod, width)
-
-    monkeypatch.setattr(groupmath, "_stacked_combs", counting_combs)
+    groupmath._stacked_combs.cache_clear()
     world = World.create("tables", DESK, 5)
     for name in ("a", "b"):
         for step in (world.enroll, world.join, world.prove, world.register):
             step(name)
-    assert len(builds) == len(set(builds)) == 9
+    info = groupmath._stacked_combs.cache_info()
+    assert info.misses == info.currsize == 9
 
 
-def test_short_exponent_reads_only_the_first_block(desk_gpk, monkeypatch):
+def test_short_exponent_reads_only_the_first_block(desk_gpk):
     class Unread(list):
         def __getitem__(self, index):
             raise AssertionError("a block above the exponent was read")
 
-    monkeypatch.setattr(groupmath, "_COMB_TABLES", {})
-    N, base = desk_gpk.N, desk_gpk.S
-    modexp(base, 1, N, epid._v_bits(DESK))
-    cols, tables = groupmath._COMB_TABLES[(base, N)]
+    groupmath._stacked_combs.cache_clear()
+    N, base, bits = desk_gpk.N, desk_gpk.S, epid._v_bits(DESK)
+    cols, tables = groupmath._stacked_combs(base, N, bits)
     assert len(tables) == 4
     tables[1:] = [Unread() for _ in tables[1:]]
-    width = cols * groupmath._COMB_ROWS
-    for exp in (1, 2 ** (width - 1), 2 ** width - 1, -(2 ** width - 1)):
-        assert modexp(base, exp, N, 0) == pow(base, exp, N), exp
-    with pytest.raises(AssertionError, match="above the exponent"):
-        modexp(base, 2 ** width, N, 0)
+    try:
+        width = cols * groupmath._COMB_ROWS
+        for exp in (1, 2 ** (width - 1), 2 ** width - 1, -(2 ** width - 1)):
+            assert modexp(base, exp, N, bits) == pow(base, exp, N), exp
+        with pytest.raises(AssertionError, match="above the exponent"):
+            modexp(base, 2 ** width, N, bits)
+    finally:
+        groupmath._stacked_combs.cache_clear()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1047,13 +1071,12 @@ def test_stacked_combs_equal_pow_at_block_edges(data):
     draw = data.draw
     factor = draw(st.integers(min_value=2, max_value=2 ** 1024))
     mod = factor * draw(st.integers(min_value=1, max_value=2 ** 1024))
-    bits = draw(st.integers(min_value=0, max_value=2600))
+    bits = draw(st.integers(min_value=1, max_value=2600))
     base = draw(st.one_of(st.integers(min_value=0, max_value=2 ** 2048),
                           st.integers(min_value=1, max_value=2 ** 1024).map(
                               lambda k: k * factor)))   # no inverse mod mod
-    groupmath._COMB_TABLES.pop((base, mod), None)
     assert modexp(base, 1, mod, bits) == pow(base, 1, mod)
-    cols, blocks = _layout(base, mod)
+    cols, blocks = _layout(base, mod, bits)
     k = draw(st.integers(min_value=1, max_value=blocks))
     length = max(1, k * groupmath._COMB_ROWS * cols + draw(st.sampled_from((-1, 0, 1))))
     exp = draw(st.integers(min_value=0, max_value=2 ** (length - 1) - 1)) | 1 << (length - 1)
@@ -1061,7 +1084,6 @@ def test_stacked_combs_equal_pow_at_block_edges(data):
         exp = -exp
     assert (_pow_outcome(lambda b, e, m: modexp(b, e, m, bits), base, exp, mod)
             == _pow_outcome(pow, base, exp, mod)), (cols, blocks, length)
-    groupmath._COMB_TABLES.pop((base, mod), None)
 
 
 def test_fixed_base_pow_odd_bases(desk_group):
@@ -1073,7 +1095,7 @@ def test_fixed_base_pow_odd_bases(desk_group):
                     == _pow_outcome(pow, base, exp, N)), (base, exp)
     # a base with no inverse raises pow's own error
     with pytest.raises(ValueError) as mine:
-        modexp(gipk.p_N, -3, N, 0)
+        _comb_pow(gipk.p_N, -3, N)
     with pytest.raises(ValueError) as builtin:
         pow(gipk.p_N, -3, N)
     assert str(mine.value) == str(builtin.value)
@@ -1089,11 +1111,12 @@ def test_fixed_base_pow_equals_pow(base, exp, mod):
 
 def test_fixed_base_pow_record_stays_bounded():
     mod = (1 << 127) - 1
-    for base in range(2, groupmath._COMB_TABLES_MAX + 5):
-        assert modexp(base, mod - 2, mod, 0) == pow(base, mod - 2, mod)
-        assert (base, mod) in groupmath._COMB_TABLES
-        assert len(groupmath._COMB_TABLES) <= groupmath._COMB_TABLES_MAX
-    assert len(groupmath._COMB_TABLES) == groupmath._COMB_TABLES_MAX
+    info = groupmath._stacked_combs.cache_info
+    for base in range(2, info().maxsize + 5):
+        assert modexp(base, mod - 2, mod, 127) == pow(base, mod - 2, mod)
+        assert _layout(base, mod, 127)
+        assert info().currsize <= info().maxsize
+    assert info().currsize == info().maxsize == 16
 
 
 def test_fixed_base_pow_builds_tables_without_pow(monkeypatch):
@@ -1108,11 +1131,11 @@ def test_fixed_base_pow_builds_tables_without_pow(monkeypatch):
     monkeypatch.setattr(groupmath, "pow", counting_pow, raising=False)
     mod = (1 << 521) - 1
     base = 0xC0FFEE
-    groupmath._COMB_TABLES.pop((base, mod), None)
+    groupmath._stacked_combs.cache_clear()
     for _ in range(2):                           # cold, then warm
-        assert modexp(base, 3 ** 300, mod, 0) == pow(base, 3 ** 300, mod)
+        assert _comb_pow(base, 3 ** 300, mod) == pow(base, 3 ** 300, mod)
         assert calls == []
-    modexp(base, -5, mod, 0)
+    _comb_pow(base, -5, mod)
     assert len(calls) == 1                       # the inversion only
 
 
@@ -1147,13 +1170,16 @@ def test_modexp_and_power_product_count_by_their_models(monkeypatch):
     assert counts == {127: 2 * (104 + 3)}
     # a comb of 2 columns: 7 x 2 squarings and 255 entries to build, then a
     # squaring per column and a multiplication per non-zero index
-    groupmath._COMB_TABLES.pop((3, mod), None)
+    groupmath._stacked_combs.cache_clear()
     counts.clear()
     assert modexp(3, 0xFFFF, mod, 16) == pow(3, 0xFFFF, mod)
     assert counts == {127: 7 * 2 + 255 + 2 + 2}
     assert modexp(3, 1, mod, 16) == 3
     assert counts == {127: 7 * 2 + 255 + 2 + 2 + 2 + 1}
-    groupmath._COMB_TABLES.pop((3, mod), None)
+    # an exponent longer than the stated bits is a builtin power
+    counts.clear()
+    assert modexp(3, 0x1FFFF, mod, 16) == pow(3, 0x1FFFF, mod)
+    assert counts == {127: 17 + 17}
     # a Straus chain: 4 squarings for 9's 4 bits, 2 windows per exponent
     counts.clear()
     assert power_product(((3, 5, None), (7, 9, None)), mod) == (
@@ -1176,12 +1202,6 @@ def _product_outcome(fn, terms, mod):
         return fn(terms, mod)
     except ValueError as exc:
         return ("ValueError", str(exc))
-
-
-def _forget_combs(terms, mod):
-    for base, _, bits in terms:
-        if bits is not None:
-            groupmath._COMB_TABLES.pop((base, mod), None)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -1209,11 +1229,8 @@ def test_power_product_equals_product_of_pows(data):
                     st.integers(min_value=-2 ** 700, max_value=2 ** 700))
     bits = st.one_of(st.none(), st.integers(min_value=0, max_value=800))
     terms = draw(st.lists(st.tuples(base, exp, bits), max_size=4))
-    try:
-        assert (_product_outcome(power_product, terms, mod)
-                == _product_outcome(_pow_product, terms, mod))
-    finally:
-        _forget_combs(terms, mod)
+    assert (_product_outcome(power_product, terms, mod)
+            == _product_outcome(_pow_product, terms, mod))
 
 
 @pytest.mark.parametrize("mod", [1, 2, 1 << 64, (1 << 127) - 1])
@@ -1227,7 +1244,6 @@ def test_power_product_edge_moduli(mod):
                   [(3, -1, 8), (mod + 5, 9, None), (7, 2 ** 70, None)]):
         assert (_product_outcome(power_product, terms, mod)
                 == _product_outcome(_pow_product, terms, mod)), terms
-        _forget_combs(terms, mod)
 
 
 def test_power_product_calls_pow_only_to_invert(monkeypatch):

@@ -17,8 +17,9 @@ import threading
 
 import pytest
 
-from chainanchor import epid, groupmath
+from chainanchor import epid, groupmath, roles, schnorr
 from chainanchor.groupmath import DESK, FULL, random_subgroup_element
+from chainanchor.world import World
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -77,7 +78,7 @@ def _partner_pid():
 def _lifecycle(gpk, gipk, seed):
     """The digest of every value of a join, a key check, a signature against
     two sig-RL entries, its verdict and CRT powers."""
-    epid._ACCEPTED_MEMBER_KEYS.clear()
+    epid._member_key_matches.cache_clear()
     rng = random.Random(seed)
     state, request = epid.join_request(gpk, b"nonce", rng)
     response = epid.issue_credential(gpk, gipk, request, b"nonce", rng)
@@ -107,6 +108,29 @@ LIFECYCLE_DIGESTS = {
 }
 
 
+def test_every_comb_call_fits_its_stated_width(desk_group, monkeypatch):
+    # A call whose exponent outgrows its stated bits is a builtin power, so
+    # a call site that states too small a width would lose its comb.
+    calls = []
+    modexp = groupmath.modexp
+
+    def spy(base, exp, mod, bits=None):
+        if bits is not None:
+            calls.append((abs(exp).bit_length(), bits))
+        return modexp(base, exp, mod, bits)
+
+    for module in (groupmath, epid, schnorr, roles):
+        monkeypatch.setattr(module, "modexp", spy)
+    _lifecycle(*desk_group, 7)
+    world = World.create("widths", DESK, 5)
+    for step in (world.enroll, world.join, world.prove, world.register):
+        step("a")
+    world.tx("a", 0, b"pay")
+    world.add_node("n")
+    world.mine("n")
+    assert calls and all(n <= bits for n, bits in calls)
+
+
 @pytest.mark.parametrize("profile", ["desk", "full"])
 def test_partner_leaves_every_byte_unchanged(profile, desk_group, full_group,
                                              monkeypatch):
@@ -122,11 +146,10 @@ def test_partner_leaves_every_byte_unchanged(profile, desk_group, full_group,
 
 def _multiplications_of_a_lifecycle(gpk, gipk):
     """The multiplications counted over a lifecycle from cleared records."""
-    groupmath._COMB_TABLES.clear()
-    for memo in (groupmath.in_subgroup, groupmath.hash_to_subgroup,
-                 groupmath.is_probable_prime):
+    for memo in (groupmath._stacked_combs, groupmath.in_subgroup,
+                 groupmath.hash_to_subgroup, groupmath.is_probable_prime,
+                 epid.validate_gpk):
         memo.cache_clear()
-    epid._ACCEPTED_GPKS.clear()
     groupmath.MULTIPLICATIONS.clear()
     _lifecycle(gpk, gipk, 7)
     return dict(groupmath.MULTIPLICATIONS)
