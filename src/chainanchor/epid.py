@@ -26,7 +26,6 @@ from .errors import (
 )
 from .groupmath import (
     ParameterProfile,
-    beside,
     canonical_encode,
     fiat_shamir_challenge,
     gen_prime_in_range,
@@ -41,6 +40,7 @@ from .groupmath import (
     power_product,
     rand_below,
     rand_range,
+    shared,
 )
 from .serial import JsonInt, Record, SignedInt
 
@@ -61,6 +61,11 @@ OK = Check(True)
 
 def _fail(reason: str) -> Check:
     return Check(False, reason)
+
+
+def _first_false(*clauses) -> Optional[str]:
+    """The reason of the first ``(holds, reason)`` clause that fails."""
+    return next((reason for holds, reason in clauses if not holds), None)
 
 
 def _enc(*values) -> list:
@@ -149,12 +154,19 @@ class GroupIssuingPrivateKey:
         A term's ``bits`` mark a fixed base (R, S) and bound its exponents:
         its half-size powers run on comb tables, which hold powers modulo
         the secret factors and so stay in this process's memory and its
-        partner's (see ``groupmath.beside``), which computes the q_N half.
+        partner's, which takes a share of the two halves' powers
+        (``groupmath.shared``).
         """
-        x_q, x_p = beside(
-            [_prime_term(*term, self.q_N) for term in terms], self.q_N,
-            lambda: power_product(
-                [_prime_term(*term, self.p_N) for term in terms], self.p_N))
+        return self.crt(*shared(self.halves(terms)))
+
+    def halves(self, terms) -> list:
+        """The products mod q_N and mod p_N whose :meth:`crt` is
+        ``power_product(terms, N)``, as ``groupmath.shared`` tasks."""
+        return [([_prime_term(*term, P) for term in terms], P)
+                for P in (self.q_N, self.p_N)]
+
+    def crt(self, x_q: int, x_p: int) -> int:
+        """The x mod N with x = x_q mod q_N and x = x_p mod p_N."""
         h = (x_p - x_q) * modexp(self.q_N, -1, self.p_N) % self.p_N
         return x_q + h * self.q_N
 
@@ -363,10 +375,10 @@ def join_request(gpk: GroupPublicKey, issuer_nonce: bytes, rng):
     v_prime = rng.getrandbits(prof.l_v)
     r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
     r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
-    U, t1 = beside(_R_S(gpk, f, v_prime), gpk.N,
-                   lambda: power_product(_R_S(gpk, r_f, r_v), gpk.N))
-    K_I, t2 = (modexp(B_I, exp % gpk.q, gpk.p, gpk.q.bit_length())
-               for exp in (f, r_f))
+    U, t1, K_I, t2 = shared(
+        [(_R_S(gpk, f, v_prime), gpk.N), (_R_S(gpk, r_f, r_v), gpk.N)]
+        + [(((B_I, exp % gpk.q, gpk.q.bit_length()),), gpk.p)
+           for exp in (f, r_f)])
     c = _join_challenge(gpk, B_I, U, K_I, t1, t2, issuer_nonce, prof.l_H)
     proof = JoinProof(c=c, s_f=r_f + c * f, s_v=r_v + c * v_prime)
 
@@ -387,22 +399,25 @@ def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
         return _fail("U range")
     if gipk is not None and not gipk.is_quadratic_residue(req.U):
         return _fail("U not a quadratic residue")
-    if not in_subgroup(req.K_I, gpk.p, gpk.q):
-        return _fail("K_I range")
-    pr = req.proof
-    if not 0 <= pr.c < (1 << prof.l_H):
-        return _fail("challenge range")
-    if not 0 <= pr.s_f < (1 << _f_bits(prof)):
-        return _fail("s_f interval")
-    if not 0 <= pr.s_v < (1 << _v_bits(prof)):
-        return _fail("s_v interval")
     N, p, q = gpk.N, gpk.p, gpk.q
+    pr = req.proof
+    bad = _first_false((0 <= pr.c < (1 << prof.l_H), "challenge range"),
+                       (0 <= pr.s_f < (1 << _f_bits(prof)), "s_f interval"),
+                       (0 <= pr.s_v < (1 << _v_bits(prof)), "s_v interval"))
+    if bad:
+        return _fail("K_I range" if not in_subgroup(req.K_I, p, q) else bad)
     terms = _R_S(gpk, pr.s_f, pr.s_v) + ((req.U, -pr.c, None),)
-    t1 = gipk.pow_N(terms) if gipk is not None else power_product(terms, N)
     B_I = hash_to_subgroup(gpk.issuer_basename, p, q)
-    # K_I passed in_subgroup, so its exponent reduces mod q.
-    t2 = power_product(((B_I, pr.s_f % q, q.bit_length()),
-                        (req.K_I, -pr.c % q, None)), p)
+    # K_I's exponent reduces mod q once K_I passes in_subgroup, the verdict
+    # that counts; every exponent is non-negative, and U is prime to N.
+    *t1, K_I_ok, t2 = shared(
+        (gipk.halves(terms) if gipk is not None else [(terms, N)])
+        + [(req.K_I, p, q),
+           (((B_I, pr.s_f % q, q.bit_length()), (req.K_I, -pr.c % q, None)),
+            p)])
+    if not K_I_ok:
+        return _fail("K_I range")
+    t1 = gipk.crt(*t1) if gipk is not None else t1[0]
     if _join_challenge(gpk, B_I, req.U, req.K_I, t1, t2,
                        issuer_nonce, prof.l_H) != pr.c:
         return _fail("proof")
@@ -455,9 +470,9 @@ class UserMemberPrivateKey:
 
 
 def key_relation_holds(gpk: GroupPublicKey, key: UserMemberPrivateKey) -> bool:
-    A_e, R_f_S_v = beside(((key.A, key.e, None),), gpk.N,
-                          lambda: power_product(_R_S(gpk, key.f, key.v), gpk.N))
-    return A_e * R_f_S_v % gpk.N == gpk.Z
+    A_e_R_f_S_v, = shared([(((key.A, key.e, None), *_R_S(gpk, key.f, key.v)),
+                            gpk.N)])
+    return A_e_R_f_S_v == gpk.Z
 
 
 @functools.lru_cache(maxsize=16)
@@ -652,12 +667,10 @@ def sign_membership(sk: UserMemberPrivateKey, gpk: GroupPublicKey,
     r_f = rng.getrandbits(prof.l_f + prof.l_phi + prof.l_H)
     r_v = rng.getrandbits(prof.l_v + prof.l_phi + prof.l_H)
 
-    def T_and_power():
-        T = power_product(((sk.A, 1, None), (gpk.S, w, _v_bits(prof))), N)
-        return T, modexp(T, r_e, N)
-
-    R_S, (T, T_r_e) = beside(_R_S(gpk, r_f, r_v), N, T_and_power)
-    t1 = T_r_e * R_S % N
+    # t1 = T^r_e R^r_f S^r_v with T = A S^w, so no power waits on T; as
+    # l_e' + l_phi < l_e, w r_e + r_v fits S's comb.
+    T, t1 = shared([(((sk.A, 1, None), (gpk.S, w, _v_bits(prof))), N),
+                    (((sk.A, r_e, None), *_R_S(gpk, r_f, w * r_e + r_v)), N)])
     t2 = B_pow(r_f)
     c = _sigma1_challenge(gpk, B, K, T, t1, t2, sig_rl.epoch, issuer_rl.epoch,
                           nonce_pv, message)
@@ -701,37 +714,36 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
     if basename is not None and sig.B != hash_to_subgroup(basename, p, q):
         return _fail("basename")
 
-    # t1 leaves for the partner only once every range holds, so a hostile T
-    # or s_v never reaches it; B's and K's reasons still come first.
-    bad = next((reason for ok, reason in (
+    # The powers run only once every range holds, so a hostile T or s_v
+    # never reaches the partner; B's and K's reasons still come first.
+    bad = _first_false(
         (1 <= sig.T < N, "T range"),
         (0 <= sig.c < (1 << prof.l_H), "challenge range"),
         (0 <= sig.s_e < (1 << (prof.l_e_prime + prof.l_phi + prof.l_H + 1)),
          "s_e interval"),
         (0 <= sig.s_f < (1 << _f_bits(prof)), "s_f interval"),
-        (abs(sig.s_v) < (1 << _v_bits(prof)), "s_v interval")) if not ok), None)
-
-    def t2_here():
-        for name, value in (("B", sig.B), ("K", sig.K)):
-            if not in_subgroup(value, p, q):
-                return _fail(f"{name} subgroup")
-        # B and K passed in_subgroup, so their exponents reduce mod q.
-        return _fail(bad) if bad else power_product(
-            ((sig.B, sig.s_f % q, None), (sig.K, -sig.c % q, None)), p)
-
+        (abs(sig.s_v) < (1 << _v_bits(prof)), "s_v interval"))
+    checks = [(sig.B, p, q), (sig.K, p, q)]
+    t1 = None
     if bad:
-        return t2_here()
-    t1_terms = ((gpk.Z, -sig.c, prof.l_H),
-                (sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), None),
-                *_R_S(gpk, sig.s_f, sig.s_v))
-    try:
-        t1, t2 = beside(t1_terms, N, t2_here)
-    except ValueError:
-        t1, t2 = None, t2_here()
-    if isinstance(t2, Check):
-        return t2
+        verdicts = (in_subgroup(*check) for check in checks)
+    else:
+        t1_terms = ((gpk.Z, -sig.c, prof.l_H),
+                    (sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), None),
+                    *_R_S(gpk, sig.s_f, sig.s_v))
+        # B's and K's exponents reduce mod q once both pass in_subgroup,
+        # the verdicts that count; both exponents are non-negative.
+        t2_terms = ((sig.B, sig.s_f % q, None), (sig.K, -sig.c % q, None))
+        try:
+            t1, *verdicts, t2 = shared([(t1_terms, N), *checks,
+                                        (t2_terms, p)])
+        except ValueError:  # a base of t1 with no inverse mod N
+            verdicts = (in_subgroup(*check) for check in checks)
+    for name, ok in zip("BK", verdicts):
+        if not ok:
+            return _fail(f"{name} subgroup")
     if t1 is None:
-        return _fail("sigma1")
+        return _fail(bad or "sigma1")
     expect = _sigma1_challenge(gpk, sig.B, sig.K, sig.T, t1, t2,
                                sig.sig_rl_epoch, sig.issuer_rl_epoch,
                                nonce_pv, message)

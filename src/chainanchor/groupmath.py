@@ -231,13 +231,19 @@ def _comb_table(base: int, mod: int, cols: int) -> list[int]:
 # A 256-entry 2048-bit table is ~79 KB.  One group key uses 9 entries (R,
 # S, Z mod N; u, B_I mod p; the issuer's R and S mod each factor of N),
 # ~1.5 MB on `full`, so the cap leaves room for a second key.
-@functools.lru_cache(maxsize=16)
-def _stacked_combs(base: int, mod: int, width: int):
-    """Shared, read-only ``(cols, tables)`` for exponents of up to ``width``
+def _comb_shape(width: int) -> tuple[int, int]:
+    """``(cols, blocks)`` of the combs for exponents of up to ``width``
     bits: at most ``_COMB_BLOCKS`` blocks of ``_COMB_MIN_COLS``+ columns."""
     columns = -(-width // _COMB_ROWS)
     blocks = max(1, min(_COMB_BLOCKS, columns // _COMB_MIN_COLS))
-    cols = -(-columns // blocks)
+    return -(-columns // blocks), blocks
+
+
+@functools.lru_cache(maxsize=16)
+def _stacked_combs(base: int, mod: int, width: int):
+    """Shared, read-only ``(cols, tables)`` for exponents of up to ``width``
+    bits (:func:`_comb_shape`)."""
+    cols, blocks = _comb_shape(width)
     tables = [_comb_table(base, mod, cols)]
     for _ in range(blocks - 1):
         # Block k's base is block k-1's top row squared ``cols`` more times.
@@ -365,10 +371,10 @@ def power_product(terms, mod: int) -> int:
 # ---------------------------------------------------------------------------
 # the partner process
 
-# One forked copy of this process computes products of powers on a second
-# CPU while the caller does other work, and takes half of every window of a
-# safe-prime search.  A product mod fewer bits is too cheap for a pipe round
-# trip, so desk never starts one.
+# One forked copy of this process takes, on a second CPU, a share of the
+# powers and subgroup checks of every full-size step (shared) and half of
+# every window of a safe-prime search.  A batch mod fewer bits is too cheap
+# for a pipe round trip, so desk never starts one.
 _PARTNER_MIN_BITS = 1024
 # None until first needed; (pid, request pipe, reply pipe) while it runs;
 # False in a forked child of a process that runs one.
@@ -457,27 +463,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_leave_partner)
 
 
-def _on_partner(name: str, args: tuple, here):
-    """``(_TASKS[name](*args), here())``, the task run by the partner while
-    ``here()`` runs in this one; the partner's ``ValueError`` is raised
-    here.
+def _on_partner(name: str, theirs: tuple, mine: tuple) -> tuple:
+    """``(_TASKS[name](*theirs), _TASKS[name](*mine))``, the first run by
+    the partner while this process runs the second; the partner's
+    ``ValueError`` is raised here.
 
-    The task runs in the caller instead when no partner runs or none may be
-    used (:func:`_partner_usable`), or when the partner dies (it is then
-    reaped): each task is a pure function of its arguments, so the result
-    is the same.  The partner's multiplications are counted here too.
+    Both run here instead when no partner runs or none may be used
+    (:func:`_partner_usable`), or when the partner dies (it is then
+    reaped): each task is a pure function of its arguments, so the results
+    are the same.  The partner's multiplications are counted here too.
     """
     global _partner_busy
+    task = _TASKS[name]
     if not (_partner and _partner_usable()):
-        return _TASKS[name](*args), here()
+        return task(*theirs), task(*mine)
     _, requests, replies = _partner
     _partner_busy, reply = True, None
     try:
         with contextlib.suppress(OSError):  # a dead partner: its reply is EOF
-            marshal.dump((name, args), requests)
+            marshal.dump((name, theirs), requests)
             requests.flush()
         try:
-            result = here()
+            result = task(*mine)
         finally:
             with contextlib.suppress(EOFError, OSError):  # it has died
                 reply = marshal.load(replies)
@@ -488,27 +495,147 @@ def _on_partner(name: str, args: tuple, here):
             # must never be read as another: reap it.
             stop_partner()
     if reply is None:
-        return _TASKS[name](*args), result
+        return task(*theirs), result
     MULTIPLICATIONS.update(reply[2])
     if reply[1]:
         raise ValueError(reply[1])
     return reply[0], result
 
 
-def beside(terms, mod: int, here):
-    """``(power_product(terms, mod), here())``, the product computed by the
-    partner process (:func:`_on_partner`) while ``here()`` runs in this
-    one.  A product mod fewer than ``_PARTNER_MIN_BITS`` bits runs in the
-    caller, and the first larger one starts the partner.
+def shared(tasks) -> list:
+    """The result of each of a step's independent tasks, in order: a
+    product of powers ``(terms, mod)`` gives ``power_product(terms, mod)``
+    and a subgroup check ``(x, p, q)`` gives ``in_subgroup(x, p, q)``.
+
+    While a partner runs (:func:`_on_partner`), a batch with a modulus of
+    ``_PARTNER_MIN_BITS`` bits or more is cut into units (:func:`_units`),
+    the units are dealt to two shares (:func:`_deal`), the partner computes
+    one share while this process computes the other, and each product is
+    the product of its units.  Any other batch runs here in order, and the
+    first large one then starts the partner, which so inherits the comb
+    tables it built.  The values, the ``ValueError`` of a base with no
+    inverse and the multiplications counted are the same either way: this
+    process builds, and counts, every comb table that a split batch reads,
+    and :func:`in_subgroup`'s memory answers the checks it knows and keeps
+    the verdicts of the others.
     """
-    if mod.bit_length() < _PARTNER_MIN_BITS or _partner is None:
-        product, result = power_product(terms, mod), here()
-        if mod.bit_length() >= _PARTNER_MIN_BITS:
-            # Fork after this first product, so that the partner inherits
-            # the comb tables it built (a one-shot command raises few powers).
-            _start_partner()
-        return product, result
-    return _on_partner("power_product", (terms, mod), here)
+    if max(task[1].bit_length() for task in tasks) < _PARTNER_MIN_BITS:
+        return [_run(task) for task in tasks]
+    if _partner and _partner_usable():
+        return _split(tasks)
+    results = [_run(task) for task in tasks]
+    _start_partner()
+    return results
+
+
+def _split(tasks) -> list:
+    """:func:`shared`'s results, computed by both processes: the checks
+    that :func:`in_subgroup`'s memory answers are answered, the rest of the
+    work is cut into units and dealt, and the memory keeps the new
+    verdicts."""
+    checks = [task for task in tasks if len(task) == 3]
+    kept = dict(zip(checks, _kept(checks, {})))
+    results = [kept[task] if len(task) == 3 else 1 % task[1]
+               for task in tasks]
+    owners, units = _units((i, task) for i, task in enumerate(tasks)
+                           if results[i] is None or len(task) == 2)
+    _build_combs(units)
+    shares = _deal([_weight(unit) for unit in units])
+    theirs, mine = ([units[k] for k in share] for share in shares)
+    values = itertools.chain(*_on_partner("_share", (theirs,), (mine,)))
+    verdicts = {}
+    for k, value in zip(shares[0] + shares[1], values):
+        task = tasks[owners[k]]
+        if len(task) == 3:
+            results[owners[k]] = verdicts[task] = value
+        else:
+            results[owners[k]] = results[owners[k]] * value % task[1]
+    _kept(list(verdicts), verdicts)
+    return results
+
+
+def _run(task):
+    """One task of :func:`shared`, in this process."""
+    return power_product(*task) if len(task) == 2 else in_subgroup(*task)
+
+
+def _units(tasks) -> tuple[list[int], list]:
+    """The units of :func:`shared`'s ``(index, task)`` pairs, and the index
+    that owns each: every comb term of a product alone, all its fresh terms
+    together as the one Straus chain they share, and each check alone."""
+    owners, units = [], []
+    for i, task in tasks:
+        if len(task) == 3:
+            cut = [task]
+        else:
+            terms, mod = task
+            fresh = tuple(term for term in terms if term[2] is None)
+            cut = [((term,), mod) for term in terms if term[2] is not None]
+            cut += [(fresh, mod)] if fresh else []
+        owners += [i] * len(cut)
+        units += cut
+    return owners, units
+
+
+def _weight(unit) -> int:
+    """A unit's cost: its modeled multiplications, as
+    :data:`MULTIPLICATIONS` would count them, times its modulus's bit
+    length squared."""
+    if len(unit) == 3:
+        x, p, q = unit
+        count = q.bit_length() + q.bit_count() if 1 < x < p else 0
+        return count * p.bit_length() ** 2
+    terms, mod = unit
+    _, exp, bits = terms[0]
+    exps = [abs(exp) for _, exp, _ in terms if exp]
+    if bits is not None and 0 < abs(exp).bit_length() <= bits:
+        cols, _ = _comb_shape(bits)
+        count = cols * (1 + -(-abs(exp).bit_length() // (cols * _COMB_ROWS)))
+    elif len(exps) == 1:
+        count = exps[0].bit_length() + exps[0].bit_count()
+    else:
+        # One squaring per bit of the longest; per exponent, a table of
+        # odd powers and a window about every width + 1 bits.
+        count = max(map(int.bit_length, exps), default=0)
+        for exp in exps:
+            n = exp.bit_length()
+            width = 1 + bisect.bisect_right(_WINDOW_FROM_BITS, n)
+            count += (1 << (width - 1) if width > 1 else 0) + n // (width + 1)
+    return count * mod.bit_length() ** 2
+
+
+def _deal(weights: list[int]) -> tuple[list[int], list[int]]:
+    """The indices of two shares whose weights differ by at most the
+    largest: the heaviest first, each to the lighter share, the first on a
+    tie (Graham's LPT rule, SIAM J. Appl. Math. 1969).  The first share is
+    the partner's."""
+    shares, loads = ([], []), [0, 0]
+    for k in sorted(range(len(weights)), key=lambda k: -weights[k]):
+        lighter = int(loads[1] < loads[0])
+        shares[lighter].append(k)
+        loads[lighter] += weights[k]
+    return shares
+
+
+def _build_combs(units) -> None:
+    """Build the comb tables that the units read (:func:`modexp`)."""
+    for unit in units:
+        if len(unit) == 2 and unit[0][0][2] is not None:
+            (base, exp, bits), = unit[0]
+            if 0 < abs(exp).bit_length() <= bits:
+                _stacked_combs(base, unit[1], bits)
+
+
+def _share(units) -> list:
+    """The value of each unit of one share of :func:`shared`; a check is
+    computed, not looked up.  The caller has already counted the comb
+    tables, so a table built here, in the partner, is not counted again."""
+    kept = MULTIPLICATIONS.copy()
+    _build_combs(units)
+    MULTIPLICATIONS.clear()
+    MULTIPLICATIONS.update(kept)
+    return [power_product(*unit) if len(unit) == 2 else _in_subgroup(*unit)
+            for unit in units]
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +811,9 @@ def _shares(name: str, *args) -> list:
     share of a search window: two shares, share 1 on the partner
     (:func:`_on_partner`), while a partner runs and may be used, else the
     whole window as one share here."""
-    task = _TASKS[name]
     if not (_partner and _partner_usable()):
-        return [task(*args, 0, 1)]
-    theirs, mine = _on_partner(name, (*args, 1, 2),
-                               lambda: task(*args, 0, 2))
+        return [_TASKS[name](*args, 0, 1)]
+    theirs, mine = _on_partner(name, (*args, 1, 2), (*args, 0, 2))
     return [mine, theirs]
 
 
@@ -836,11 +961,22 @@ def gen_safe_prime(bits: int, rng, _top_two: bool = False) -> int:
 
 # The only work the partner process runs, by name.
 _TASKS = {task.__name__: task
-          for task in (power_product, _sieve_share, _first_passing)}
+          for task in (_share, _sieve_share, _first_passing)}
 
 
 # ---------------------------------------------------------------------------
 # groups
+
+def _in_subgroup(x: int, p: int, q: int) -> bool:
+    return 1 < x < p and modexp(x, q, p) == 1
+
+
+# Set only by shared(), while it reads or fills in_subgroup's memory with
+# the partner running, so with no other thread: the verdicts to keep
+# instead of computing them.  A check missing from it raises KeyError,
+# which the memory does not keep.
+_told = None
+
 
 @functools.lru_cache(maxsize=64)
 def in_subgroup(x: int, p: int, q: int) -> bool:
@@ -853,7 +989,25 @@ def in_subgroup(x: int, p: int, q: int) -> bool:
     a transaction key checked at registration and again per signature, costs
     one power per process while it stays in the record.
     """
-    return 1 < x < p and modexp(x, q, p) == 1
+    if _told is not None:
+        return _told[x, p, q]
+    return _in_subgroup(x, p, q)
+
+
+def _kept(checks: list, told: dict) -> list:
+    """:func:`in_subgroup`'s kept verdict of each check, or None where it
+    keeps none, once it has kept each verdict in ``told``."""
+    global _told
+    _told, verdicts = told, []
+    try:
+        for check in checks:
+            try:
+                verdicts.append(in_subgroup(*check))
+            except KeyError:
+                verdicts.append(None)
+    finally:
+        _told = None
+    return verdicts
 
 
 # Candidates p that gen_schnorr_group draws before it gives up: at 1632 bits

@@ -17,11 +17,10 @@ from .groupmath import (
     canonical_encode,
     fiat_shamir_challenge,
     hash_expand,
-    in_subgroup,
     int_to_bytes,
     modexp,
-    power_product,
     rand_range,
+    shared,
 )
 from .serial import Record
 
@@ -71,12 +70,14 @@ def sign(keypair: SchnorrKeypair, message: bytes):
 
 def verify(group: SigningGroup, public: int, message: bytes, signature) -> bool:
     c, s = signature
-    if not (0 <= s < group.q and in_subgroup(public, group.p, group.q)):
+    if not 0 <= s < group.q:
         return False
-    # public passed in_subgroup, so its exponent reduces mod q.
-    t = power_product(((group.u, s, group.q.bit_length()),
-                       (public, -c % group.q, None)), group.p)
-    return _challenge(group, public, t, message) == c
+    # public's exponent reduces mod q once public passes the check, the
+    # verdict that counts; the exponent is non-negative.
+    in_group, t = shared([(public, group.p, group.q),
+                          (((group.u, s, group.q.bit_length()),
+                            (public, -c % group.q, None)), group.p)])
+    return in_group and _challenge(group, public, t, message) == c
 
 
 def _challenge(group: SigningGroup, public: int, t: int, message: bytes) -> int:

@@ -331,6 +331,7 @@ class World:
                 raise ProtocolError(f"{path} is missing")
         if world.group_id not in world.issuer.groups:
             raise ProtocolError(f"issuer.groups has no group {world.group_id!r}")
+        _check_names(world)
         _check_group_keys(world)
         return world
 
@@ -372,6 +373,21 @@ def _upgrade(doc) -> dict:
                               if k not in keys}
         doc["format"] = FORMAT_VERSION
     return doc
+
+
+def _check_names(world: World) -> None:
+    """Refuse the user names and node ids that ``enroll``, ``outsider`` and
+    ``add-node`` refuse: an empty one, or a node id given twice."""
+    if "" in world.users:
+        raise ProtocolError("users has an empty name")
+    seen = set()
+    for node in world.nodes:
+        if not node.node_id:
+            raise ProtocolError("nodes: node id '' is empty")
+        if node.node_id in seen:
+            raise ProtocolError(f"nodes: node id {node.node_id!r} appears "
+                                f"twice")
+        seen.add(node.node_id)
 
 
 def _check_group_keys(world: World) -> None:

@@ -507,6 +507,34 @@ def test_world_file_with_corrupt_group_parameters_is_corrupt(
     assert "Traceback" not in err
 
 
+def _rename_user(old, new):
+    def mutate(doc):
+        doc["users"][new] = doc["users"].pop(old)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_rename_user("bob", ""), "users has an empty name"),
+    (_set("nodes", 0, "node_id", value=""), "nodes: node id '' is empty"),
+    (_set("nodes", 1, "node_id", value="node0"),
+     "nodes: node id 'node0' appears twice"),
+], ids=["empty-user", "empty-node", "repeated-node"])
+def test_world_file_with_a_name_that_commands_refuse_is_corrupt(
+        tmp_path, capsys, enrolled_doc, mutate, field):
+    doc = json.loads(doc_bytes(enrolled_doc))
+    mutate(doc)
+    with pytest.raises(ProtocolError, match=field):
+        World.from_doc(doc)
+    bad = tmp_path / "w.json"
+    bad.write_text(json.dumps(doc))
+    before = bad.read_bytes()
+    for command in (("mine", "node0"), ("show",)):
+        code, err = _run(capsys, *command, "--world", str(bad))
+        assert code == 1 and "is corrupt" in err and field in err, command
+        assert "Traceback" not in err
+        assert bad.read_bytes() == before, command
+
+
 def test_delivered_group_key_that_a_world_file_refuses_is_not_kept(base_doc):
     # Whatever enroll keeps, the world file it is saved to loads again.
     world = World.from_doc(base_doc)

@@ -1,4 +1,5 @@
-"""The partner process: products of powers computed beside the caller.
+"""The partner process: a share of each large step's powers and subgroup
+checks, computed beside the caller.
 
 Most tests lower the partner's 1,024-bit size rule to desk's 256-bit
 factors of N, so that desk keys exercise it.  The byte and verdict tests
@@ -136,11 +137,11 @@ def test_partner_leaves_every_byte_unchanged(profile, desk_group, full_group,
                                              monkeypatch):
     gpk, gipk = full_group if profile == "full" else desk_group
     monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", 256)
-    beside = _lifecycle(gpk, gipk, 7)
+    split = _lifecycle(gpk, gipk, 7)
     assert bool(groupmath._partner) == (len(os.sched_getaffinity(0)) > 1)
     groupmath.stop_partner()
     monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", 1 << 16)
-    assert _lifecycle(gpk, gipk, 7) == beside == LIFECYCLE_DIGESTS[profile]
+    assert _lifecycle(gpk, gipk, 7) == split == LIFECYCLE_DIGESTS[profile]
     assert groupmath._partner is None
 
 
@@ -174,6 +175,56 @@ def test_partner_leaves_the_multiplication_count_unchanged(
     assert with_partner == alone == LIFECYCLE_MULTIPLICATIONS
 
 
+def test_full_lifecycle_counts_the_same_split_alone_or_on_one_cpu(
+        full_group, monkeypatch):
+    # A split batch builds and counts its comb tables here and keeps the
+    # partner's verdicts in in_subgroup's memory, so the full-size counts
+    # (a K_I checked three times, tables first read by the partner) match
+    # a run in the caller alone.
+    runs = []
+    for cpus in (2, 1):
+        forks = _counting_forks(monkeypatch, cpus)
+        runs.append((_multiplications_of_a_lifecycle(*full_group),
+                     _lifecycle(*full_group, 7)))
+        assert bool(forks) == (cpus == 2), cpus
+        groupmath.stop_partner()
+    assert runs[0] == runs[1]
+    assert runs[0][1] == LIFECYCLE_DIGESTS["full"]
+
+
+def test_full_verify_shares_differ_by_at_most_the_largest_unit(
+        full_group, monkeypatch):
+    gpk, gipk = full_group
+    _counting_forks(monkeypatch)
+    key = epid.complete_join(*_joined(gpk, gipk, random.Random(12)), gpk)
+    sig = epid.sign_membership(key, gpk, b"m", b"n", epid.RevocationList(),
+                               epid.RevocationList(), random.Random(13))
+    assert groupmath._partner
+    deals = []
+    on_partner = groupmath._on_partner
+
+    def spy(name, theirs, mine):
+        deals.append((theirs[0], mine[0]))
+        return on_partner(name, theirs, mine)
+
+    monkeypatch.setattr(groupmath, "_on_partner", spy)
+    assert epid.verify_membership(gpk, b"m", b"n", sig, epid.RevocationList(),
+                                  epid.RevocationList())
+    (theirs, mine), = deals
+    # t1's comb terms Z, R and S and its fresh T, the checks of B and K,
+    # and t2's one chain.
+    assert len(theirs) + len(mine) == 7
+    loads = [sum(map(groupmath._weight, share)) for share in (theirs, mine)]
+    largest = max(map(groupmath._weight, theirs + mine))
+    assert abs(loads[0] - loads[1]) <= largest
+
+
+def _joined(gpk, gipk, rng):
+    """A join's state and the issuer's response."""
+    state, request = epid.join_request(gpk, b"nonce", rng)
+    return state, epid.issue_credential(gpk, gipk, request, b"nonce", rng)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -198,7 +249,7 @@ def test_partner_crt_power_raises_as_pow_does(desk_group, desk_partner):
 def test_partner_verdicts_on_tampered_signatures(desk_group, member_key,
                                                  monkeypatch):
     # The same reason with and without the partner, B's order check still
-    # ahead of T's range; t1 never leaves for a T or s_v out of range.
+    # ahead of T's range; no unit leaves for a T or s_v out of range.
     gpk, gipk = desk_group
     N, p = gpk.N, gpk.p
     sig = epid.sign_membership(member_key, gpk, b"m", b"n",
@@ -217,13 +268,13 @@ def test_partner_verdicts_on_tampered_signatures(desk_group, member_key,
               True),
              ({}, gpk, "", True))
     sent = []
-    beside = epid.beside
+    shared = epid.shared
 
-    def spy(terms, mod, here):
-        sent.append(terms)
-        return beside(terms, mod, here)
+    def spy(tasks):
+        sent.append(tasks)
+        return shared(tasks)
 
-    monkeypatch.setattr(epid, "beside", spy)
+    monkeypatch.setattr(epid, "shared", spy)
     for rule in (256, 1 << 16):
         monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", rule)
         for fields, key, reason, reaches in cases:
@@ -234,6 +285,31 @@ def test_partner_verdicts_on_tampered_signatures(desk_group, member_key,
                                          epid.RevocationList())
             assert bool(res) == (not reason) and res.reason == reason, fields
             assert bool(sent) == reaches, fields
+
+
+def test_partner_verdicts_on_tampered_join_requests(desk_group, monkeypatch):
+    # The same reason with and without the partner and the issuing key,
+    # K_I's order check still ahead of every interval.
+    gpk, gipk = desk_group
+    p = gpk.p
+    _, request = epid.join_request(gpk, b"nonce", random.Random(42))
+    s_f_bound = 1 << epid._f_bits(gpk.profile)
+    cases = (({"K_I": p - 1}, {}, "K_I range"),
+             ({"K_I": p - 1}, {"s_f": s_f_bound}, "K_I range"),
+             ({"K_I": 1}, {"c": -1}, "K_I range"),
+             ({}, {"s_f": s_f_bound}, "s_f interval"),
+             ({}, {"s_v": -1}, "s_v interval"),
+             ({}, {"c": request.proof.c ^ 1}, "proof"),
+             ({}, {}, ""))
+    for rule in (256, 1 << 16):
+        monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", rule)
+        for fields, proof, reason in cases:
+            bad = dataclasses.replace(request, **fields, proof=dataclasses
+                                      .replace(request.proof, **proof))
+            for key in (None, gipk):
+                res = epid.verify_join_request(gpk, bad, b"nonce", key)
+                assert bool(res) == (not reason) and res.reason == reason, (
+                    fields, proof, key)
 
 
 def test_desk_lifecycle_forks_no_partner(desk_group, monkeypatch):
@@ -267,24 +343,43 @@ def test_no_partner_on_one_cpu_or_beside_a_thread(full_group, monkeypatch,
     assert forks == [] and groupmath._partner is None
 
 
+def _caller_share(monkeypatch, before):
+    """Run ``before()`` ahead of each share that this process computes; the
+    partner, forked earlier, keeps the unpatched task."""
+    share = groupmath._share
+
+    def patched(units):
+        before()
+        return share(units)
+
+    monkeypatch.setitem(groupmath._TASKS, "_share", patched)
+
+
 @pytest.mark.parametrize("when", ["before the request", "during the product"])
 def test_killed_partner_is_reaped_and_its_product_made_here(
-        desk_group, desk_partner, when):
+        desk_group, desk_partner, monkeypatch, when):
     gpk, gipk = desk_group
     N = gpk.N
     assert gipk.pow_N(((gpk.S, 12345, None),)) == pow(gpk.S, 12345, N)
     pid = _partner_pid()
     assert pid
     exp = (1 << 60000) - 1  # long enough to be cut off mid-product
-    if when == "before the request":
-        os.kill(pid, signal.SIGKILL)
-        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-        here = int
-    else:
-        def here():
+    killed = []
+
+    def kill_once():
+        if not killed:
             os.kill(pid, signal.SIGKILL)
-            return 0
-    assert groupmath.beside(((3, exp, None),), N, here) == (pow(3, exp, N), 0)
+            killed.append(pid)
+
+    with monkeypatch.context() as patch:
+        if when == "before the request":
+            kill_once()
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        else:
+            _caller_share(patch, kill_once)
+        # The one unit is the partner's share; this process's is empty.
+        assert groupmath.shared([(((3, exp, None),), N)]) == [pow(3, exp, N)]
+    assert killed == [pid]
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
     # the next product starts a new partner
@@ -292,17 +387,18 @@ def test_killed_partner_is_reaped_and_its_product_made_here(
     assert _partner_pid() not in (0, pid)
 
 
-def test_nested_partner_call_runs_in_the_caller(desk_group, desk_partner):
-    # A product asked for while one is in flight must not read its reply.
+def test_nested_partner_call_runs_in_the_caller(desk_group, desk_partner,
+                                                monkeypatch):
+    # A batch asked for while one is in flight must not read its reply.
     gpk, gipk = desk_group
     N, R, S = gpk.N, gpk.R, gpk.S
     assert gipk.pow_N(((S, 9, None),)) == pow(S, 9, N)
-
-    def inner():
-        return groupmath.beside(((S, 7, None),), N, int)
-
-    assert groupmath.beside(((R, 5, None),), N, inner) == (
-        pow(R, 5, N), (pow(S, 7, N), 0))
+    pid, inner = _partner_pid(), []
+    with monkeypatch.context() as patch:
+        _caller_share(patch, lambda: inner.append(
+            groupmath.shared([(((S, 7, None),), N)])))
+        assert groupmath.shared([(((R, 5, None),), N)]) == [pow(R, 5, N)]
+    assert inner == [[pow(S, 7, N)]] and _partner_pid() == pid
 
 
 class _Interrupt(BaseException):
@@ -324,10 +420,11 @@ class _CutOff:
         self.pipe.close()
 
 
-def test_interrupted_exchange_reaps_the_partner(desk_group, desk_partner):
-    # An interrupt in ``here`` leaves a whole exchange: the partner stays.
-    # One that cuts off the reply reaps it, so no rest of that reply can
-    # answer the next request.
+def test_interrupted_exchange_reaps_the_partner(desk_group, desk_partner,
+                                                monkeypatch):
+    # An interrupt in this process's share leaves a whole exchange: the
+    # partner stays.  One that cuts off the reply reaps it, so no rest of
+    # that reply can answer the next request.
     gpk, gipk = desk_group
     N = gpk.N
 
@@ -337,14 +434,16 @@ def test_interrupted_exchange_reaps_the_partner(desk_group, desk_partner):
     assert gipk.pow_N(((gpk.S, 9, None),)) == pow(gpk.S, 9, N)
     pid = _partner_pid()
     assert pid
-    with pytest.raises(_Interrupt):
-        groupmath.beside(((gpk.R, 5, None),), N, interrupted)
+    with monkeypatch.context() as patch:
+        _caller_share(patch, interrupted)
+        with pytest.raises(_Interrupt):
+            groupmath.shared([(((gpk.R, 5, None),), N)])
     assert _partner_pid() == pid
     assert gipk.pow_N(((gpk.S, 11, None),)) == pow(gpk.S, 11, N)
     _, requests, replies = groupmath._partner
     groupmath._partner = pid, requests, _CutOff(replies)
     with pytest.raises(_Interrupt):
-        groupmath.beside(((gpk.R, 5, None),), N, int)
+        groupmath.shared([(((gpk.R, 5, None),), N)])
     assert groupmath._partner is None
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)

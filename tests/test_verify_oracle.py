@@ -1,0 +1,147 @@
+"""verify_membership against a textbook verifier written from the equations.
+
+The reference raises every power with builtin ``pow`` and full-size
+exponents, checks each order strictly and in the order the scheme states
+its checks, and uses no combs, no Straus chains and no partner.  Each
+signature field is perturbed one at a time, and the verdict and reason of
+``epid.verify_membership`` must be the reference's.
+"""
+
+import dataclasses
+import os
+import random
+
+import pytest
+
+from chainanchor import epid, groupmath
+from chainanchor.groupmath import random_subgroup_element
+
+
+def _in_order_q(x, p, q):
+    return 1 < x < p and pow(x, q, p) == 1
+
+
+def _reference_verify_membership(gpk, message, nonce_pv, sig, sig_rl,
+                                 issuer_rl):
+    """The reason of the first failing check, or "" for a valid signature."""
+    prof = gpk.profile
+    N, p, q = gpk.N, gpk.p, gpk.q
+    if sig.sig_rl_epoch != sig_rl.epoch or sig.issuer_rl_epoch != issuer_rl.epoch:
+        return "epoch"
+    if len(sig.nonrevocation_sig) != len(sig_rl.entries):
+        return "sig-rl length"
+    if len(sig.nonrevocation_iss) != len(issuer_rl.entries):
+        return "issuer-rl length"
+    for name, value in (("B", sig.B), ("K", sig.K)):
+        if not _in_order_q(value, p, q):
+            return f"{name} subgroup"
+    for holds, reason in (
+            (1 <= sig.T < N, "T range"),
+            (0 <= sig.c < 2 ** prof.l_H, "challenge range"),
+            (0 <= sig.s_e < 2 ** (prof.l_e_prime + prof.l_phi + prof.l_H + 1),
+             "s_e interval"),
+            (0 <= sig.s_f < 2 ** (prof.l_f + prof.l_phi + prof.l_H + 1),
+             "s_f interval"),
+            (abs(sig.s_v) < 2 ** (prof.l_v + prof.l_phi + prof.l_H + 1),
+             "s_v interval")):
+        if not holds:
+            return reason
+    # t1 = Z^-c T^(s_e + c 2^(l_e - 1)) R^s_f S^s_v and t2 = B^s_f K^-c.
+    t1 = (pow(gpk.Z, -sig.c, N)
+          * pow(sig.T, sig.s_e + sig.c * 2 ** (prof.l_e - 1), N)
+          * pow(gpk.R, sig.s_f, N) * pow(gpk.S, sig.s_v, N)) % N
+    t2 = pow(sig.B, sig.s_f, p) * pow(sig.K, -sig.c, p) % p
+    if epid._sigma1_challenge(gpk, sig.B, sig.K, sig.T, t1, t2,
+                              sig.sig_rl_epoch, sig.issuer_rl_epoch,
+                              nonce_pv, message) != sig.c:
+        return "sigma1"
+    for tag, rl, proofs in ((b"sig-rl", sig_rl, sig.nonrevocation_sig),
+                            (b"issuer-rl", issuer_rl, sig.nonrevocation_iss)):
+        for i, ((B_i, K_i), pr) in enumerate(zip(rl.entries, proofs)):
+            label = f"{tag.decode()} entry {i}"
+            if not 1 < K_i < p:
+                return f"{label} range"
+            if pr.W == 1:
+                return f"{label} W identity"
+            if not _in_order_q(pr.W, p, q):
+                return f"{label} W subgroup"
+            if not (0 <= pr.s_alpha < q and 0 <= pr.s_beta < q):
+                return f"{label} response range"
+            if not 0 <= pr.c < 2 ** prof.l_H:
+                return f"{label} challenge range"
+            # t_a = B_i^s_alpha K_i^-s_beta W^-c, t_b = B^s_alpha K^-s_beta.
+            t_a = (pow(B_i, pr.s_alpha, p) * pow(K_i, -pr.s_beta, p)
+                   * pow(pr.W, -pr.c, p)) % p
+            t_b = pow(sig.B, pr.s_alpha, p) * pow(sig.K, -pr.s_beta, p) % p
+            if epid._nonrevocation_challenge(tag, sig.c, i, B_i, K_i, sig.B,
+                                             sig.K, pr.W, t_a, t_b,
+                                             prof.l_H) != pr.c:
+                return f"{label} proof"
+    return ""
+
+
+def _perturbed(value, p, modulus, bound, rng):
+    """A random value below ``bound``, an out-of-range value, and the
+    honest value times p - 1, reduced mod the ``modulus`` of an element."""
+    yield rng.randrange(bound)
+    yield bound
+    yield value * (p - 1) % modulus if modulus else value * (p - 1)
+
+
+def _variants(gpk, sig, other, rng):
+    """(label, signature) pairs, each with one field perturbed."""
+    prof, N, p, q = gpk.profile, gpk.N, gpk.p, gpk.q
+    challenge = 1 << prof.l_H
+    # (field, modulus of an element or None for an exponent, bound)
+    for field, modulus, bound in (
+            ("B", p, p), ("K", p, p), ("T", N, N), ("c", None, challenge),
+            ("s_e", None, 1 << (prof.l_e_prime + prof.l_phi + prof.l_H + 1)),
+            ("s_f", None, 1 << epid._f_bits(prof)),
+            ("s_v", None, 1 << epid._v_bits(prof))):
+        for value in _perturbed(getattr(sig, field), p, modulus, bound, rng):
+            yield field, dataclasses.replace(sig, **{field: value})
+    for name in ("nonrevocation_sig", "nonrevocation_iss"):
+        proofs = getattr(sig, name)
+        for i, proof in enumerate(proofs):
+            changes = [(f"{name}[{i}] swapped", getattr(other, name)[i])]
+            for field, modulus, bound in (("W", p, p), ("c", None, challenge),
+                                          ("s_alpha", None, q),
+                                          ("s_beta", None, q)):
+                changes += [(f"{name}[{i}].{field}",
+                             dataclasses.replace(proof, **{field: value}))
+                            for value in _perturbed(getattr(proof, field), p,
+                                                    modulus, bound, rng)]
+            for label, changed in changes:
+                yield label, dataclasses.replace(sig, **{name: (
+                    *proofs[:i], changed, *proofs[i + 1:])})
+
+
+@pytest.mark.parametrize("rule", ["split", "in order"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_verify_membership_matches_the_textbook_verifier(
+        desk_gpk, member_key, monkeypatch, n, rule):
+    gpk = desk_gpk
+    if rule == "split":
+        # Desk batches are split with the partner, on two CPUs or one.
+        monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", 256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = random.Random(100 + n)
+    sig_rl, issuer_rl = (epid.RevocationList(entries=tuple(
+        (random_subgroup_element(gpk.p, gpk.q, rng),
+         random_subgroup_element(gpk.p, gpk.q, rng)) for _ in range(n)),
+        epoch=epoch) for epoch in (n, 2 * n))
+    sig, other = (epid.sign_membership(member_key, gpk, b"m", b"n", sig_rl,
+                                       issuer_rl, rng) for _ in range(2))
+    refused = 0
+    try:
+        for label, bad in [("honest", sig),
+                           *_variants(gpk, sig, other, rng)]:
+            expect = _reference_verify_membership(gpk, b"m", b"n", bad,
+                                                  sig_rl, issuer_rl)
+            res = epid.verify_membership(gpk, b"m", b"n", bad, sig_rl,
+                                         issuer_rl)
+            assert (bool(res), res.reason) == (not expect, expect), label
+            refused += not res
+    finally:
+        groupmath.stop_partner()
+    assert refused == 3 * 7 + n * 2 * (4 * 3 + 1)
