@@ -372,8 +372,8 @@ def power_product(terms, mod: int) -> int:
 # the partner process
 
 # One forked copy of this process takes, on a second CPU, a share of the
-# powers and subgroup checks of every full-size step (shared) and half of
-# every window of a safe-prime search.  A batch mod fewer bits is too cheap
+# products of powers of every full-size step (shared) and half of every
+# window of a safe-prime search.  A batch mod fewer bits is too cheap
 # for a pipe round trip, so desk never starts one.
 _PARTNER_MIN_BITS = 1024
 # None until first needed; (pid, request pipe, reply pipe) while it runs;
@@ -508,16 +508,14 @@ def shared(tasks) -> list:
     and a subgroup check ``(x, p, q)`` gives ``in_subgroup(x, p, q)``.
 
     While a partner runs (:func:`_on_partner`), a batch with a modulus of
-    ``_PARTNER_MIN_BITS`` bits or more is cut into units (:func:`_units`),
-    the units are dealt to two shares (:func:`_deal`), the partner computes
-    one share while this process computes the other, and each product is
-    the product of its units.  Any other batch runs here in order, and the
+    ``_PARTNER_MIN_BITS`` bits or more is split (:func:`_split`): the
+    partner computes a share of its products while this process computes
+    the rest and every check.  Any other batch runs here in order, and the
     first large one then starts the partner, which so inherits the comb
     tables it built.  The values, the ``ValueError`` of a base with no
     inverse and the multiplications counted are the same either way: this
     process builds, and counts, every comb table that a split batch reads,
-    and :func:`in_subgroup`'s memory answers the checks it knows and keeps
-    the verdicts of the others.
+    and every check runs here, through :func:`in_subgroup`.
     """
     if max(task[1].bit_length() for task in tasks) < _PARTNER_MIN_BITS:
         return [_run(task) for task in tasks]
@@ -529,28 +527,23 @@ def shared(tasks) -> list:
 
 
 def _split(tasks) -> list:
-    """:func:`shared`'s results, computed by both processes: the checks
-    that :func:`in_subgroup`'s memory answers are answered, the rest of the
-    work is cut into units and dealt, and the memory keeps the new
-    verdicts."""
+    """:func:`shared`'s results, computed by both processes: the products
+    are cut into units (:func:`_units`) and dealt (:func:`_deal`), with
+    the checks' weight as this process's starting load, and the checks
+    join this process's share."""
     checks = [task for task in tasks if len(task) == 3]
-    kept = dict(zip(checks, _kept(checks, {})))
-    results = [kept[task] if len(task) == 3 else 1 % task[1]
-               for task in tasks]
     owners, units = _units((i, task) for i, task in enumerate(tasks)
-                           if results[i] is None or len(task) == 2)
+                           if len(task) == 2)
     _build_combs(units)
-    shares = _deal([_weight(unit) for unit in units])
+    shares = _deal([_weight(unit) for unit in units],
+                   sum(map(_weight, checks)))
     theirs, mine = ([units[k] for k in share] for share in shares)
-    values = itertools.chain(*_on_partner("_share", (theirs,), (mine,)))
-    verdicts = {}
-    for k, value in zip(shares[0] + shares[1], values):
-        task = tasks[owners[k]]
-        if len(task) == 3:
-            results[owners[k]] = verdicts[task] = value
-        else:
-            results[owners[k]] = results[owners[k]] * value % task[1]
-    _kept(list(verdicts), verdicts)
+    done, ours = _on_partner("_share", (theirs,), (checks + mine,))
+    verdicts = iter(ours[:len(checks)])
+    results = [next(verdicts) if len(task) == 3 else 1 % task[1]
+               for task in tasks]
+    for k, value in zip(shares[0] + shares[1], done + ours[len(checks):]):
+        results[owners[k]] = results[owners[k]] * value % tasks[owners[k]][1]
     return results
 
 
@@ -559,19 +552,15 @@ def _run(task):
     return power_product(*task) if len(task) == 2 else in_subgroup(*task)
 
 
-def _units(tasks) -> tuple[list[int], list]:
-    """The units of :func:`shared`'s ``(index, task)`` pairs, and the index
-    that owns each: every comb term of a product alone, all its fresh terms
-    together as the one Straus chain they share, and each check alone."""
+def _units(products) -> tuple[list[int], list]:
+    """The units of :func:`shared`'s ``(index, product)`` pairs, and the
+    index that owns each: every comb term alone, and all the fresh terms of
+    a product together as the one Straus chain they share."""
     owners, units = [], []
-    for i, task in tasks:
-        if len(task) == 3:
-            cut = [task]
-        else:
-            terms, mod = task
-            fresh = tuple(term for term in terms if term[2] is None)
-            cut = [((term,), mod) for term in terms if term[2] is not None]
-            cut += [(fresh, mod)] if fresh else []
+    for i, (terms, mod) in products:
+        fresh = tuple(term for term in terms if term[2] is None)
+        cut = [((term,), mod) for term in terms if term[2] is not None]
+        cut += [(fresh, mod)] if fresh else []
         owners += [i] * len(cut)
         units += cut
     return owners, units
@@ -604,12 +593,12 @@ def _weight(unit) -> int:
     return count * mod.bit_length() ** 2
 
 
-def _deal(weights: list[int]) -> tuple[list[int], list[int]]:
-    """The indices of two shares whose weights differ by at most the
-    largest: the heaviest first, each to the lighter share, the first on a
-    tie (Graham's LPT rule, SIAM J. Appl. Math. 1969).  The first share is
-    the partner's."""
-    shares, loads = ([], []), [0, 0]
+def _deal(weights: list[int], mine: int) -> tuple[list[int], list[int]]:
+    """The indices of two shares, the first the partner's and the second
+    this process's, which starts with load ``mine``: the heaviest first,
+    each to the lighter share, the first on a tie (Graham's LPT rule, SIAM
+    J. Appl. Math. 1969)."""
+    shares, loads = ([], []), [0, mine]
     for k in sorted(range(len(weights)), key=lambda k: -weights[k]):
         lighter = int(loads[1] < loads[0])
         shares[lighter].append(k)
@@ -627,15 +616,14 @@ def _build_combs(units) -> None:
 
 
 def _share(units) -> list:
-    """The value of each unit of one share of :func:`shared`; a check is
-    computed, not looked up.  The caller has already counted the comb
-    tables, so a table built here, in the partner, is not counted again."""
+    """The value of each unit of one share of :func:`shared`
+    (:func:`_run`).  The caller has already counted the comb tables, so a
+    table built here, in the partner, is not counted again."""
     kept = MULTIPLICATIONS.copy()
     _build_combs(units)
     MULTIPLICATIONS.clear()
     MULTIPLICATIONS.update(kept)
-    return [power_product(*unit) if len(unit) == 2 else _in_subgroup(*unit)
-            for unit in units]
+    return [_run(unit) for unit in units]
 
 
 # ---------------------------------------------------------------------------
@@ -967,17 +955,6 @@ _TASKS = {task.__name__: task
 # ---------------------------------------------------------------------------
 # groups
 
-def _in_subgroup(x: int, p: int, q: int) -> bool:
-    return 1 < x < p and modexp(x, q, p) == 1
-
-
-# Set only by shared(), while it reads or fills in_subgroup's memory with
-# the partner running, so with no other thread: the verdicts to keep
-# instead of computing them.  A check missing from it raises KeyError,
-# which the memory does not keep.
-_told = None
-
-
 @functools.lru_cache(maxsize=64)
 def in_subgroup(x: int, p: int, q: int) -> bool:
     """Whether ``x`` is a non-identity element of the order-q subgroup of
@@ -989,25 +966,7 @@ def in_subgroup(x: int, p: int, q: int) -> bool:
     a transaction key checked at registration and again per signature, costs
     one power per process while it stays in the record.
     """
-    if _told is not None:
-        return _told[x, p, q]
-    return _in_subgroup(x, p, q)
-
-
-def _kept(checks: list, told: dict) -> list:
-    """:func:`in_subgroup`'s kept verdict of each check, or None where it
-    keeps none, once it has kept each verdict in ``told``."""
-    global _told
-    _told, verdicts = told, []
-    try:
-        for check in checks:
-            try:
-                verdicts.append(in_subgroup(*check))
-            except KeyError:
-                verdicts.append(None)
-    finally:
-        _told = None
-    return verdicts
+    return 1 < x < p and modexp(x, q, p) == 1
 
 
 # Candidates p that gen_schnorr_group draws before it gives up: at 1632 bits

@@ -36,6 +36,8 @@ class SigningGroup(Record):
     def __post_init__(self):
         if not 1 < self.q < self.p or (self.p - 1) % self.q:
             raise ValueError("need 1 < q < p with q | (p - 1)")
+        if not 1 < self.u < self.p:
+            raise ValueError("need 1 < u < p")
 
     def transcript_bytes(self) -> bytes:
         return canonical_encode(

@@ -1160,6 +1160,47 @@ def test_modexp_is_the_only_caller_of_pow_with_a_modulus():
     assert calls == [("groupmath.py", "modexp")]
 
 
+def _memoizes(decorator) -> bool:
+    """Whether a decorator is ``functools.lru_cache(...)`` or
+    ``functools.cache``, by attribute or bare name."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else node.id
+    return name in ("lru_cache", "cache")
+
+
+def test_no_memoized_function_reads_a_name_rebound_with_global():
+    # A memo keeps a pure function's result for its arguments, so the
+    # function may read no module state that a function rebinds.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(groupmath.__file__)
+                                .parent.glob("*.py"))}
+    rebound = {module: {name for node in ast.walk(tree)
+                        if isinstance(node, ast.Global)
+                        for name in node.names}
+               for module, tree in trees.items()}
+    assert "_partner" in rebound["groupmath"]
+    memoized, reads = [], []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef)
+                    and any(map(_memoizes, fn.decorator_list))):
+                continue
+            memoized.append(fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    owner, name = module, node.id
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)):
+                    owner, name = node.value.id, node.attr
+                else:
+                    continue
+                if name in rebound.get(owner, ()):
+                    reads.append((module, fn.name, name))
+    assert "in_subgroup" in memoized and "is_probable_prime" in memoized
+    assert reads == []
+
+
 def test_modexp_and_power_product_count_by_their_models(monkeypatch):
     counts = Counter()
     monkeypatch.setattr(groupmath, "MULTIPLICATIONS", counts)

@@ -476,6 +476,20 @@ def _set(*path, value):
     return mutate
 
 
+def _set_u(*path, value):
+    """Set the group's ``u`` at ``path`` to ``value``, or to its ``p``."""
+    def mutate(doc):
+        for key in path:
+            doc = doc[key]
+        doc["u"] = doc["p"] if value == "p" else value
+    return mutate
+
+
+_VERIFIER_GPK = ("verifier", "gpk")
+_ENROLLMENT_GPK = ("users", "alice", "enrollments", "g", "gpk")
+_TX_KEY_GROUP = ("users", "alice", "transaction_keys", 0, "group")
+
+
 @pytest.mark.parametrize("mutate, command, field", [
     (_set("verifier", "gpk", "q", value="0x1"), ("enroll", "carol"),
      "verifier.gpk: q length"),
@@ -493,9 +507,18 @@ def _set(*path, value):
      ("prove", "alice"), "users.alice.enrollments.g.gpk: N length"),
     (_set("users", "alice", "enrollments", "g", "gpk", "q", value="0x0"),
      ("prove", "alice"), "users.alice.enrollments.g.gpk: q length"),
+    *((_set_u(*path, value=u), command, f"{field}: need 1 < u < p")
+      for path, command, field in (
+          (_VERIFIER_GPK, ("show",), "verifier.gpk"),
+          (_ENROLLMENT_GPK, ("prove", "alice"),
+           "users.alice.enrollments.g.gpk"),
+          (_TX_KEY_GROUP, ("tx", "alice", "x"), "transaction_keys.group"))
+      for u in ("0x0", "0x1", "p")),
 ], ids=["verifier-q-1", "verifier-p-0", "issuer-p_N-0", "issuer-q_N'-1",
         "tx-key-q-0",
-        "tx-key-q-1", "enrollment-N-0", "enrollment-q-0"])
+        "tx-key-q-1", "enrollment-N-0", "enrollment-q-0",
+        *(f"{where}-u-{u}" for where in ("verifier", "enrollment", "tx-key")
+          for u in ("0", "1", "p"))])
 def test_world_file_with_corrupt_group_parameters_is_corrupt(
         tmp_path, capsys, enrolled_doc, mutate, command, field):
     doc = json.loads(doc_bytes(enrolled_doc))

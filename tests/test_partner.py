@@ -1,5 +1,5 @@
-"""The partner process: a share of each large step's powers and subgroup
-checks, computed beside the caller.
+"""The partner process: a share of each large step's products of powers,
+computed beside the caller, which keeps every subgroup check.
 
 Most tests lower the partner's 1,024-bit size rule to desk's 256-bit
 factors of N, so that desk keys exercise it.  The byte and verdict tests
@@ -177,8 +177,8 @@ def test_partner_leaves_the_multiplication_count_unchanged(
 
 def test_full_lifecycle_counts_the_same_split_alone_or_on_one_cpu(
         full_group, monkeypatch):
-    # A split batch builds and counts its comb tables here and keeps the
-    # partner's verdicts in in_subgroup's memory, so the full-size counts
+    # A split batch builds and counts its comb tables here and runs its
+    # checks here through in_subgroup's memory, so the full-size counts
     # (a K_I checked three times, tables first read by the partner) match
     # a run in the caller alone.
     runs = []
@@ -212,11 +212,35 @@ def test_full_verify_shares_differ_by_at_most_the_largest_unit(
                                   epid.RevocationList())
     (theirs, mine), = deals
     # t1's comb terms Z, R and S and its fresh T, the checks of B and K,
-    # and t2's one chain.
+    # and t2's one chain; the checks stay here.
     assert len(theirs) + len(mine) == 7
+    checks = [(sig.B, gpk.p, gpk.q), (sig.K, gpk.p, gpk.q)]
+    assert all(check in mine and check not in theirs for check in checks)
     loads = [sum(map(groupmath._weight, share)) for share in (theirs, mine)]
     largest = max(map(groupmath._weight, theirs + mine))
     assert abs(loads[0] - loads[1]) <= largest
+
+
+def test_no_subgroup_check_crosses_the_pipe(full_group, monkeypatch):
+    # The partner computes products of powers alone; every check runs in
+    # the caller, through in_subgroup's memory.  Two lifecycles, so that
+    # a deal by weight alone would have sent a check.
+    _counting_forks(monkeypatch)
+    sent = []
+    on_partner = groupmath._on_partner
+
+    def spy(name, theirs, mine):
+        sent.append((name, theirs))
+        return on_partner(name, theirs, mine)
+
+    monkeypatch.setattr(groupmath, "_on_partner", spy)
+    assert _lifecycle(*full_group, 7) == LIFECYCLE_DIGESTS["full"]
+    _lifecycle(*full_group, 8)
+    assert sent and {name for name, _ in sent} == {"_share"}
+    units = [unit for _, (share,) in sent for unit in share]
+    assert units and all(
+        len(unit) == 2 and isinstance(unit[0], tuple)
+        and all(len(term) == 3 for term in unit[0]) for unit in units)
 
 
 def _joined(gpk, gipk, rng):

@@ -1,20 +1,22 @@
-"""verify_membership against a textbook verifier written from the equations.
+"""verify_membership and verify_join_request against textbook verifiers
+written from the equations.
 
-The reference raises every power with builtin ``pow`` and full-size
+Each reference raises every power with builtin ``pow`` and full-size
 exponents, checks each order strictly and in the order the scheme states
 its checks, and uses no combs, no Straus chains and no partner.  Each
-signature field is perturbed one at a time, and the verdict and reason of
-``epid.verify_membership`` must be the reference's.
+signature or join-request field is perturbed one at a time, and the
+verdict and reason of the production verifier must be the reference's.
 """
 
 import dataclasses
+import math
 import os
 import random
 
 import pytest
 
 from chainanchor import epid, groupmath
-from chainanchor.groupmath import random_subgroup_element
+from chainanchor.groupmath import hash_to_subgroup, random_subgroup_element
 
 
 def _in_order_q(x, p, q):
@@ -145,3 +147,80 @@ def test_verify_membership_matches_the_textbook_verifier(
     finally:
         groupmath.stop_partner()
     assert refused == 3 * 7 + n * 2 * (4 * 3 + 1)
+
+
+def _reference_verify_join(gpk, req, issuer_nonce, gipk=None):
+    """The reason of the first failing check of a join request, or "" for
+    a valid one; with the issuing key, U must also be a square mod N."""
+    prof = gpk.profile
+    N, p, q = gpk.N, gpk.p, gpk.q
+    pr = req.proof
+    if req.nonce_echo != issuer_nonce:
+        return "nonce"
+    if not (1 <= req.U < N and math.gcd(req.U, N) == 1):
+        return "U range"
+    # Euler's criterion modulo each prime factor of N.
+    if gipk is not None and not all(pow(req.U, (P - 1) // 2, P) == 1
+                                    for P in (gipk.p_N, gipk.q_N)):
+        return "U not a quadratic residue"
+    if not _in_order_q(req.K_I, p, q):
+        return "K_I range"
+    for holds, reason in (
+            (0 <= pr.c < 2 ** prof.l_H, "challenge range"),
+            (0 <= pr.s_f < 2 ** (prof.l_f + prof.l_phi + prof.l_H + 1),
+             "s_f interval"),
+            (0 <= pr.s_v < 2 ** (prof.l_v + prof.l_phi + prof.l_H + 1),
+             "s_v interval")):
+        if not holds:
+            return reason
+    # t1 = R^s_f S^s_v U^-c and t2 = B_I^s_f K_I^-c.
+    B_I = hash_to_subgroup(gpk.issuer_basename, p, q)
+    t1 = (pow(gpk.R, pr.s_f, N) * pow(gpk.S, pr.s_v, N)
+          * pow(req.U, -pr.c, N)) % N
+    t2 = pow(B_I, pr.s_f, p) * pow(req.K_I, -pr.c, p) % p
+    if epid._join_challenge(gpk, B_I, req.U, req.K_I, t1, t2, issuer_nonce,
+                            prof.l_H) != pr.c:
+        return "proof"
+    return ""
+
+
+def _join_variants(gpk, req, rng):
+    """(label, join request) pairs, each with one field perturbed: U times
+    N - 1 and K_I times p - 1 for their third value."""
+    prof, N, p = gpk.profile, gpk.N, gpk.p
+    for field, value in (
+            *(("U", value) for value in _perturbed(req.U, N, N, N, rng)),
+            *(("K_I", value) for value in _perturbed(req.K_I, p, p, p, rng))):
+        yield field, dataclasses.replace(req, **{field: value})
+    for field, bound in (("c", 1 << prof.l_H),
+                         ("s_f", 1 << epid._f_bits(prof)),
+                         ("s_v", 1 << epid._v_bits(prof))):
+        for value in _perturbed(getattr(req.proof, field), p, None, bound,
+                                rng):
+            yield field, dataclasses.replace(req, proof=dataclasses.replace(
+                req.proof, **{field: value}))
+
+
+@pytest.mark.parametrize("rule", ["split", "in order"])
+@pytest.mark.parametrize("issuer", [False, True], ids=["gpk", "gipk"])
+def test_verify_join_request_matches_the_textbook_verifier(
+        desk_group, monkeypatch, issuer, rule):
+    gpk, gipk = desk_group
+    key = gipk if issuer else None
+    if rule == "split":
+        monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", 256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = random.Random(200 + issuer)
+    refused = 0
+    try:
+        for _ in range(2):
+            _, req = epid.join_request(gpk, b"nonce", rng)
+            for label, bad in [("honest", req),
+                               *_join_variants(gpk, req, rng)]:
+                expect = _reference_verify_join(gpk, bad, b"nonce", key)
+                res = epid.verify_join_request(gpk, bad, b"nonce", key)
+                assert (bool(res), res.reason) == (not expect, expect), label
+                refused += not res
+    finally:
+        groupmath.stop_partner()
+    assert refused == 2 * 5 * 3
