@@ -214,6 +214,29 @@ def _refuse_undecodable(args, parser):
                 parser.error(f"argument {name} is not valid UTF-8")
 
 
+def _view(world, args) -> int:
+    if args.command == "show":
+        print(world.transcript_text(), end="")
+        print(f"state hash {world.state_hash()}")
+        return EXIT_OK
+    from .ledger import chain_export_text, drop_log_export_text
+    nodes = [n for n in world.nodes
+             if args.node is None or n.node_id == args.node]
+    if args.node is not None and not nodes:
+        print(f"unknown node {args.node!r}", file=sys.stderr)
+        return EXIT_PROTOCOL
+    for node in nodes:
+        print(f"# chain {node.node_id}")
+        text = chain_export_text(node.chain)
+        if text:
+            print(text)
+        print(f"# drops {node.node_id}")
+        drops = drop_log_export_text(node)
+        if drops:
+            print(drops)
+    return EXIT_OK
+
+
 def _dispatch(args, parser) -> int:
     _refuse_undecodable(args, parser)
     if args.command == "setup":
@@ -237,6 +260,8 @@ def _dispatch(args, parser) -> int:
         return EXIT_OK
 
     world = _load_world(args, parser)
+    if args.command in ("show", "export"):
+        return _view(world, args)  # a view never writes the world file
     lines_before = len(world.lines)
     code = EXIT_OK
     try:
@@ -265,26 +290,6 @@ def _dispatch(args, parser) -> int:
         elif args.command == "disclose":
             world.disclose(args.user, args.key_index,
                            reveal_identity=args.reveal_identity)
-        elif args.command == "show":
-            print(world.transcript_text(), end="")
-            print(f"state hash {world.state_hash()}")
-            return EXIT_OK
-        elif args.command == "export":
-            from .ledger import chain_export_text, drop_log_export_text
-            nodes = [n for n in world.nodes
-                     if args.node is None or n.node_id == args.node]
-            if args.node is not None and not nodes:
-                raise ProtocolError(f"unknown node {args.node!r}")
-            for node in nodes:
-                print(f"# chain {node.node_id}")
-                text = chain_export_text(node.chain)
-                if text:
-                    print(text)
-                print(f"# drops {node.node_id}")
-                drops = drop_log_export_text(node)
-                if drops:
-                    print(drops)
-            return EXIT_OK
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command!r}")
     except ProtocolError as exc:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import schnorr
 from .errors import (
     CredentialError,
     InvariantViolation,
@@ -104,7 +105,7 @@ def _verify_dlog(proof: DlogProof, N, base, value, profile) -> bool:
     bound = 1 << (profile.l_N + profile.l_phi + profile.l_H + 1)
     if not (0 <= proof.c < (1 << profile.l_H) and 0 <= proof.s < bound):
         return False
-    # check_gpk_ranges has found value prime to N, so it has an inverse.
+    # The key's type has found value prime to N, so it has an inverse.
     t = power_product(((base, proof.s, None), (value, -proof.c, None)), N)
     return _dlog_challenge(proof.label, N, base, value, t, profile.l_H) == proof.c
 
@@ -127,6 +128,21 @@ class GroupPublicKey(Record):
     issuer_basename: bytes
     correctness_proofs: tuple[DlogProof, ...]
 
+    def __post_init__(self):
+        # The checks that cost no power: lengths, ranges and gcds, and
+        # (p, q, u) must make a signing group.  validate_gpk does the rest.
+        prof = self.profile
+        for name, value, bits in (("N", self.N, prof.l_N),
+                                  ("p", self.p, prof.l_p),
+                                  ("q", self.q, prof.l_q)):
+            if value.bit_length() != bits:
+                raise ValueError(f"{name} length")
+        for name in ("g_prime", "g", "h", "R", "S", "Z"):
+            value = getattr(self, name)
+            if not 2 <= value < self.N or math.gcd(value, self.N) != 1:
+                raise ValueError(f"{name} range")
+        schnorr.SigningGroup(self.p, self.q, self.u)
+
     def transcript_bytes(self) -> bytes:
         return canonical_encode(_enc(
             b"group-public-key", self.N, self.g_prime, self.g, self.h,
@@ -142,6 +158,12 @@ class GroupIssuingPrivateKey:
     q_N: int
     p_N_prime: int
     q_N_prime: int
+
+    def __post_init__(self):
+        # With p_N_prime 0, a join would draw primes for ever.
+        if (self.p_N_prime != self.p_N >> 1
+                or self.q_N_prime != self.q_N >> 1):
+            raise ValueError("not the factors of N")
 
     @property
     def qr_order(self) -> int:
@@ -242,7 +264,8 @@ def setup_group(profile: ParameterProfile, issuer_basename: bytes, rng):
 
 @functools.lru_cache(maxsize=8)
 def validate_gpk(gpk: GroupPublicKey) -> Check:
-    """Check proofs, subgroup structure and parameter lengths of a group key.
+    """The checks of a group key that cost powers: its proofs, primes and
+    subgroup.  Its type has already checked lengths, ranges and gcds.
 
     The verdict is a pure function of the key and is memoized on the frozen
     key itself, so a hit needs every field equal, proofs and profile
@@ -252,28 +275,7 @@ def validate_gpk(gpk: GroupPublicKey) -> Check:
     return _check_gpk(gpk)
 
 
-def check_gpk_ranges(gpk: GroupPublicKey) -> Check:
-    """The checks of a group key that cost no power: lengths, ranges and
-    gcds.  :func:`validate_gpk` runs them first, and a world file's keys
-    pass them when it loads."""
-    prof = gpk.profile
-    if gpk.N.bit_length() != prof.l_N:
-        return _fail("N length")
-    if gpk.p.bit_length() != prof.l_p:
-        return _fail("p length")
-    if gpk.q.bit_length() != prof.l_q:
-        return _fail("q length")
-    for name, value in (("g_prime", gpk.g_prime), ("g", gpk.g), ("h", gpk.h),
-                        ("R", gpk.R), ("S", gpk.S), ("Z", gpk.Z)):
-        if not 2 <= value < gpk.N or math.gcd(value, gpk.N) != 1:
-            return _fail(f"{name} range")
-    return OK
-
-
 def _check_gpk(gpk: GroupPublicKey) -> Check:
-    # The cheap checks come first, so a malformed key costs no power.
-    if not (check := check_gpk_ranges(gpk)):
-        return check
     prof = gpk.profile
     bases = {"g": (gpk.g_prime, gpk.g), "h": (gpk.g_prime, gpk.h),
              "R": (gpk.h, gpk.R), "S": (gpk.h, gpk.S), "Z": (gpk.h, gpk.Z)}
@@ -292,12 +294,8 @@ def _check_gpk(gpk: GroupPublicKey) -> Check:
         return _fail("p not prime")
     if not is_probable_prime(gpk.q):
         return _fail("q not prime")
-    if (gpk.p - 1) % gpk.q != 0:
-        return _fail("q does not divide p-1")
     if ((gpk.p - 1) // gpk.q) % gpk.q == 0:
         return _fail("q square")
-    if not 1 < gpk.u < gpk.p:
-        return _fail("u range")
     if not in_subgroup(gpk.u, gpk.p, gpk.q):
         return _fail("u order")
     return OK
@@ -732,13 +730,10 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
                     (sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), None),
                     *_R_S(gpk, sig.s_f, sig.s_v))
         # B's and K's exponents reduce mod q once both pass in_subgroup,
-        # the verdicts that count; both exponents are non-negative.
+        # the verdicts that count; both exponents are non-negative.  Z and S
+        # are prime to N, so no base of t1 lacks an inverse.
         t2_terms = ((sig.B, sig.s_f % q, None), (sig.K, -sig.c % q, None))
-        try:
-            t1, *verdicts, t2 = shared([(t1_terms, N), *checks,
-                                        (t2_terms, p)])
-        except ValueError:  # a base of t1 with no inverse mod N
-            verdicts = (in_subgroup(*check) for check in checks)
+        t1, *verdicts, t2 = shared([(t1_terms, N), *checks, (t2_terms, p)])
     for name, ok in zip("BK", verdicts):
         if not ok:
             return _fail(f"{name} subgroup")

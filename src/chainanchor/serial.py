@@ -11,7 +11,8 @@ unset; ``list``/``tuple`` are arrays, a ``set`` a sorted array,
 ``dict[str, T]`` an object and any other dict an array of ``[key, value]``
 pairs in insertion order, whose decoding refuses a repeated key.
 Decoding checks every field, and a missing, unexpected or malformed one
-raises a ProtocolError naming it.
+raises a ProtocolError naming its path, ``dict[str, T]`` keys included; a
+ValueError from a record's constructor makes its fields malformed too.
 ``doc_bytes`` fixes key order and spacing, so equal documents are equal
 bytes (state hashes, envelope payloads, golden transcripts).
 """
@@ -141,7 +142,8 @@ def _build(tp, secrets):
     if origin is dict and args[0] is str:
         enc, dec = _codec(args[1], secrets)
         return (lambda v: {k: enc(x) for k, x in v.items()},
-                _checked(dict, lambda d: {k: dec(x) for k, x in d.items()}))
+                _checked(dict, lambda d: {k: _at(k, dec, x)
+                                          for k, x in d.items()}))
     if origin is dict:
         enc, dec = _codec(tuple[args], secrets)
 
@@ -197,11 +199,7 @@ def _record(tp, secrets):
         values = {}
         for name, _, dec, omit in codecs:
             if name in doc:
-                try:
-                    values[name] = dec(doc[name])
-                except _Malformed as bad:
-                    bad.path.append(name)
-                    raise
+                values[name] = _at(name, dec, doc[name])
             elif not omit:
                 raise _Malformed("missing", name)
         if len(values) != len(doc):
@@ -211,6 +209,15 @@ def _record(tp, secrets):
         except ValueError as exc:
             raise _Malformed(str(exc)) from None
     return encode_record, _checked(dict, decode_record)
+
+
+def _at(name: str, dec, doc):
+    """``dec(doc)``, with ``name`` added to the path of a decode failure."""
+    try:
+        return dec(doc)
+    except _Malformed as bad:
+        bad.path.append(name)
+        raise
 
 
 def _same(value):

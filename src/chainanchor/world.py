@@ -332,7 +332,6 @@ class World:
         if world.group_id not in world.issuer.groups:
             raise ProtocolError(f"issuer.groups has no group {world.group_id!r}")
         _check_names(world)
-        _check_group_keys(world)
         return world
 
     def state_hash(self) -> str:
@@ -388,28 +387,6 @@ def _check_names(world: World) -> None:
             raise ProtocolError(f"nodes: node id {node.node_id!r} appears "
                                 f"twice")
         seen.add(node.node_id)
-
-
-def _check_group_keys(world: World) -> None:
-    """Refuse a group key in the file that fails ``roles.check_stored_gpk``,
-    and an issuing key whose fields are not its group's N factored (with
-    ``p_N_prime`` 0, a join would draw primes for ever)."""
-    keys = [("verifier.gpk", world.verifier.gpk)]
-    keys += [(f"issuer.groups.{gid}.gpk", group.gpk)
-             for gid, group in world.issuer.groups.items()]
-    keys += [(f"users.{name}.enrollments.{gid}.gpk", enrollment.gpk)
-             for name, user in world.users.items()
-             for gid, enrollment in user.enrollments.items()]
-    for path, gpk in keys:
-        check = roles.check_stored_gpk(gpk)
-        if not check:
-            raise ProtocolError(f"{path}: {check.reason}")
-    for gid, group in world.issuer.groups.items():
-        key = group.gipk
-        if (key.p_N * key.q_N != group.gpk.N or key.p_N_prime != key.p_N >> 1
-                or key.q_N_prime != key.q_N >> 1):
-            raise ProtocolError(f"issuer.groups.{gid}.gipk: not the factors "
-                                f"of N")
 
 
 # The world file: every actor's full state, secrets included.

@@ -297,6 +297,19 @@ def test_export_prints_chain_and_drops(ready_world, capsys):
     assert code == 2 and "unknown node" in err
 
 
+def test_views_never_rewrite_the_world_file(tmp_path, capsys):
+    # A format-1 file would be saved again as format 2 by any write.
+    fixture = Path(__file__).parent / "data" / "world-v1-setup-seed7.json"
+    path = tmp_path / "w.json"
+    path.write_bytes(fixture.read_bytes())
+    for args, expect in ((("export", "--node", "nope"), 2), (("export",), 0),
+                         (("show",), 0)):
+        code, _, err = run(capsys, *args, "--world", str(path))
+        assert code == expect, args
+        assert ("unknown node 'nope'" in err) == (expect == 2), args
+        assert path.read_bytes() == fixture.read_bytes(), args
+
+
 def test_unknown_user_tx(ready_world, capsys):
     code, _, err = run(capsys, "tx", "nobody", "x", "--world", ready_world)
     assert code == 2 and "unknown user" in err

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import re
 
 import pytest
 import sympy
@@ -66,9 +67,27 @@ def test_validate_rejects_low_order_u(desk_gpk):
 
 
 def test_validate_rejects_composite_q(desk_gpk):
-    bad = dataclasses.replace(desk_gpk, q=desk_gpk.q - 1)
+    # An even q of the right length, and a prime p = k*q + 1: only the
+    # prime test of q can refuse this key.
+    q = desk_gpk.q - 1
+    k = (1 << (desk_gpk.profile.l_p - 1)) // q + 1
+    while not sympy.isprime(k * q + 1):
+        k += 1
+    bad = dataclasses.replace(desk_gpk, p=k * q + 1, q=q, u=2)
     res = epid.validate_gpk(bad)
     assert not res and res.reason == "q not prime"
+
+
+def _refused(gpk, reason, **change):
+    """Assert that ``gpk`` with ``change`` cannot be built, in memory or
+    from a document, and that both refusals give ``reason``."""
+    with pytest.raises(ValueError) as refused:
+        dataclasses.replace(gpk, **change)
+    assert str(refused.value) == reason
+    doc = dict(gpk.to_doc(), **{k: hex(v) for k, v in change.items()})
+    with pytest.raises(ProtocolError,
+                       match=f"^malformed document: {re.escape(reason)}$"):
+        epid.GroupPublicKey.from_doc(doc)
 
 
 def test_validate_names_p_without_order_q_subgroup(desk_gpk):
@@ -77,8 +96,7 @@ def test_validate_names_p_without_order_q_subgroup(desk_gpk):
         p = gen_prime(desk_gpk.profile.l_p, rng)
         if (p - 1) % desk_gpk.q != 0:
             break
-    res = epid.validate_gpk(dataclasses.replace(desk_gpk, p=p))
-    assert not res and res.reason == "q does not divide p-1"
+    _refused(desk_gpk, "need 1 < q < p with q | (p - 1)", p=p)
 
 
 def test_validate_rejects_tampered_proof(desk_gpk):
@@ -90,22 +108,25 @@ def test_validate_rejects_tampered_proof(desk_gpk):
 
 
 def test_validate_rejects_wrong_lengths(desk_gpk):
-    bad = dataclasses.replace(desk_gpk, N=desk_gpk.N >> 1)
-    assert not epid.validate_gpk(bad)
+    _refused(desk_gpk, "N length", N=desk_gpk.N >> 1)
 
 
-def test_malformed_key_is_refused_before_any_power(desk_gpk, monkeypatch):
+def test_malformed_key_is_refused_before_any_power(desk_group, monkeypatch):
+    # The key's type refuses it: no proof is checked, no power is taken.
+    desk_gpk, gipk = desk_group
     proofs = []
     monkeypatch.setattr(epid, "_verify_dlog",
                         lambda *args: proofs.append(args) or True)
+    before = groupmath.MULTIPLICATIONS.copy()
     for change, reason in (({"N": desk_gpk.N >> 1}, "N length"),
                            ({"p": desk_gpk.p << 1}, "p length"),
                            ({"q": desk_gpk.q >> 1}, "q length"),
                            ({"h": desk_gpk.N}, "h range"),
-                           ({"Z": 0}, "Z range")):
-        res = epid.validate_gpk(dataclasses.replace(desk_gpk, **change))
-        assert not res and res.reason == reason
-    assert proofs == []
+                           ({"Z": 0}, "Z range"),
+                           ({"g": gipk.p_N}, "g range"),
+                           ({"u": 1}, "need 1 < u < p")):
+        _refused(desk_gpk, reason, **change)
+    assert proofs == [] and groupmath.MULTIPLICATIONS == before
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +171,22 @@ def _field_changes(gpk):
 
 
 def test_validate_reruns_and_rejects_any_changed_field(desk_gpk, monkeypatch):
+    # A change that the key's type refuses never reaches validate_gpk.
     runs = _spy_check(monkeypatch)
     assert epid.validate_gpk(desk_gpk)
+    refused = {}
     for name, change in _field_changes(desk_gpk).items():
-        bad = dataclasses.replace(desk_gpk, **change)
+        try:
+            bad = dataclasses.replace(desk_gpk, **change)
+        except ValueError as exc:
+            refused[name] = str(exc)
+            continue
         assert not epid.validate_gpk(bad), name
         assert runs[-1] is bad, name
+    assert refused == {"N": "g_prime range",  # N + 1 is even, and so is g'
+                       "p": "need 1 < q < p with q | (p - 1)",
+                       "q": "need 1 < q < p with q | (p - 1)",
+                       "profile": "p length"}
 
 
 def test_validate_never_records_rejected_key(desk_gpk, monkeypatch):
@@ -727,12 +758,13 @@ def test_member_key_record_stays_bounded(desk_group, monkeypatch):
     assert runs == keys
 
 
-def test_verify_answers_sigma1_for_a_non_invertible_Z(desk_group, member_key):
+def test_key_with_a_non_invertible_Z_or_S_cannot_be_built(desk_group):
+    # verify_membership raises Z and S to negative powers mod N: a key
+    # whose Z or S has no inverse is refused before any verify.
     gpk, gipk = desk_group
-    sig = sign(member_key, gpk, random.Random(33))
-    bad = dataclasses.replace(gpk, Z=gipk.p_N)
-    res = verify(bad, sig)
-    assert not res and res.reason == "sigma1"
+    for name in ("Z", "S"):
+        for factor in (gipk.p_N, gipk.q_N):
+            _refused(gpk, f"{name} range", **{name: factor})
 
 
 def test_blinding_hides_secret_distribution(desk_gpk):

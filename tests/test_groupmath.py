@@ -447,7 +447,16 @@ def test_split_prime_test_runs_in_process_when_fork_fails(monkeypatch,
     profile = dataclasses.replace(desk_gpk.profile, l_p=512)
     good = dataclasses.replace(desk_gpk, p=p, u=pow(2, k, p),
                                profile=profile)
-    bad = dataclasses.replace(good, p=FERMAT_LIAR_512)
+    # A key's p is 1 mod q: the liar r(2r - 1) with r = 1 + j*q, r = 1
+    # mod 4, is a strong probable prime to base 2 (j is the first such
+    # multiple of 4 above 2^255 / q with r and 2r - 1 prime).
+    j = (((1 << 255) // q + 4) & ~3) + 43236
+    r = 1 + j * q
+    assert sympy.isprime(r) and sympy.isprime(2 * r - 1)
+    liar = r * (2 * r - 1)
+    assert liar.bit_length() == 512 and groupmath._strong_probable_prime(
+        liar, 2)
+    bad = dataclasses.replace(good, p=liar)
     assert good.u != 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     tries = []

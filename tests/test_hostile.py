@@ -530,6 +530,19 @@ def test_world_file_with_corrupt_group_parameters_is_corrupt(
     assert "Traceback" not in err
 
 
+def test_world_file_whose_issuing_key_does_not_factor_n_is_corrupt(
+        tmp_path, capsys, enrolled_doc):
+    # Each half of the key is consistent on its own; their product is not N.
+    doc = json.loads(doc_bytes(enrolled_doc))
+    doc["issuer"]["groups"]["g"]["gipk"] = {
+        "p_N": "0x7", "q_N": "0xb", "p_N_prime": "0x3", "q_N_prime": "0x5"}
+    bad = tmp_path / "w.json"
+    bad.write_text(json.dumps(doc))
+    code, err = _run(capsys, "join", "bob", "--world", str(bad))
+    assert code == 1 and "is corrupt" in err
+    assert "malformed field issuer.groups.g: gipk does not factor N" in err
+
+
 def _rename_user(old, new):
     def mutate(doc):
         doc["users"][new] = doc["users"].pop(old)
@@ -566,7 +579,7 @@ def test_delivered_group_key_that_a_world_file_refuses_is_not_kept(base_doc):
         doc["gpk"]["q"] = "0x0"
         return dataclasses.replace(env, payload=doc_bytes(doc))
     _tamper_enrollment(world, "delivery", zero_q)
-    with pytest.raises(ProtocolError, match="group public key rejected"):
+    with pytest.raises(ProtocolError, match="^malformed field gpk: q length$"):
         world.enroll("alice")
     assert world.group_id not in world.users["alice"].enrollments
     World.from_doc(json.loads(doc_bytes(world.to_doc())))

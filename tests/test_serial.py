@@ -1,8 +1,11 @@
 """The document codec: encoding rules, secret fields and decode errors."""
 
+import ast
+import pathlib
+
 import pytest
 
-from chainanchor import roles
+from chainanchor import roles, serial
 from chainanchor.channels import Envelope
 from chainanchor.epid import MembershipSignature
 from chainanchor.errors import ProtocolError
@@ -85,6 +88,37 @@ def test_decode_errors_name_the_field():
     fields = encode(ParameterProfile("p", 64, 10, 16, 8, 90, 16, 128, 32, 16))
     with pytest.raises(ProtocolError, match="l_v must equal"):
         decode(ParameterProfile, dict(fields, l_v=91))
+    # A named map adds the name to the path.
+    group = {"p": "0x17", "q": "0xb", "u": "0x2"}
+    with pytest.raises(ProtocolError,
+                       match=r"^malformed field b\.g: need 1 < u < p$"):
+        decode({"b": dict[str, SigningGroup]},
+               {"b": {"a": group, "g": dict(group, u="0x1")}})
+
+
+def test_every_refusal_in_a_post_init_is_a_value_error():
+    # The decoder turns only a constructor's ValueError into a
+    # ProtocolError that names the field; any other raise would escape
+    # the CLI's exit codes as a traceback.
+    checked, others = set(), []
+    for path in sorted(pathlib.Path(serial.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef)
+                        and fn.name == "__post_init__"):
+                    continue
+                checked.add(cls.name)
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Raise) and not (
+                            isinstance(node.exc, ast.Call)
+                            and isinstance(node.exc.func, ast.Name)
+                            and node.exc.func.id == "ValueError"):
+                        others.append((path.name, cls.name, node.lineno))
+    assert checked >= {"ParameterProfile", "SigningGroup", "GroupPublicKey",
+                       "GroupIssuingPrivateKey", "IssuerGroup"}
+    assert others == []
 
 
 def test_integers_are_non_negative_outside_the_signed_fields():

@@ -119,7 +119,7 @@ def _variants(gpk, sig, other, rng):
 
 
 @pytest.mark.parametrize("rule", ["split", "in order"])
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_verify_membership_matches_the_textbook_verifier(
         desk_gpk, member_key, monkeypatch, n, rule):
     gpk = desk_gpk
@@ -147,6 +147,64 @@ def test_verify_membership_matches_the_textbook_verifier(
     finally:
         groupmath.stop_partner()
     assert refused == 3 * 7 + n * 2 * (4 * 3 + 1)
+
+
+def _minus_one_proof(gpk, sig, f, B_i, K_i, rng):
+    """A revoked signer's proof for its own entry (B_i, K_i = B_i^f) with
+    W = -1, whose challenge is ground until the power of W that the
+    verifier computes, W^(-c mod q), is 1.  Returns (proof, hashes)."""
+    p, q, l_H = gpk.p, gpk.q, gpk.profile.l_H
+    W, mu = p - 1, rng.randrange(1, q)
+    for hashes in range(1, 65):
+        r_a, r_b = rng.randrange(q), rng.randrange(q)
+        # B_i^r_a K_i^-r_b and B^r_a K^-r_b: the honest commitments, with
+        # alpha = f*mu and beta = mu.
+        t_a = pow(B_i, r_a, p) * pow(K_i, -r_b, p) % p
+        t_b = pow(sig.B, r_a, p) * pow(sig.K, -r_b, p) % p
+        c = epid._nonrevocation_challenge(b"sig-rl", sig.c, 0, B_i, K_i,
+                                          sig.B, sig.K, W, t_a, t_b, l_H)
+        if -c % q % 2 == 0:
+            return epid.NonRevocationProof(
+                W=W, c=c, s_alpha=(r_a + c * f * mu) % q,
+                s_beta=(r_b + c * mu) % q), hashes
+    raise AssertionError("no even exponent in 64 challenges")
+
+
+def test_revoked_signer_with_w_minus_one_is_refused(desk_gpk, member_key):
+    # The signer's own pseudonym is on the sig-RL.  With W = p - 1 and a
+    # ground challenge, the verifier's proof equation holds, so only W's
+    # order check can refuse (the small-order attack on a batched or
+    # unchecked non-revocation proof).
+    gpk, sk = desk_gpk, member_key
+    p, q = gpk.p, gpk.q
+    rng = random.Random(300)
+    old = epid.sign_membership(sk, gpk, b"m0", b"n0", epid.RevocationList(),
+                               epid.RevocationList(), rng)
+    sig_rl = epid.RevocationList(entries=((old.B, old.K),), epoch=1)
+    with pytest.raises(epid.RevokedKeyError):
+        epid.sign_membership(sk, gpk, b"m", b"n", sig_rl,
+                             epid.RevocationList(), rng)
+    # sigma1 binds the epoch, not the entries: sign over a stand-in entry
+    # and swap in the forged proof for the real one.
+    stand_in = epid.RevocationList(entries=((
+        random_subgroup_element(p, q, rng),
+        random_subgroup_element(p, q, rng)),), epoch=1)
+    sig = epid.sign_membership(sk, gpk, b"m", b"n", stand_in,
+                               epid.RevocationList(), rng)
+    proof, hashes = _minus_one_proof(gpk, sig, sk.f, old.B, old.K, rng)
+    assert hashes <= 8
+    forged = dataclasses.replace(sig, nonrevocation_sig=(proof,))
+    # The equation the verifier checks holds for W = -1.
+    t_a = (pow(old.B, proof.s_alpha, p) * pow(old.K, -proof.s_beta, p)
+           * pow(proof.W, -proof.c % q, p)) % p
+    t_b = pow(sig.B, proof.s_alpha, p) * pow(sig.K, -proof.s_beta, p) % p
+    assert epid._nonrevocation_challenge(
+        b"sig-rl", sig.c, 0, old.B, old.K, sig.B, sig.K, proof.W, t_a, t_b,
+        gpk.profile.l_H) == proof.c
+    for verify in (epid.verify_membership, _reference_verify_membership):
+        res = verify(gpk, b"m", b"n", forged, sig_rl, epid.RevocationList())
+        reason = res if isinstance(res, str) else res.reason
+        assert reason == "sig-rl entry 0 W subgroup", verify
 
 
 def _reference_verify_join(gpk, req, issuer_nonce, gipk=None):
