@@ -386,37 +386,39 @@ def join_request(gpk: GroupPublicKey, issuer_nonce: bytes, rng):
 
 def verify_join_request(gpk: GroupPublicKey, req: JoinRequest,
                         issuer_nonce: bytes,
-                        gipk: Optional[GroupIssuingPrivateKey] = None) -> Check:
-    """Check the join proof.  With the issuing key the mod-N powers run by
-    CRT and U must also be a quadratic residue, which only the issuer can
-    test: a non-residue U passes the proof whenever its challenge is even."""
+                        gipk: GroupIssuingPrivateKey) -> Check:
+    """The issuer's check of a join request: the proof, its mod-N powers by
+    CRT, and U a quadratic residue, which only the factorization can test:
+    a non-residue U passes the proof whenever its challenge is even."""
     prof = gpk.profile
     if req.nonce_echo != issuer_nonce:
         return _fail("nonce")
     if not 1 <= req.U < gpk.N or math.gcd(req.U, gpk.N) != 1:
         return _fail("U range")
-    if gipk is not None and not gipk.is_quadratic_residue(req.U):
+    if not gipk.is_quadratic_residue(req.U):
         return _fail("U not a quadratic residue")
-    N, p, q = gpk.N, gpk.p, gpk.q
+    p, q = gpk.p, gpk.q
     pr = req.proof
     bad = _first_false((0 <= pr.c < (1 << prof.l_H), "challenge range"),
                        (0 <= pr.s_f < (1 << _f_bits(prof)), "s_f interval"),
                        (0 <= pr.s_v < (1 << _v_bits(prof)), "s_v interval"))
+    # The powers run only once every range holds, so a hostile interval
+    # never reaches the partner; K_I's reason still comes first.  Its
+    # exponent reduces mod q once K_I passes in_subgroup, the verdict that
+    # counts; every exponent is non-negative, and U is prime to N.
+    tasks = [(req.K_I, p, q)]
+    if not bad:
+        B_I = hash_to_subgroup(gpk.issuer_basename, p, q)
+        tasks += gipk.halves(_R_S(gpk, pr.s_f, pr.s_v)
+                             + ((req.U, -pr.c, None),))
+        tasks.append((((B_I, pr.s_f % q, q.bit_length()),
+                       (req.K_I, -pr.c % q, None)), p))
+    K_I_ok, *powers = shared(tasks)
+    bad = bad if K_I_ok else "K_I range"
     if bad:
-        return _fail("K_I range" if not in_subgroup(req.K_I, p, q) else bad)
-    terms = _R_S(gpk, pr.s_f, pr.s_v) + ((req.U, -pr.c, None),)
-    B_I = hash_to_subgroup(gpk.issuer_basename, p, q)
-    # K_I's exponent reduces mod q once K_I passes in_subgroup, the verdict
-    # that counts; every exponent is non-negative, and U is prime to N.
-    *t1, K_I_ok, t2 = shared(
-        (gipk.halves(terms) if gipk is not None else [(terms, N)])
-        + [(req.K_I, p, q),
-           (((B_I, pr.s_f % q, q.bit_length()), (req.K_I, -pr.c % q, None)),
-            p)])
-    if not K_I_ok:
-        return _fail("K_I range")
-    t1 = gipk.crt(*t1) if gipk is not None else t1[0]
-    if _join_challenge(gpk, B_I, req.U, req.K_I, t1, t2,
+        return _fail(bad)
+    *t1, t2 = powers
+    if _join_challenge(gpk, B_I, req.U, req.K_I, gipk.crt(*t1), t2,
                        issuer_nonce, prof.l_H) != pr.c:
         return _fail("proof")
     return OK
@@ -721,24 +723,21 @@ def verify_membership(gpk: GroupPublicKey, message: bytes, nonce_pv: bytes,
          "s_e interval"),
         (0 <= sig.s_f < (1 << _f_bits(prof)), "s_f interval"),
         (abs(sig.s_v) < (1 << _v_bits(prof)), "s_v interval"))
-    checks = [(sig.B, p, q), (sig.K, p, q)]
-    t1 = None
-    if bad:
-        verdicts = (in_subgroup(*check) for check in checks)
-    else:
-        t1_terms = ((gpk.Z, -sig.c, prof.l_H),
-                    (sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), None),
-                    *_R_S(gpk, sig.s_f, sig.s_v))
+    tasks = [(sig.B, p, q), (sig.K, p, q)]
+    if not bad:
         # B's and K's exponents reduce mod q once both pass in_subgroup,
         # the verdicts that count; both exponents are non-negative.  Z and S
         # are prime to N, so no base of t1 lacks an inverse.
-        t2_terms = ((sig.B, sig.s_f % q, None), (sig.K, -sig.c % q, None))
-        t1, *verdicts, t2 = shared([(t1_terms, N), *checks, (t2_terms, p)])
-    for name, ok in zip("BK", verdicts):
-        if not ok:
-            return _fail(f"{name} subgroup")
-    if t1 is None:
-        return _fail(bad or "sigma1")
+        tasks += [(((gpk.Z, -sig.c, prof.l_H),
+                    (sig.T, sig.s_e + sig.c * (1 << (prof.l_e - 1)), None),
+                    *_R_S(gpk, sig.s_f, sig.s_v)), N),
+                  (((sig.B, sig.s_f % q, None), (sig.K, -sig.c % q, None)),
+                   p)]
+    B_ok, K_ok, *powers = shared(tasks)
+    bad = _first_false((B_ok, "B subgroup"), (K_ok, "K subgroup")) or bad
+    if bad:
+        return _fail(bad)
+    t1, t2 = powers
     expect = _sigma1_challenge(gpk, sig.B, sig.K, sig.T, t1, t2,
                                sig.sig_rl_epoch, sig.issuer_rl_epoch,
                                nonce_pv, message)

@@ -507,7 +507,7 @@ def shared(tasks) -> list:
     product of powers ``(terms, mod)`` gives ``power_product(terms, mod)``
     and a subgroup check ``(x, p, q)`` gives ``in_subgroup(x, p, q)``.
 
-    While a partner runs (:func:`_on_partner`), a batch with a modulus of
+    While a partner runs (:func:`_on_partner`), a batch with a product mod
     ``_PARTNER_MIN_BITS`` bits or more is split (:func:`_split`): the
     partner computes a share of its products while this process computes
     the rest and every check.  Any other batch runs here in order, and the
@@ -517,7 +517,8 @@ def shared(tasks) -> list:
     process builds, and counts, every comb table that a split batch reads,
     and every check runs here, through :func:`in_subgroup`.
     """
-    if max(task[1].bit_length() for task in tasks) < _PARTNER_MIN_BITS:
+    if max((task[1].bit_length() for task in tasks if len(task) == 2),
+           default=0) < _PARTNER_MIN_BITS:
         return [_run(task) for task in tasks]
     if _partner and _partner_usable():
         return _split(tasks)

@@ -393,7 +393,6 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
     if verifier.gpk is None or verifier.permissions_db is None:
         raise ProtocolError("verifier has no group key")
     gpk = verifier.gpk
-    params = signing_group_of(gpk)
     # The user's own refusals come before anything is sent.
     enrollment = user.enrollments.get(verifier.permissions_db.group_id)
     if enrollment is None:
@@ -423,7 +422,8 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
     sigma = epid.sign_membership(user.member_keys[key_index], enrollment.gpk,
                                  m, n_pv, sig_rl, issuer_rl, rng)
     sigma_hash = hashlib.sha256(sigma.transcript_bytes()).digest()
-    share_user = schnorr.generate_keypair(params, rng)
+    share_user = schnorr.generate_keypair(signing_group_of(enrollment.gpk),
+                                          rng)
     env = transcript.send(Envelope(
         ANON_ID, VERIFIER_ID, "step-6.4",
         pack(_PROOF, session_id=session_id, sigma=sigma,
@@ -439,7 +439,7 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
     if not in_subgroup(delivered_share, gpk.p, gpk.q):
         raise ProtocolError("key agreement share invalid")
     delivered_hash = hashlib.sha256(delivered_sigma.transcript_bytes()).digest()
-    share_pv = schnorr.generate_keypair(params, rng)
+    share_pv = schnorr.generate_keypair(signing_group_of(gpk), rng)
     psk_pv = _psk(modexp(delivered_share, share_pv.secret, gpk.p),
                   delivered_hash, challenge.m, challenge.n_pv)
     confirm_pv = mac_tag(psk_pv, b"confirm-pv", [session_id.encode()])
@@ -450,7 +450,8 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
 
     delivered_share_pv, delivered_confirm = _in_session(_SHARE_CONFIRM, env,
                                                         session_id)
-    psk_user = _psk(modexp(delivered_share_pv, share_user.secret, gpk.p),
+    psk_user = _psk(modexp(delivered_share_pv, share_user.secret,
+                           enrollment.gpk.p),
                     sigma_hash, m, n_pv)
     if not hmac.compare_digest(delivered_confirm, mac_tag(
             psk_user, b"confirm-pv", [session_id.encode()])):
@@ -536,32 +537,13 @@ def register_transaction_key(user: UserActor, verifier: VerifierActor,
 # ---------------------------------------------------------------------------
 # Step 7: anonymous internet identity
 
-def pv_issue_anonymous_identity(verifier: VerifierActor, session_id: str,
-                                transaction_key: int, rng,
-                                clock: LogicalClock) -> AnonymousIdentityCertificate:
-    """Mint a fresh anonymous identity bound to a key registered in this
-    session, signed with the verifier's identity key."""
-    session = _established(verifier.sessions, session_id)
-    if transaction_key not in session.registered_keys:
-        raise ProtocolError("key not registered in this session")
-    while True:
-        anon_id = f"anon{rand_bytes(rng, 8).hex()}@{verifier.domain}"
-        if anon_id not in verifier.issued_identities:
-            break
-    cert = AnonymousIdentityCertificate(anon_id=anon_id,
-                                        bound_key=transaction_key,
-                                        issued_at=clock.now(),
-                                        signature=(0, 0))
-    cert.signature = schnorr.sign(verifier.identity_keypair, cert.body_bytes())
-    verifier.issued_identities[anon_id] = cert
-    return cert
-
-
 def user_request_anonymous_identity(user: UserActor, verifier: VerifierActor,
                                     session_id: str, transaction_key: int,
                                     transcript: Transcript, rng,
                                     clock: LogicalClock) -> AnonymousIdentityCertificate:
-    """PSK-sealed request/response wrapper around identity issuance."""
+    """Request, over the PSK channel, a fresh anonymous identity bound to
+    a key registered in this session; the verifier signs it with its
+    identity key."""
     session = _established(user.psk_sessions, session_id)
     env = transcript.send(Envelope(ANON_ID, VERIFIER_ID, "step-7", _seal(
         session, b"identity-request",
@@ -570,8 +552,17 @@ def user_request_anonymous_identity(user: UserActor, verifier: VerifierActor,
     vsession = _established(verifier.sessions, session_id)
     bound_key, = unpack(_IDENTITY_REQUEST,
                         _open(vsession, b"identity-request", env))
-    cert = pv_issue_anonymous_identity(verifier, session_id, bound_key,
-                                       rng, clock)
+    if bound_key not in vsession.registered_keys:
+        raise ProtocolError("key not registered in this session")
+    while True:
+        anon_id = f"anon{rand_bytes(rng, 8).hex()}@{verifier.domain}"
+        if anon_id not in verifier.issued_identities:
+            break
+    cert = AnonymousIdentityCertificate(anon_id=anon_id, bound_key=bound_key,
+                                        issued_at=clock.now(),
+                                        signature=(0, 0))
+    cert.signature = schnorr.sign(verifier.identity_keypair, cert.body_bytes())
+    verifier.issued_identities[anon_id] = cert
     env = transcript.send(Envelope(VERIFIER_ID, ANON_ID, "step-7", _seal(
         vsession, b"identity-reply", doc_bytes(cert.to_doc()), rng)))
     delivered = AnonymousIdentityCertificate.from_doc(doc_from_bytes(
@@ -618,13 +609,12 @@ def user_disclose_key(user: UserActor, verifier: VerifierActor,
     """Voluntarily prove control of one registered transaction key.
 
     The signed statement names only that key; the verifier learns nothing
-    about the user's other keys.
+    about the user's other keys, and refuses a key that its permissions
+    database does not hold.
     """
     if not 0 <= key_index < len(user.transaction_keys):
         raise ProtocolError("no such transaction key")
     keypair = user.transaction_keys[key_index]
-    if not pv_lookup(verifier, keypair.public):
-        raise ProtocolError("key not registered")
     identity = user.internet_identity if reveal_identity else None
     statement = pack(_DISCLOSURE, disclosed_key=keypair.public,
                      identity=identity)
@@ -634,6 +624,8 @@ def user_disclose_key(user: UserActor, verifier: VerifierActor,
                                    statement, signature))
 
     disclosed, claimed_identity = unpack(_DISCLOSURE, env.payload)
+    if not pv_lookup(verifier, disclosed):
+        raise ProtocolError("key not registered")
     group = signing_group_of(verifier.gpk)
     if env.signature is None or not schnorr.verify(group, disclosed,
                                                    env.payload, env.signature):

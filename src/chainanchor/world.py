@@ -293,7 +293,7 @@ class World:
         self.log("revoke", f"{which}-RL {changed}; epochs sig={after[0]} "
                            f"issuer={after[1]}")
 
-    def disclose(self, name: str, key_index: int, reveal_identity: bool = True):
+    def disclose(self, name: str, key_index: int, reveal_identity: bool = False):
         user = self._user(name)
         record = roles.user_disclose_key(user, self.verifier, key_index,
                                          self.transcript, reveal_identity)

@@ -298,10 +298,10 @@ def test_gpk_doc_round_trip(desk_gpk):
 # join
 
 def test_join_round_trip(desk_group):
-    gpk, _ = desk_group
+    gpk, gipk = desk_group
     rng = random.Random(10)
     state, req = epid.join_request(gpk, b"n-1", rng)
-    assert epid.verify_join_request(gpk, req, b"n-1")
+    assert epid.verify_join_request(gpk, req, b"n-1", gipk)
     # blinded commitment recomputes from the retained secrets
     assert req.U == pow(gpk.R, state.f, gpk.N) * pow(gpk.S, state.v_prime, gpk.N) % gpk.N
     B_I = hash_to_subgroup(gpk.issuer_basename, gpk.p, gpk.q)
@@ -320,19 +320,21 @@ def test_join_rejects_invalid_gpk(desk_gpk):
         epid.join_request(bad, b"n", random.Random(1))
 
 
-def test_join_request_tamper_detected(desk_gpk):
+def test_join_request_tamper_detected(desk_group):
+    gpk, gipk = desk_group
     rng = random.Random(11)
-    _, req = epid.join_request(desk_gpk, b"n", rng)
-    bad = dataclasses.replace(req, U=req.U * desk_gpk.R % desk_gpk.N)
-    assert not epid.verify_join_request(desk_gpk, bad, b"n")
+    _, req = epid.join_request(gpk, b"n", rng)
+    bad = dataclasses.replace(req, U=req.U * gpk.R % gpk.N)
+    assert not epid.verify_join_request(gpk, bad, b"n", gipk)
 
 
-def test_join_request_nonce_binding(desk_gpk):
+def test_join_request_nonce_binding(desk_group):
+    gpk, gipk = desk_group
     rng = random.Random(12)
-    _, req = epid.join_request(desk_gpk, b"n-a", rng)
-    assert not epid.verify_join_request(desk_gpk, req, b"n-b")
+    _, req = epid.join_request(gpk, b"n-a", rng)
+    assert not epid.verify_join_request(gpk, req, b"n-b", gipk)
     replay = dataclasses.replace(req, nonce_echo=b"n-b")
-    assert not epid.verify_join_request(desk_gpk, replay, b"n-b")
+    assert not epid.verify_join_request(gpk, replay, b"n-b", gipk)
 
 
 def test_issue_credential_equation(desk_group):

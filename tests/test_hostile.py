@@ -662,8 +662,14 @@ def test_non_residue_join_request_is_protocol_error(desk_group):
     rng = random.Random(3)
     for _ in range(4):
         req = _non_residue_join_request(gpk, b"n", rng)
-        # Without the factorization the request looks well formed ...
-        assert epid.verify_join_request(gpk, req, b"n")
+        # Its proof equation holds without the factorization ...
+        N, p, pr = gpk.N, gpk.p, req.proof
+        B_I = hash_to_subgroup(gpk.issuer_basename, p, gpk.q)
+        t1 = (pow(gpk.R, pr.s_f, N) * pow(gpk.S, pr.s_v, N)
+              * pow(req.U, -pr.c, N)) % N
+        t2 = pow(B_I, pr.s_f, p) * pow(req.K_I, -pr.c, p) % p
+        assert epid._join_challenge(gpk, B_I, req.U, req.K_I, t1, t2, b"n",
+                                    gpk.profile.l_H) == pr.c
         # ... but the issuer, which can tell residues apart, refuses it.
         res = epid.verify_join_request(gpk, req, b"n", gipk)
         assert not res and res.reason == "U not a quadratic residue"

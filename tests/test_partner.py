@@ -92,7 +92,6 @@ def _lifecycle(gpk, gipk, seed):
                                epid.RevocationList(), rng)
     values = (gpk.transcript_bytes(), request, response, key,
               epid.key_relation_holds(gpk, key),
-              epid.verify_join_request(gpk, request, b"nonce"),
               epid.verify_join_request(gpk, request, b"nonce", gipk),
               sig.transcript_bytes(),
               epid.verify_membership(gpk, b"msg", b"pv", sig, rl,
@@ -104,8 +103,8 @@ def _lifecycle(gpk, gipk, seed):
 
 
 LIFECYCLE_DIGESTS = {
-    "desk": "0c9d202495e890d545146f8d2b49d2488d367f8f70294a43fd4b482f2b056cb1",
-    "full": "c9c5153b87befc963347cb0a97e635ac8f39f683b0e876fcf9a99d50d910d02e",
+    "desk": "9a56bf5dc6385eae85387400fc4e64a847cea7b58e23c4fbb3b1d5598188e8c8",
+    "full": "9f1acd974a93b219f809f95770eca9d73ce338625c19add2c492d72484c2804a",
 }
 
 
@@ -158,8 +157,8 @@ def _multiplications_of_a_lifecycle(gpk, gipk):
 
 # By modulus bit length: p and the factors of N (256), N (512), the order
 # of the quadratic residues (510), q (160) and the candidates for e (120).
-LIFECYCLE_MULTIPLICATIONS = {120: 2207, 160: 1688, 256: 15837, 510: 2,
-                             512: 9715}
+LIFECYCLE_MULTIPLICATIONS = {120: 2207, 160: 1688, 256: 15549, 510: 2,
+                             512: 9284}
 
 
 def test_partner_leaves_the_multiplication_count_unchanged(
@@ -270,70 +269,88 @@ def test_partner_crt_power_raises_as_pow_does(desk_group, desk_partner):
     assert groupmath._partner
 
 
+def _verdicts(cases, verify, monkeypatch):
+    """Run each ``(changed, reason, reaches)`` case with and without the
+    partner: the same reason either way, one batch handed to shared, with a
+    product only when the case ``reaches`` the powers, and the partner
+    called only then."""
+    batches, calls = [], []
+    shared, on_partner = epid.shared, groupmath._on_partner
+
+    def spy_shared(tasks):
+        batches.append(tasks)
+        return shared(tasks)
+
+    def spy_on_partner(name, theirs, mine):
+        calls.append(name)
+        return on_partner(name, theirs, mine)
+
+    monkeypatch.setattr(epid, "shared", spy_shared)
+    monkeypatch.setattr(groupmath, "_on_partner", spy_on_partner)
+    for rule in (256, 1 << 16):
+        monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", rule)
+        for changed, reason, reaches in cases:
+            del batches[:], calls[:]
+            res = verify(changed)
+            assert bool(res) == (not reason) and res.reason == reason, changed
+            products = [task for batch in batches for task in batch
+                        if len(task) == 2]
+            assert len(batches) == 1 and bool(products) == reaches, changed
+            assert bool(calls) == (reaches and rule == 256), changed
+
+
 def test_partner_verdicts_on_tampered_signatures(desk_group, member_key,
-                                                 monkeypatch):
-    # The same reason with and without the partner, B's order check still
-    # ahead of T's range; no unit leaves for a T or s_v out of range.
+                                                 desk_partner, monkeypatch):
+    # B's order check still comes ahead of T's range, and a T or s_v out of
+    # range sends no product to shared and nothing to the partner.
     gpk, gipk = desk_group
     N, p = gpk.N, gpk.p
     sig = epid.sign_membership(member_key, gpk, b"m", b"n",
                                epid.RevocationList(), epid.RevocationList(),
                                random.Random(41))
+    assert groupmath._partner
     v_bound = 1 << epid._v_bits(gpk.profile)
-    cases = (({"T": 0}, gpk, "T range", False),
-             ({"T": N}, gpk, "T range", False),
-             ({"s_v": v_bound}, gpk, "s_v interval", False),
-             ({"s_v": -v_bound}, gpk, "s_v interval", False),
-             ({"B": p - 1}, gpk, "B subgroup", True),
-             ({"B": p - 1, "T": 0}, gpk, "B subgroup", False),
-             ({"c": sig.c ^ 1}, gpk, "sigma1", True),
-             ({}, gpk, "", True))
+    cases = (({"T": 0}, "T range", False),
+             ({"T": N}, "T range", False),
+             ({"s_v": v_bound}, "s_v interval", False),
+             ({"s_v": -v_bound}, "s_v interval", False),
+             ({"B": p - 1}, "B subgroup", True),
+             ({"B": p - 1, "T": 0}, "B subgroup", False),
+             ({"c": sig.c ^ 1}, "sigma1", True),
+             ({}, "", True))
     # A Z with no inverse mod N, which t1 raises to -c, cannot be built.
     with pytest.raises(ValueError, match="^Z range$"):
         dataclasses.replace(gpk, Z=gipk.p_N)
-    sent = []
-    shared = epid.shared
-
-    def spy(tasks):
-        sent.append(tasks)
-        return shared(tasks)
-
-    monkeypatch.setattr(epid, "shared", spy)
-    for rule in (256, 1 << 16):
-        monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", rule)
-        for fields, key, reason, reaches in cases:
-            del sent[:]
-            bad = dataclasses.replace(sig, **fields)
-            res = epid.verify_membership(key, b"m", b"n", bad,
-                                         epid.RevocationList(),
-                                         epid.RevocationList())
-            assert bool(res) == (not reason) and res.reason == reason, fields
-            assert bool(sent) == reaches, fields
+    _verdicts(cases, lambda fields: epid.verify_membership(
+        gpk, b"m", b"n", dataclasses.replace(sig, **fields),
+        epid.RevocationList(), epid.RevocationList()), monkeypatch)
 
 
-def test_partner_verdicts_on_tampered_join_requests(desk_group, monkeypatch):
-    # The same reason with and without the partner and the issuing key,
-    # K_I's order check still ahead of every interval.
+def test_partner_verdicts_on_tampered_join_requests(desk_group, desk_partner,
+                                                    monkeypatch):
+    # K_I's order check still comes ahead of every interval, and an
+    # interval out of range sends no product to shared and nothing to the
+    # partner.
     gpk, gipk = desk_group
     p = gpk.p
     _, request = epid.join_request(gpk, b"nonce", random.Random(42))
+    assert groupmath._partner
     s_f_bound = 1 << epid._f_bits(gpk.profile)
-    cases = (({"K_I": p - 1}, {}, "K_I range"),
-             ({"K_I": p - 1}, {"s_f": s_f_bound}, "K_I range"),
-             ({"K_I": 1}, {"c": -1}, "K_I range"),
-             ({}, {"s_f": s_f_bound}, "s_f interval"),
-             ({}, {"s_v": -1}, "s_v interval"),
-             ({}, {"c": request.proof.c ^ 1}, "proof"),
-             ({}, {}, ""))
-    for rule in (256, 1 << 16):
-        monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", rule)
-        for fields, proof, reason in cases:
-            bad = dataclasses.replace(request, **fields, proof=dataclasses
-                                      .replace(request.proof, **proof))
-            for key in (None, gipk):
-                res = epid.verify_join_request(gpk, bad, b"nonce", key)
-                assert bool(res) == (not reason) and res.reason == reason, (
-                    fields, proof, key)
+    cases = ((({"K_I": p - 1}, {}), "K_I range", True),
+             (({"K_I": p - 1}, {"s_f": s_f_bound}), "K_I range", False),
+             (({"K_I": 1}, {"c": -1}), "K_I range", False),
+             (({}, {"s_f": s_f_bound}), "s_f interval", False),
+             (({}, {"s_v": -1}), "s_v interval", False),
+             (({}, {"c": request.proof.c ^ 1}), "proof", True),
+             (({}, {}), "", True))
+
+    def verify(changed):
+        fields, proof = changed
+        bad = dataclasses.replace(request, **fields, proof=dataclasses
+                                  .replace(request.proof, **proof))
+        return epid.verify_join_request(gpk, bad, b"nonce", gipk)
+
+    _verdicts(cases, verify, monkeypatch)
 
 
 def test_desk_lifecycle_forks_no_partner(desk_group, monkeypatch):

@@ -6,7 +6,7 @@ from chainanchor import epid, roles, schnorr
 from chainanchor.channels import Envelope, LogicalClock, Transcript
 from chainanchor.errors import CredentialError, ProtocolError, RevokedKeyError
 from chainanchor.groupmath import DESK, int_to_bytes
-from chainanchor.serial import doc_bytes
+from chainanchor.serial import doc_bytes, pack
 from chainanchor.world import World
 
 
@@ -428,9 +428,10 @@ def test_identity_requires_registered_key(stage):
     user = stage.enroll_and_join("alice")
     session_id, _ = stage.prove(user)
     with pytest.raises(ProtocolError, match="not registered"):
-        roles.pv_issue_anonymous_identity(stage.verifier, session_id,
-                                          user.transaction_keys[0].public,
-                                          stage.rng, stage.clock)
+        roles.user_request_anonymous_identity(
+            user, stage.verifier, session_id, user.transaction_keys[0].public,
+            stage.transcript, stage.rng, stage.clock)
+    assert not stage.verifier.issued_identities and not user.certificates
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +474,37 @@ def test_disclosure_requires_registration(stage):
     user = stage.enroll_and_join("alice")
     with pytest.raises(ProtocolError, match="not registered"):
         roles.user_disclose_key(user, stage.verifier, 0, stage.transcript)
+
+
+def test_disclosure_of_an_unregistered_key_is_refused_on_receipt(stage):
+    # The verifier checks the key it receives: a disclosure swapped in
+    # transit for one of an unregistered key, signed by that key and naming
+    # another member, is refused and not recorded.
+    user = stage.enroll_and_join("alice")
+    session_id, _ = stage.prove(user)
+    stage.register(user, session_id, 0)
+    outsider = schnorr.generate_keypair(stage.group, stage.rng)
+    statement = pack(roles._DISCLOSURE, disclosed_key=outsider.public,
+                     identity="bob@idp-issuer.com")
+    stage.transcript.tamper = lambda env: Envelope(
+        env.sender, env.recipient, env.step, statement,
+        schnorr.sign(outsider, statement))
+    with pytest.raises(ProtocolError, match="^key not registered$"):
+        roles.user_disclose_key(user, stage.verifier, 0, stage.transcript,
+                                reveal_identity=True)
+    assert stage.verifier.disclosures == []
+
+
+def test_world_disclosure_is_anonymous_by_default():
+    world = World.create("g", DESK, 12)
+    for step in (world.enroll, world.join, world.prove, world.register):
+        step("alice")
+    record = world.disclose("alice", 0)
+    env = world.transcript.envelopes[-1]
+    assert record.identity is None and world.verifier.disclosures == [record]
+    assert env.step == "disclosure" and env.sender == roles.ANON_ID
+    identity = world.users["alice"].internet_identity.encode()
+    assert identity not in env.payload
 
 
 # ---------------------------------------------------------------------------

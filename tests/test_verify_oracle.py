@@ -82,25 +82,43 @@ def _reference_verify_membership(gpk, message, nonce_pv, sig, sig_rl,
     return ""
 
 
-def _perturbed(value, p, modulus, bound, rng):
-    """A random value below ``bound``, an out-of-range value, and the
-    honest value times p - 1, reduced mod the ``modulus`` of an element."""
+def _perturbed(value, p, modulus, bound, rng, small=()):
+    """A random value below ``bound``, an out-of-range value, the honest
+    value times p - 1 and times each element of ``small``, reduced mod the
+    ``modulus`` of an element."""
     yield rng.randrange(bound)
     yield bound
     yield value * (p - 1) % modulus if modulus else value * (p - 1)
+    yield from (value * g % modulus for g in small)
+
+
+def _small_order(p, q):
+    """Elements of order 3 and 7 mod p, which the desk group has: both
+    divide (p - 1) / q."""
+    elements = []
+    for order in (3, 7):
+        assert (p - 1) // q % order == 0
+        element = next(g for g in (pow(x, (p - 1) // order, p)
+                                   for x in range(2, p)) if g != 1)
+        assert pow(element, order, p) == 1
+        elements.append(element)
+    return elements
 
 
 def _variants(gpk, sig, other, rng):
-    """(label, signature) pairs, each with one field perturbed."""
+    """(label, signature) pairs, each with one field perturbed; the fields
+    taken mod p also by elements of order 3 and 7."""
     prof, N, p, q = gpk.profile, gpk.N, gpk.p, gpk.q
     challenge = 1 << prof.l_H
+    small = _small_order(p, q)
     # (field, modulus of an element or None for an exponent, bound)
     for field, modulus, bound in (
             ("B", p, p), ("K", p, p), ("T", N, N), ("c", None, challenge),
             ("s_e", None, 1 << (prof.l_e_prime + prof.l_phi + prof.l_H + 1)),
             ("s_f", None, 1 << epid._f_bits(prof)),
             ("s_v", None, 1 << epid._v_bits(prof))):
-        for value in _perturbed(getattr(sig, field), p, modulus, bound, rng):
+        for value in _perturbed(getattr(sig, field), p, modulus, bound, rng,
+                                small if modulus == p else ()):
             yield field, dataclasses.replace(sig, **{field: value})
     for name in ("nonrevocation_sig", "nonrevocation_iss"):
         proofs = getattr(sig, name)
@@ -111,8 +129,9 @@ def _variants(gpk, sig, other, rng):
                                           ("s_beta", None, q)):
                 changes += [(f"{name}[{i}].{field}",
                              dataclasses.replace(proof, **{field: value}))
-                            for value in _perturbed(getattr(proof, field), p,
-                                                    modulus, bound, rng)]
+                            for value in _perturbed(
+                                getattr(proof, field), p, modulus, bound,
+                                rng, small if modulus == p else ())]
             for label, changed in changes:
                 yield label, dataclasses.replace(sig, **{name: (
                     *proofs[:i], changed, *proofs[i + 1:])})
@@ -146,7 +165,8 @@ def test_verify_membership_matches_the_textbook_verifier(
             refused += not res
     finally:
         groupmath.stop_partner()
-    assert refused == 3 * 7 + n * 2 * (4 * 3 + 1)
+    # Three values per field, two more for each of B, K and W.
+    assert refused == 3 * 7 + 2 * 2 + n * 2 * (4 * 3 + 2 + 1)
 
 
 def _minus_one_proof(gpk, sig, f, B_i, K_i, rng):
@@ -207,9 +227,9 @@ def test_revoked_signer_with_w_minus_one_is_refused(desk_gpk, member_key):
         assert reason == "sig-rl entry 0 W subgroup", verify
 
 
-def _reference_verify_join(gpk, req, issuer_nonce, gipk=None):
-    """The reason of the first failing check of a join request, or "" for
-    a valid one; with the issuing key, U must also be a square mod N."""
+def _reference_verify_join(gpk, req, issuer_nonce, gipk):
+    """The issuer's reason for the first failing check of a join request,
+    or "" for a valid one; U must also be a square mod N."""
     prof = gpk.profile
     N, p, q = gpk.N, gpk.p, gpk.q
     pr = req.proof
@@ -218,8 +238,8 @@ def _reference_verify_join(gpk, req, issuer_nonce, gipk=None):
     if not (1 <= req.U < N and math.gcd(req.U, N) == 1):
         return "U range"
     # Euler's criterion modulo each prime factor of N.
-    if gipk is not None and not all(pow(req.U, (P - 1) // 2, P) == 1
-                                    for P in (gipk.p_N, gipk.q_N)):
+    if not all(pow(req.U, (P - 1) // 2, P) == 1
+               for P in (gipk.p_N, gipk.q_N)):
         return "U not a quadratic residue"
     if not _in_order_q(req.K_I, p, q):
         return "K_I range"
@@ -244,11 +264,14 @@ def _reference_verify_join(gpk, req, issuer_nonce, gipk=None):
 
 def _join_variants(gpk, req, rng):
     """(label, join request) pairs, each with one field perturbed: U times
-    N - 1 and K_I times p - 1 for their third value."""
+    N - 1 and K_I times p - 1 for their third value, and K_I also by
+    elements of order 3 and 7."""
     prof, N, p = gpk.profile, gpk.N, gpk.p
+    small = _small_order(p, gpk.q)
     for field, value in (
             *(("U", value) for value in _perturbed(req.U, N, N, N, rng)),
-            *(("K_I", value) for value in _perturbed(req.K_I, p, p, p, rng))):
+            *(("K_I", value)
+              for value in _perturbed(req.K_I, p, p, p, rng, small))):
         yield field, dataclasses.replace(req, **{field: value})
     for field, bound in (("c", 1 << prof.l_H),
                          ("s_f", 1 << epid._f_bits(prof)),
@@ -260,25 +283,24 @@ def _join_variants(gpk, req, rng):
 
 
 @pytest.mark.parametrize("rule", ["split", "in order"])
-@pytest.mark.parametrize("issuer", [False, True], ids=["gpk", "gipk"])
 def test_verify_join_request_matches_the_textbook_verifier(
-        desk_group, monkeypatch, issuer, rule):
+        desk_group, monkeypatch, rule):
     gpk, gipk = desk_group
-    key = gipk if issuer else None
     if rule == "split":
         monkeypatch.setattr(groupmath, "_PARTNER_MIN_BITS", 256)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    rng = random.Random(200 + issuer)
+    rng = random.Random(201)
     refused = 0
     try:
         for _ in range(2):
             _, req = epid.join_request(gpk, b"nonce", rng)
             for label, bad in [("honest", req),
                                *_join_variants(gpk, req, rng)]:
-                expect = _reference_verify_join(gpk, bad, b"nonce", key)
-                res = epid.verify_join_request(gpk, bad, b"nonce", key)
+                expect = _reference_verify_join(gpk, bad, b"nonce", gipk)
+                res = epid.verify_join_request(gpk, bad, b"nonce", gipk)
                 assert (bool(res), res.reason) == (not expect, expect), label
                 refused += not res
     finally:
         groupmath.stop_partner()
-    assert refused == 2 * 5 * 3
+    # Three values per field, two more for K_I.
+    assert refused == 2 * (5 * 3 + 2)
