@@ -19,7 +19,6 @@ import itertools
 import json
 import marshal
 import math
-import operator
 import os
 import threading
 from array import array
@@ -373,8 +372,9 @@ def power_product(terms, mod: int) -> int:
 
 # One forked copy of this process takes, on a second CPU, a share of the
 # products of powers of every full-size step (shared) and half of every
-# window of a safe-prime search.  A batch mod fewer bits is too cheap
-# for a pipe round trip, so desk never starts one.
+# window of a safe-prime search; without it, this process takes both
+# shares.  A batch mod fewer bits is too cheap to split, so desk never
+# starts one.
 _PARTNER_MIN_BITS = 1024
 # None until first needed; (pid, request pipe, reply pipe) while it runs;
 # False in a forked child of a process that runs one.
@@ -468,10 +468,12 @@ def _on_partner(name: str, theirs: tuple, mine: tuple) -> tuple:
     the partner while this process runs the second; the partner's
     ``ValueError`` is raised here.
 
-    Both run here instead when no partner runs or none may be used
+    The one place that decides where a share runs, never what runs: both
+    run here instead when no partner runs or none may be used
     (:func:`_partner_usable`), or when the partner dies (it is then
-    reaped): each task is a pure function of its arguments, so the results
-    are the same.  The partner's multiplications are counted here too.
+    reaped).  Each task is a pure function of its arguments, so the
+    results are the same, and the partner's multiplications are counted
+    here too, so the counts are the same as well.
     """
     global _partner_busy
     task = _TASKS[name]
@@ -507,31 +509,21 @@ def shared(tasks) -> list:
     product of powers ``(terms, mod)`` gives ``power_product(terms, mod)``
     and a subgroup check ``(x, p, q)`` gives ``in_subgroup(x, p, q)``.
 
-    While a partner runs (:func:`_on_partner`), a batch with a product mod
-    ``_PARTNER_MIN_BITS`` bits or more is split (:func:`_split`): the
-    partner computes a share of its products while this process computes
-    the rest and every check.  Any other batch runs here in order, and the
-    first large one then starts the partner, which so inherits the comb
-    tables it built.  The values, the ``ValueError`` of a base with no
-    inverse and the multiplications counted are the same either way: this
-    process builds, and counts, every comb table that a split batch reads,
-    and every check runs here, through :func:`in_subgroup`.
+    A batch with a product mod ``_PARTNER_MIN_BITS`` bits or more is
+    split, on any host: its products are cut into units (:func:`_units`)
+    and dealt (:func:`_deal`), with the checks' weight as this process's
+    starting load, and :func:`_on_partner` computes the first share,
+    products only, while this process computes the second and every
+    check.  The first such batch then starts the partner, which so
+    inherits the comb tables it built.  Any other batch runs here in
+    order.  The values, the ``ValueError`` of a base with no inverse and
+    the multiplications counted are the same with or without a partner:
+    this process builds, and counts, every comb table that a split batch
+    reads, and every check runs here, through :func:`in_subgroup`.
     """
     if max((task[1].bit_length() for task in tasks if len(task) == 2),
            default=0) < _PARTNER_MIN_BITS:
         return [_run(task) for task in tasks]
-    if _partner and _partner_usable():
-        return _split(tasks)
-    results = [_run(task) for task in tasks]
-    _start_partner()
-    return results
-
-
-def _split(tasks) -> list:
-    """:func:`shared`'s results, computed by both processes: the products
-    are cut into units (:func:`_units`) and dealt (:func:`_deal`), with
-    the checks' weight as this process's starting load, and the checks
-    join this process's share."""
     checks = [task for task in tasks if len(task) == 3]
     owners, units = _units((i, task) for i, task in enumerate(tasks)
                            if len(task) == 2)
@@ -540,6 +532,7 @@ def _split(tasks) -> list:
                    sum(map(_weight, checks)))
     theirs, mine = ([units[k] for k in share] for share in shares)
     done, ours = _on_partner("_share", (theirs,), (checks + mine,))
+    _start_partner()
     verdicts = iter(ours[:len(checks)])
     results = [next(verdicts) if len(task) == 3 else 1 % task[1]
                for task in tasks]
@@ -795,38 +788,27 @@ def gen_prime_in_range(lo: int, hi: int, rng) -> int:
                           f"{_PRIME_MAX_ATTEMPTS} attempts")
 
 
-def _shares(name: str, *args) -> list:
-    """The results of ``_TASKS[name](*args, share, shares)`` for every
-    share of a search window: two shares, share 1 on the partner
-    (:func:`_on_partner`), while a partner runs and may be used, else the
-    whole window as one share here."""
-    if not (_partner and _partner_usable()):
-        return [_TASKS[name](*args, 0, 1)]
-    theirs, mine = _on_partner(name, (*args, 1, 2), (*args, 0, 2))
-    return [mine, theirs]
-
-
 def _safe_prime_interval(q0: int, bits: int, span: int):
     """Indices i where neither q0+2i nor 2(q0+2i)+1 has a small factor.
 
-    An index survives only if every share of the sieving primes
-    (:func:`_shares`) left it.
+    An index survives only if both shares of the sieving primes
+    (:func:`_sieve_share`, share 1 on the partner) left it.
     """
-    ok = functools.reduce(operator.and_, (
-        int.from_bytes(share, "big")
-        for share in _shares("_sieve_share", q0, bits, span)))
+    theirs, mine = _on_partner("_sieve_share", (q0, bits, span, 1),
+                               (q0, bits, span, 0))
+    ok = int.from_bytes(theirs, "big") & int.from_bytes(mine, "big")
     return bytearray(ok.to_bytes(span, "big"))
 
 
-def _sieve_share(q0: int, bits: int, span: int, share: int, shares: int):
+def _sieve_share(q0: int, bits: int, span: int, share: int):
     """The sieve of :func:`_safe_prime_interval` by the odd sieving primes
-    at positions ``share``, ``share + shares``, ... alone: those below 2^20
+    at positions ``share``, ``share + 2``, ... alone: those below 2^20
     from 512 bits, else those below 4096."""
     sieve = _sieve(_WIDE_SIEVE_LIMIT) if bits >= 512 else _SMALL_PRIMES
     ok = bytearray([1]) * span
     # One big-int reduction per prime; the rest is small-int arithmetic.
     cut = bisect.bisect_right(sieve, 4 * span)
-    for sp in itertools.islice(sieve, 1 + share, cut, shares):
+    for sp in itertools.islice(sieve, 1 + share, cut, 2):
         # q0 + 2i ≡ 0 (mod sp) at i0 = -r/2; 2(q0 + 2i) + 1 ≡ 0 at
         # i1 = -(2r + 1)/4 = i0 - 1/4.
         inv2 = (sp + 1) >> 1
@@ -838,7 +820,7 @@ def _sieve_share(q0: int, bits: int, span: int, share: int, shares: int):
     # with t = -q0 mod sp, q0 + 2i ≡ 0 iff 2i = t, and 2(q0 + 2i) + 1 ≡ 0
     # iff 4i = (2t - 1) mod sp.  Each marks at most one index.
     neg_q0 = -q0
-    for sp in itertools.islice(sieve, cut + share, None, shares):
+    for sp in itertools.islice(sieve, cut + share, None, 2):
         t = neg_q0 % sp
         if t < 2 * span and not t & 1:
             ok[t >> 1] = 0
@@ -856,10 +838,10 @@ def _euler_base2(q: int) -> bool:
     return modexp(2, q, p) == (1 if p % 8 in (1, 7) else p - 1)
 
 
-def _first_passing(qs: list[int], share: int, shares: int) -> int:
-    """The index of the first of qs[share], qs[share + shares], ... that
-    passes the power on p and the test on q, or -1."""
-    for k in range(share, len(qs), shares):
+def _first_passing(qs: list[int], share: int) -> int:
+    """The index of the first of qs[share], qs[share + 2], ... that passes
+    the power on p and the test on q, or -1."""
+    for k in range(share, len(qs), 2):
         if _euler_base2(qs[k]) and is_probable_prime(qs[k]):
             return k
     return -1
@@ -874,11 +856,12 @@ def _first_safe(qs: list[int]):
     """The safe prime 2q + 1 for the first q in the sieved candidates
     ``qs`` that gives one, or None.
 
-    Each share (:func:`_shares`) of a block of ``2 * _SCAN_BLOCK``
-    candidates scans its candidates in order and gives the index of its
-    first pass; the answer is the lowest index given in the first block
-    with one.  Each test is a pure function of its candidate, so this is the
-    q that a scan in order finds, for one share or two.
+    Each of the two shares (:func:`_first_passing`, share 1 on the
+    partner) of a block of ``2 * _SCAN_BLOCK`` candidates scans its
+    candidates in order and gives the index of its first pass; the answer
+    is the lowest index given in the first block with one.  Each test is a
+    pure function of its candidate, so this is the q that a scan in order
+    finds, and the work is the same with or without a partner.
 
     One power on p weeds out nearly every candidate, and q is then tested
     by :func:`is_probable_prime`.  Once q passes, p is proved prime by
@@ -887,7 +870,8 @@ def _first_safe(qs: list[int]):
     """
     size = 2 * _SCAN_BLOCK
     for block in (qs[i:i + size] for i in range(0, len(qs), size)):
-        if hits := [k for k in _shares("_first_passing", block) if k >= 0]:
+        if hits := [k for k in _on_partner("_first_passing", (block, 1),
+                                           (block, 0)) if k >= 0]:
             return 2 * block[min(hits)] + 1
     return None
 
@@ -906,8 +890,8 @@ def gen_safe_prime(bits: int, rng, _top_two: bool = False) -> int:
     mean that too few safe primes have the forced bits, and otherwise that
     the randomness source is broken.  A search of 512 bits or more starts
     the partner process (:func:`_start_partner`), which then sieves and
-    tests half of each window; the prime found does not depend on whether
-    it runs.
+    tests half of each window; the prime found, and the work counted, do
+    not depend on whether it runs.
     """
     if bits < 4:
         raise ValueError("need bits >= 4")

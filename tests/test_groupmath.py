@@ -213,7 +213,8 @@ def assert_no_child_left():
 
 def _see_cpus(monkeypatch, cpus):
     # This process sees ``cpus`` CPUs and starts the partner if it may, so
-    # that a window has two shares on two CPUs or more and one on one.
+    # that the partner takes a window's second share on two CPUs or more
+    # and this process takes both on one.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     groupmath._start_partner()
     assert bool(groupmath._partner) == (cpus > 1)
@@ -235,10 +236,10 @@ def test_safe_prime_512_same_for_any_worker_count(monkeypatch, cpus):
 
 def test_safe_prime_window_answer_is_its_lowest_passing_index(monkeypatch):
     # Both shares find one (share 0 at index 2, share 1 at index 1): the
-    # window's answer is index 1's, for one share or two.
+    # window's answer is index 1's, with or without a partner.
     a, b, c = ((SAFE_512[seed] - 1) // 2 for seed in (1, 2, 3))
     qs = [3 * a, b, a, c]
-    assert [groupmath._first_passing(qs, share, 2)
+    assert [groupmath._first_passing(qs, share)
             for share in (0, 1)] == [2, 1]
     for cpus in (1, 2):
         _see_cpus(monkeypatch, cpus)
@@ -253,8 +254,8 @@ def test_safe_prime_window_resumes_after_a_refused_confirmation(
         monkeypatch):
     # The lowest pass of the power on p (a) is refused by the prime test on
     # q: the share that holds it scans on, and the window finds c, ahead of
-    # b, for one share or two.  The partner, forked after the patch, runs
-    # it too.
+    # b, with or without a partner.  The partner, forked after the patch,
+    # runs it too.
     a, b, c = ((SAFE_512[seed] - 1) // 2 for seed in (1, 2, 3))
     prime_test = groupmath.is_probable_prime
     monkeypatch.setattr(groupmath, "is_probable_prime",
@@ -280,13 +281,10 @@ def test_safe_prime_window_that_finds_its_prime_forks_once(monkeypatch):
     assert_no_child_left()
 
 
-def test_safe_prime_search_with_a_partner_counts_at_most_one_block_more(
-        monkeypatch):
-    # The window that holds the prime is scanned in blocks, so past the
-    # answer the share without it tests at most one block of candidates:
-    # each at most two powers (on p, then the strong test of q) of at most
-    # two multiplications per bit.
-    one_block = groupmath._SCAN_BLOCK * 2 * 2 * 512
+def test_safe_prime_search_counts_the_same_on_one_cpu_or_two(monkeypatch):
+    # Each window is cut into the same two shares with or without a
+    # partner, and the partner's counts come back with its replies, so a
+    # search counts the same multiplications on any host.
     for seed, prime in SAFE_512.items():
         counts = []
         for cpus in (1, 2):
@@ -297,7 +295,7 @@ def test_safe_prime_search_with_a_partner_counts_at_most_one_block_more(
             counts.append(sum(groupmath.MULTIPLICATIONS.values()))
             groupmath.stop_partner()
         alone, beside = counts
-        assert alone <= beside <= alone + one_block, seed
+        assert alone == beside, seed
     assert_no_child_left()
 
 
@@ -396,8 +394,8 @@ def test_split_prime_test_same_for_any_worker_count(monkeypatch, cpus):
         assert is_probable_prime.__wrapped__(n) == sympy.isprime(n), n
     assert not forks
     # A window of one candidate per CPU whose first or last candidate is a
-    # found q: the share that holds it gives the safe prime, for one share
-    # or two.
+    # found q: the share that holds it gives the safe prime, with or
+    # without a partner.
     groupmath._start_partner()
     for p in SAFE_512.values():
         q = (p - 1) // 2

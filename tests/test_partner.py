@@ -435,9 +435,16 @@ def test_nested_partner_call_runs_in_the_caller(desk_group, desk_partner,
     N, R, S = gpk.N, gpk.R, gpk.S
     assert gipk.pow_N(((S, 9, None),)) == pow(S, 9, N)
     pid, inner = _partner_pid(), []
+
+    def nested_once():
+        # The nested batch is split too and runs this hook again, so the
+        # flag is set before the call.
+        if not inner:
+            inner.append(None)
+            inner[0] = groupmath.shared([(((S, 7, None),), N)])
+
     with monkeypatch.context() as patch:
-        _caller_share(patch, lambda: inner.append(
-            groupmath.shared([(((S, 7, None),), N)])))
+        _caller_share(patch, nested_once)
         assert groupmath.shared([(((R, 5, None),), N)]) == [pow(R, 5, N)]
     assert inner == [[pow(S, 7, N)]] and _partner_pid() == pid
 

@@ -227,6 +227,60 @@ def test_revoked_signer_with_w_minus_one_is_refused(desk_gpk, member_key):
         assert reason == "sig-rl entry 0 W subgroup", verify
 
 
+def test_rl_entry_whose_k_i_has_an_order_two_part(desk_gpk, member_key):
+    # K_i = p - K_0 has order 2q, so K_i^-s_beta must be an inverse raised
+    # to s_beta, never K_i^(-s_beta mod q): q is odd, so that flips the
+    # sign.  W carries (-1)^mu, so some seeds are refused on W's order and
+    # some on the proof, and those with an even mu whose responses keep
+    # the parity of r_b are accepted.
+    gpk = desk_gpk
+    p, q = gpk.p, gpk.q
+    rng = random.Random(400)
+    B_i, K_0 = (random_subgroup_element(p, q, rng) for _ in range(2))
+    sig_rl = epid.RevocationList(entries=((B_i, p - K_0),), epoch=1)
+    reasons = []
+    for seed in range(8):
+        sig = epid.sign_membership(member_key, gpk, b"m", b"n", sig_rl,
+                                   epid.RevocationList(),
+                                   random.Random(seed))
+        expect = _reference_verify_membership(gpk, b"m", b"n", sig, sig_rl,
+                                              epid.RevocationList())
+        res = epid.verify_membership(gpk, b"m", b"n", sig, sig_rl,
+                                     epid.RevocationList())
+        assert (bool(res), res.reason) == (not expect, expect), seed
+        reasons.append(expect)
+    assert set(reasons) == {"", "sig-rl entry 0 W subgroup",
+                            "sig-rl entry 0 proof"}
+
+
+def test_signature_with_minus_k_and_a_ground_challenge_is_refused(
+        desk_gpk, member_key, monkeypatch):
+    # The signer hashes K' = p - K into sigma1 and grinds its seed until
+    # -c mod q is even: then K'^(-c mod q) = K^(-c mod q), the verifier's
+    # t2 is the honest one, and only K's order check can refuse K'.
+    gpk = desk_gpk
+    p, q = gpk.p, gpk.q
+    challenge = epid._sigma1_challenge
+    with monkeypatch.context() as patch:
+        patch.setattr(epid, "_sigma1_challenge",
+                      lambda gpk, B, K, *rest: challenge(gpk, B, p - K, *rest))
+        for seed in range(64):
+            sig = epid.sign_membership(member_key, gpk, b"m", b"n",
+                                       epid.RevocationList(),
+                                       epid.RevocationList(),
+                                       random.Random(500 + seed))
+            if -sig.c % q % 2 == 0:
+                break
+        else:
+            raise AssertionError("no even exponent in 64 challenges")
+    forged = dataclasses.replace(sig, K=p - sig.K)
+    for verify in (epid.verify_membership, _reference_verify_membership):
+        res = verify(gpk, b"m", b"n", forged, epid.RevocationList(),
+                     epid.RevocationList())
+        reason = res if isinstance(res, str) else res.reason
+        assert reason == "K subgroup", verify
+
+
 def _reference_verify_join(gpk, req, issuer_nonce, gipk):
     """The issuer's reason for the first failing check of a join request,
     or "" for a valid one; U must also be a square mod N."""
