@@ -161,7 +161,7 @@ class IssuerGroup:
 class IssuerActor(Record):
     """Identity provider acting as Permissions Issuer; one per group."""
 
-    identity_keypair: Optional[schnorr.SchnorrKeypair] = secret(default=None)
+    identity_keypair: schnorr.SchnorrKeypair = secret()
     # identity -> identity public key
     accounts: dict[str, int] = field(default_factory=dict)
     groups: dict[str, IssuerGroup] = field(default_factory=dict)
@@ -171,10 +171,10 @@ class IssuerActor(Record):
 class VerifierActor(Record):
     """Identity provider acting as Permissions Verifier."""
 
-    identity_keypair: Optional[schnorr.SchnorrKeypair] = secret(default=None)
-    pinned_issuer_key: Optional[int] = None
-    gpk: Optional[epid.GroupPublicKey] = None
-    permissions_db: Optional[PermissionsDatabase] = None
+    identity_keypair: schnorr.SchnorrKeypair = secret()
+    pinned_issuer_key: int
+    gpk: epid.GroupPublicKey
+    permissions_db: PermissionsDatabase
     sig_rl: epid.RevocationList = field(default_factory=epid.RevocationList)
     issuer_rl: epid.RevocationList = field(default_factory=epid.RevocationList)
     pending_challenges: dict[str, Challenge] = secret(default_factory=dict)
@@ -213,31 +213,23 @@ def make_user(identity: str, group: schnorr.SigningGroup, rng) -> UserActor:
                      identity_keypair=schnorr.generate_keypair(group, rng))
 
 
-def wire_identity_keys(issuer: IssuerActor, verifier: VerifierActor,
-                       group: schnorr.SigningGroup, rng):
-    """Out-of-band provisioning of the long-term actor keys: the issuer and
-    verifier keypairs, plus the issuer key pinned at the verifier.  The
-    verifier checks the issuer's signatures in its own keypair's group."""
-    issuer.identity_keypair = schnorr.generate_keypair(group, rng)
-    verifier.identity_keypair = schnorr.generate_keypair(group, rng)
-    verifier.pinned_issuer_key = issuer.identity_keypair.public
-
-
 # ---------------------------------------------------------------------------
 # Step 0/1: group establishment and key delivery
 
-def pi_establish_group(issuer: IssuerActor, group_id: str,
-                       profile: ParameterProfile, rng) -> epid.GroupPublicKey:
-    if group_id in issuer.groups:
-        raise ProtocolError(f"group {group_id!r} already exists")
+def pi_establish_group(group_id: str, profile: ParameterProfile,
+                       rng) -> IssuerGroup:
     gpk, gipk = epid.setup_group(profile, f"{ISSUER_ID}:{group_id}".encode(), rng)
-    issuer.groups[group_id] = IssuerGroup(gpk=gpk, gipk=gipk)
-    return gpk
+    return IssuerGroup(gpk=gpk, gipk=gipk)
 
 
-def pi_share_gpk(issuer: IssuerActor, verifier: VerifierActor, group_id: str,
-                 transcript: Transcript):
-    """Signed delivery of the group public key to the verifier (Step 1)."""
+def pi_share_gpk(issuer: IssuerActor, group_id: str,
+                 identity_keypair: schnorr.SchnorrKeypair,
+                 pinned_issuer_key: int,
+                 transcript: Transcript) -> VerifierActor:
+    """Signed delivery of the group public key (Step 1): the verifier with
+    ``identity_keypair`` and the issuer key it was given out of band, built
+    from the delivery it checked.  It checks the issuer's signature in its
+    own keypair's group."""
     group = issuer.groups.get(group_id)
     if group is None:
         raise ProtocolError(f"unknown group {group_id!r}")
@@ -246,18 +238,17 @@ def pi_share_gpk(issuer: IssuerActor, verifier: VerifierActor, group_id: str,
     env = transcript.send(Envelope(ISSUER_ID, VERIFIER_ID, "step-1",
                                    payload, signature))
 
-    if verifier.pinned_issuer_key is None or verifier.identity_keypair is None:
-        raise ProtocolError("verifier has no pinned issuer key")
     if env.signature is None or not schnorr.verify(
-            verifier.identity_keypair.group, verifier.pinned_issuer_key,
-            env.payload, env.signature):
+            identity_keypair.group, pinned_issuer_key, env.payload,
+            env.signature):
         raise ProtocolError("issuer signature on group key delivery invalid")
     delivered_id, gpk = unpack(_GPK_DELIVERY, env.payload)
     check = epid.validate_gpk(gpk)
     if not check:
         raise ProtocolError(f"delivered group key invalid: {check.reason}")
-    verifier.gpk = gpk
-    verifier.permissions_db = PermissionsDatabase(group_id=delivered_id)
+    return VerifierActor(
+        identity_keypair=identity_keypair, pinned_issuer_key=pinned_issuer_key,
+        gpk=gpk, permissions_db=PermissionsDatabase(group_id=delivered_id))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +381,6 @@ def user_prove_membership(user: UserActor, verifier: VerifierActor,
     key-confirmation tags, so a tampered share is rejected by whichever side
     sees the mismatch first.
     """
-    if verifier.gpk is None or verifier.permissions_db is None:
-        raise ProtocolError("verifier has no group key")
     gpk = verifier.gpk
     # The user's own refusals come before anything is sent.
     enrollment = user.enrollments.get(verifier.permissions_db.group_id)
@@ -576,8 +565,6 @@ def user_request_anonymous_identity(user: UserActor, verifier: VerifierActor,
 
 def pv_lookup(verifier: VerifierActor, transaction_key: int) -> bool:
     """Read-only membership check against the permissions database."""
-    if verifier.permissions_db is None:
-        return False
     return verifier.permissions_db.contains(transaction_key)
 
 
@@ -589,8 +576,6 @@ def pv_revoke(verifier: VerifierActor, B: int, K: int, which: str):
     rejected here.
     """
     gpk = verifier.gpk
-    if gpk is None:
-        raise ProtocolError("verifier has no group key")
     if not (in_subgroup(B, gpk.p, gpk.q) and in_subgroup(K, gpk.p, gpk.q)):
         raise ProtocolError("pseudonym pair is not in the group")
     if which == "sig":

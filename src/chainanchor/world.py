@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from operator import attrgetter
 
 from . import epid, ledger, roles, schnorr
 from .channels import Envelope, LogicalClock, Transcript
@@ -34,6 +33,11 @@ FORMAT_VERSION = 2
 
 
 class World:
+    # Set by create (steps 0-1) or from_doc.
+    issuer: roles.IssuerActor
+    verifier: roles.VerifierActor
+    pool: ledger.TransactionPool
+
     def __init__(self, group_id: str, seed: int):
         self.group_id = group_id
         self.seed = seed
@@ -41,26 +45,27 @@ class World:
         self.clock = LogicalClock()
         self.transcript = Transcript()
         self.lines: list[str] = []
-        self.issuer = roles.IssuerActor()
-        self.verifier = roles.VerifierActor()
         self.users: dict[str, roles.UserActor] = {}
         self.nodes: list[ledger.ConsensusNode] = []
-        self.pool = None
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def create(cls, group_id: str, profile: ParameterProfile, seed: int) -> "World":
-        """Steps 0-1: establish the group, wire actor keys, deliver the gpk,
-        and stand up the default consensus nodes."""
+        """Steps 0-1: establish the group, provision the actor keys out of
+        band (the verifier pins the issuer's), deliver the gpk, and stand up
+        the default consensus nodes."""
         world = cls(group_id, seed)
-        gpk = roles.pi_establish_group(world.issuer, group_id, profile, world.rng)
+        issuer_group = roles.pi_establish_group(group_id, profile, world.rng)
         world.log("step 0", f"group {group_id} established "
                             f"(profile {profile.name}, N {profile.l_N} bits)")
-        group = roles.signing_group_of(gpk)
-        roles.wire_identity_keys(world.issuer, world.verifier, group, world.rng)
-        roles.pi_share_gpk(world.issuer, world.verifier, group_id,
-                           world.transcript)
+        group = roles.signing_group_of(issuer_group.gpk)
+        world.issuer = roles.IssuerActor(
+            identity_keypair=schnorr.generate_keypair(group, world.rng),
+            groups={group_id: issuer_group})
+        world.verifier = roles.pi_share_gpk(
+            world.issuer, group_id, schnorr.generate_keypair(group, world.rng),
+            world.issuer.identity_keypair.public, world.transcript)
         world.log("step 1", "membership verification public key delivered to "
                             "verifier and validated")
         world.pool = ledger.TransactionPool(group)
@@ -326,9 +331,6 @@ class World:
         world.pool = ledger.TransactionPool(pool["group"])
         world.pool.pending = {tx.txid: tx for tx in pool["pending"]}
         vars(world).update(state)
-        for path in _CREATED:
-            if attrgetter(path)(world) is None:
-                raise ProtocolError(f"{path} is missing")
         if world.group_id not in world.issuer.groups:
             raise ProtocolError(f"issuer.groups has no group {world.group_id!r}")
         _check_names(world)
@@ -398,9 +400,3 @@ _DOC = {"format": JsonInt, "group_id": str, "seed": SignedJsonInt,
         "pool": {"group": schnorr.SigningGroup,
                  "pending": list[ledger.Transaction]},
         "transcript": list[Envelope], "lines": list[str]}
-
-# State that World.create sets up before a world is first saved, and that
-# commands use without checking.
-_CREATED = ("issuer.identity_keypair", "verifier.identity_keypair",
-            "verifier.pinned_issuer_key", "verifier.gpk",
-            "verifier.permissions_db")

@@ -957,7 +957,7 @@ def _pow_outcome(fn, base, exp, mod):
         return ("ValueError", str(exc))
 
 
-def test_fixed_base_pow_matches_pow_on_group_bases(desk_group):
+def test_modexp_combs_match_pow_on_group_bases(desk_group):
     gpk, gipk = desk_group
     N, order = gpk.N, gipk.qr_order
     rng = random.Random(40)
@@ -969,7 +969,7 @@ def test_fixed_base_pow_matches_pow_on_group_bases(desk_group):
             assert _comb_pow(base, exp, N) == pow(base, exp, N), exp
 
 
-def test_subgroup_pow_matches_pow_on_u_and_B_I(desk_gpk):
+def test_modexp_combs_match_pow_on_u_and_B_I(desk_gpk):
     groupmath._stacked_combs.cache_clear()
     p, q = desk_gpk.p, desk_gpk.q
     B_I = hash_to_subgroup(desk_gpk.issuer_basename, p, q)
@@ -994,7 +994,7 @@ def _layout(base, mod, bits):
     return cols, len(tables)
 
 
-def test_fixed_base_pow_grows_for_a_longer_exponent(desk_gpk, monkeypatch):
+def test_modexp_combs_leave_a_longer_exponent_to_pow(desk_gpk, monkeypatch):
     groupmath._stacked_combs.cache_clear()
     N, base = desk_gpk.N, desk_gpk.S
     v_bits = epid._v_bits(DESK)                  # 793 bits: 100 columns
@@ -1012,7 +1012,7 @@ def test_fixed_base_pow_grows_for_a_longer_exponent(desk_gpk, monkeypatch):
     assert _layout(base, N, v_bits) == (25, 4)
 
 
-def test_fixed_base_pow_sizes_a_new_table_for_the_stated_bits():
+def test_modexp_combs_size_a_new_table_for_the_stated_bits():
     mod = (1 << 89) - 1
     base = 0xFACADE
     groupmath._stacked_combs.cache_clear()
@@ -1025,7 +1025,7 @@ def test_fixed_base_pow_sizes_a_new_table_for_the_stated_bits():
     assert _layout(base, mod, 261) == (17, 2)   # 261 bits: 33 columns
 
 
-def test_fixed_base_pow_stacks_blocks_on_full_profile_widths():
+def test_modexp_combs_stack_blocks_on_full_profile_widths():
     # (cols, blocks) for the widths epid passes on `full`: S mod N, R mod N,
     # the issuer's S mod a factor of N, and Z, u, B_I
     mod = (1 << 127) - 1
@@ -1093,7 +1093,7 @@ def test_stacked_combs_equal_pow_at_block_edges(data):
             == _pow_outcome(pow, base, exp, mod)), (cols, blocks, length)
 
 
-def test_fixed_base_pow_odd_bases(desk_group):
+def test_modexp_combs_odd_bases(desk_group):
     gpk, gipk = desk_group
     N = gpk.N
     for base in (0, N, N + gpk.R, 3 * N + 1, gipk.p_N, gipk.q_N * 5):
@@ -1111,12 +1111,12 @@ def test_fixed_base_pow_odd_bases(desk_group):
 @given(st.integers(min_value=0, max_value=2 ** 80),
        st.integers(min_value=-2 ** 300, max_value=2 ** 300),
        st.integers(min_value=1, max_value=2 ** 64))
-def test_fixed_base_pow_equals_pow(base, exp, mod):
+def test_modexp_combs_equal_pow(base, exp, mod):
     assert (_pow_outcome(_comb_pow, base, exp, mod)
             == _pow_outcome(pow, base, exp, mod))
 
 
-def test_fixed_base_pow_record_stays_bounded():
+def test_modexp_combs_record_stays_bounded():
     mod = (1 << 127) - 1
     info = groupmath._stacked_combs.cache_info
     for base in range(2, info().maxsize + 5):
@@ -1126,7 +1126,7 @@ def test_fixed_base_pow_record_stays_bounded():
     assert info().currsize == info().maxsize == 16
 
 
-def test_fixed_base_pow_builds_tables_without_pow(monkeypatch):
+def test_modexp_combs_build_tables_without_pow(monkeypatch):
     # The benchmark's census counts calls to pow; a table must cost none,
     # so the census reads the same whether the table is cold or warm.
     calls = []

@@ -391,16 +391,24 @@ def test_revoke_rejects_non_hex_argument(tmp_path, capsys):
     assert code == 1 and "zz" in err
 
 
-def test_world_file_without_verifier_group_key_is_corrupt(tmp_path, capsys):
-    path = str(tmp_path / "w.json")
-    assert cli.main(["setup", "g", "--seed", "7", "--world", path]) == 0
-    doc = json.loads(Path(path).read_text())
-    doc["verifier"]["gpk"] = None
-    bad = tmp_path / "no-gpk.json"
+@pytest.mark.parametrize("absent", [False, True], ids=["null", "absent"])
+@pytest.mark.parametrize("path", ["issuer.identity_keypair",
+                                  "verifier.identity_keypair",
+                                  "verifier.pinned_issuer_key", "verifier.gpk",
+                                  "verifier.permissions_db"])
+def test_world_file_without_an_actor_key_or_group_key_is_corrupt(
+        base_doc, tmp_path, capsys, path, absent):
+    # The issuer and verifier decode only whole, as World.create builds them.
+    doc = json.loads(json.dumps(base_doc))
+    actor, name = path.split(".")
+    if absent:
+        del doc[actor][name]
+    else:
+        doc[actor][name] = None
+    bad = tmp_path / "partial.json"
     bad.write_text(json.dumps(doc))
-    capsys.readouterr()
     code, err = _run(capsys, "enroll", "x", "--world", str(bad))
-    assert code == 1 and "is corrupt" in err and "verifier.gpk" in err
+    assert code == 1 and "is corrupt" in err and path in err
 
 
 

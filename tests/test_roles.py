@@ -19,13 +19,18 @@ class Stage:
         self.rng = random.Random(seed)
         self.clock = LogicalClock()
         self.transcript = Transcript()
-        self.issuer = roles.IssuerActor()
-        self.issuer.groups[self.GROUP_ID] = roles.IssuerGroup(gpk=gpk, gipk=gipk)
-        self.verifier = roles.VerifierActor()
         self.group = roles.signing_group_of(gpk)
-        roles.wire_identity_keys(self.issuer, self.verifier, self.group, self.rng)
-        roles.pi_share_gpk(self.issuer, self.verifier, self.GROUP_ID,
-                           self.transcript)
+        self.issuer = roles.IssuerActor(
+            identity_keypair=schnorr.generate_keypair(self.group, self.rng),
+            groups={self.GROUP_ID: roles.IssuerGroup(gpk=gpk, gipk=gipk)})
+        self.verifier = self.share_gpk()
+
+    def share_gpk(self):
+        """Step 1: a verifier with a fresh keypair, built from the delivery."""
+        return roles.pi_share_gpk(
+            self.issuer, self.GROUP_ID,
+            schnorr.generate_keypair(self.group, self.rng),
+            self.issuer.identity_keypair.public, self.transcript)
 
     def new_user(self, name):
         user = roles.make_user(f"{name}@idp-issuer.com", self.group, self.rng)
@@ -64,11 +69,8 @@ def stage(desk_group):
 
 def test_establish_group_duplicate_rejected():
     rng = random.Random(40)
-    issuer = roles.IssuerActor()
-    roles.pi_establish_group(issuer, "g", DESK, rng)
-    assert epid.validate_gpk(issuer.groups["g"].gpk)
-    with pytest.raises(ProtocolError):
-        roles.pi_establish_group(issuer, "g", DESK, rng)
+    group = roles.pi_establish_group("g", DESK, rng)
+    assert epid.validate_gpk(group.gpk)
 
 
 def test_share_gpk_honest(stage):
@@ -79,8 +81,6 @@ def test_share_gpk_honest(stage):
 def test_share_gpk_tamper_rejected(desk_group):
     gpk, gipk = desk_group
     stage = Stage(gpk, gipk, seed=4321)
-    fresh = roles.VerifierActor()
-    roles.wire_identity_keys(stage.issuer, fresh, stage.group, stage.rng)
 
     def flip(env):
         return Envelope(env.sender, env.recipient, env.step,
@@ -89,17 +89,14 @@ def test_share_gpk_tamper_rejected(desk_group):
 
     stage.transcript.tamper = flip
     with pytest.raises(ProtocolError, match="signature"):
-        roles.pi_share_gpk(stage.issuer, fresh, Stage.GROUP_ID, stage.transcript)
-    assert fresh.gpk is None
+        stage.share_gpk()
 
 
 def test_share_gpk_unsigned_rejected(stage):
-    fresh = roles.VerifierActor()
-    roles.wire_identity_keys(stage.issuer, fresh, stage.group, stage.rng)
     stage.transcript.tamper = lambda env: Envelope(
         env.sender, env.recipient, env.step, env.payload, None)
     with pytest.raises(ProtocolError):
-        roles.pi_share_gpk(stage.issuer, fresh, Stage.GROUP_ID, stage.transcript)
+        stage.share_gpk()
 
 
 # ---------------------------------------------------------------------------

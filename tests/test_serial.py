@@ -59,10 +59,11 @@ def test_unset_optional_fields():
     assert roles.DisclosureRecord.from_doc(record.to_doc()) == record
 
 
-def test_public_export_leaves_secret_fields_out():
+def test_public_export_leaves_secret_fields_out(desk_gpk):
     keypair = SchnorrKeypair(SigningGroup(23, 11, 2), 4, 3)
     verifier = roles.VerifierActor(
-        identity_keypair=keypair,
+        identity_keypair=keypair, pinned_issuer_key=5, gpk=desk_gpk,
+        permissions_db=roles.PermissionsDatabase("g"),
         pending_challenges={"s1": roles.Challenge(b"m", b"n", 5)},
         sessions={"s0": roles.PskSession("s0", b"k", b"h")})
     public = verifier.to_doc()

@@ -169,12 +169,13 @@ def test_verify_membership_matches_the_textbook_verifier(
     assert refused == 3 * 7 + 2 * 2 + n * 2 * (4 * 3 + 2 + 1)
 
 
-def _minus_one_proof(gpk, sig, f, B_i, K_i, rng):
-    """A revoked signer's proof for its own entry (B_i, K_i = B_i^f) with
-    W = -1, whose challenge is ground until the power of W that the
-    verifier computes, W^(-c mod q), is 1.  Returns (proof, hashes)."""
+def _small_order_proof(gpk, sig, f, B_i, K_i, W, order, rng):
+    """A revoked signer's proof for its own entry (B_i, K_i = B_i^f) with a
+    ``W`` of small ``order``, whose challenge is ground until the power of W
+    that the verifier computes, W^(-c mod q), is 1.  Returns (proof,
+    hashes)."""
     p, q, l_H = gpk.p, gpk.q, gpk.profile.l_H
-    W, mu = p - 1, rng.randrange(1, q)
+    mu = rng.randrange(1, q)
     for hashes in range(1, 65):
         r_a, r_b = rng.randrange(q), rng.randrange(q)
         # B_i^r_a K_i^-r_b and B^r_a K^-r_b: the honest commitments, with
@@ -183,20 +184,24 @@ def _minus_one_proof(gpk, sig, f, B_i, K_i, rng):
         t_b = pow(sig.B, r_a, p) * pow(sig.K, -r_b, p) % p
         c = epid._nonrevocation_challenge(b"sig-rl", sig.c, 0, B_i, K_i,
                                           sig.B, sig.K, W, t_a, t_b, l_H)
-        if -c % q % 2 == 0:
+        if -c % q % order == 0:
             return epid.NonRevocationProof(
                 W=W, c=c, s_alpha=(r_a + c * f * mu) % q,
                 s_beta=(r_b + c * mu) % q), hashes
-    raise AssertionError("no even exponent in 64 challenges")
+    raise AssertionError(f"no exponent divisible by {order} in 64 challenges")
 
 
-def test_revoked_signer_with_w_minus_one_is_refused(desk_gpk, member_key):
-    # The signer's own pseudonym is on the sig-RL.  With W = p - 1 and a
-    # ground challenge, the verifier's proof equation holds, so only W's
-    # order check can refuse (the small-order attack on a batched or
-    # unchecked non-revocation proof).
+@pytest.mark.parametrize("order", [2, 3, 7], ids=["W=p-1", "order-3",
+                                                  "order-7"])
+def test_revoked_signer_with_a_small_order_w_is_refused(desk_gpk, member_key,
+                                                        order):
+    # The signer's own pseudonym is on the sig-RL.  With W = p - 1, or an
+    # element of order 3 or 7, and a ground challenge, the verifier's proof
+    # equation holds, so only W's order check can refuse (the small-order
+    # attack on a batched or unchecked non-revocation proof).
     gpk, sk = desk_gpk, member_key
     p, q = gpk.p, gpk.q
+    W = {2: p - 1, **dict(zip((3, 7), _small_order(p, q)))}[order]
     rng = random.Random(300)
     old = epid.sign_membership(sk, gpk, b"m0", b"n0", epid.RevocationList(),
                                epid.RevocationList(), rng)
@@ -211,10 +216,11 @@ def test_revoked_signer_with_w_minus_one_is_refused(desk_gpk, member_key):
         random_subgroup_element(p, q, rng)),), epoch=1)
     sig = epid.sign_membership(sk, gpk, b"m", b"n", stand_in,
                                epid.RevocationList(), rng)
-    proof, hashes = _minus_one_proof(gpk, sig, sk.f, old.B, old.K, rng)
-    assert hashes <= 8
+    proof, hashes = _small_order_proof(gpk, sig, sk.f, old.B, old.K, W, order,
+                                       rng)
+    assert hashes <= 4 * order
     forged = dataclasses.replace(sig, nonrevocation_sig=(proof,))
-    # The equation the verifier checks holds for W = -1.
+    # The equation the verifier checks holds for this W.
     t_a = (pow(old.B, proof.s_alpha, p) * pow(old.K, -proof.s_beta, p)
            * pow(proof.W, -proof.c % q, p)) % p
     t_b = pow(sig.B, proof.s_alpha, p) * pow(sig.K, -proof.s_beta, p) % p
