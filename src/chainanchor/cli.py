@@ -48,11 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "simulator")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def world_arg(p):
-        p.add_argument("--world", required=True, metavar="PATH",
-                       help="world state file")
+    def command(name, help_text, run, kind="step"):  # or "view", "create"
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run, kind=kind)
+        return p
 
-    p = sub.add_parser("setup", help="establish a group and create a world")
+    p = command("setup", "establish a group and create a world", _setup,
+                kind="create")
     p.add_argument("group_id")
     p.add_argument("--profile", default="desk",
                    help="parameter profile name (desk, full, or from "
@@ -62,71 +64,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="overwrite an existing world file")
-    world_arg(p)
 
-    for name, help_text in (("enroll", "authenticate and request membership"),
-                            ("join", "run the blinded join")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("user")
-        world_arg(p)
+    command("enroll", "authenticate and request membership",
+            lambda world, args: world.enroll(args.user)).add_argument("user")
+    command("join", "run the blinded join",
+            lambda world, args: world.join(args.user)).add_argument("user")
 
-    p = sub.add_parser("prove", help="anonymous membership proof + PSK")
+    p = command("prove", "anonymous membership proof + PSK",
+                lambda world, args: world.prove(args.user, args.member_index))
     p.add_argument("user")
     p.add_argument("--member-index", type=int, default=0)
-    world_arg(p)
 
-    p = sub.add_parser("register", help="register a transaction key")
+    p = command("register", "register a transaction key",
+                lambda world, args: world.register(
+                    args.user, args.key_index, with_identity=args.identity))
     p.add_argument("user")
     p.add_argument("--key-index", type=int, default=None,
                    help="transaction key to register (default: next unused)")
     p.add_argument("--identity", action="store_true",
                    help="also request an anonymous internet identity")
-    world_arg(p)
 
-    p = sub.add_parser("outsider", help="create a non-member keypair holder")
-    p.add_argument("user")
-    world_arg(p)
+    command("outsider", "create a non-member keypair holder",
+            lambda world, args: world.add_outsider(args.user)
+            ).add_argument("user")
 
-    p = sub.add_parser("tx", help="sign and submit a transaction")
+    p = command("tx", "sign and submit a transaction",
+                lambda world, args: world.tx(args.user, args.key_index,
+                                             args.payload.encode()))
     p.add_argument("user")
     p.add_argument("payload")
     p.add_argument("--key-index", type=int, default=0)
-    world_arg(p)
 
-    p = sub.add_parser("add-node", help="add a consensus node")
+    p = command("add-node", "add a consensus node",
+                lambda world, args: world.add_node(
+                    args.node_id, dishonest=args.dishonest))
     p.add_argument("node_id")
     p.add_argument("--dishonest", action="store_true")
-    world_arg(p)
 
-    p = sub.add_parser("mine", help="drain the pool into a block")
-    p.add_argument("node_id")
-    world_arg(p)
+    command("mine", "drain the pool into a block",
+            lambda world, args: world.mine(args.node_id)
+            ).add_argument("node_id")
 
-    p = sub.add_parser("audit", help="validator audit of one block")
-    p.add_argument("block_hash", help="block hash (prefix allowed)")
-    world_arg(p)
+    command("audit", "validator audit of one block",
+            lambda world, args: print(
+                f"{len(world.audit(args.block_hash).violations)} violations")
+            ).add_argument("block_hash", help="block hash (prefix allowed)")
 
-    p = sub.add_parser("revoke", help="append a pseudonym to a revocation list")
+    p = command("revoke", "append a pseudonym to a revocation list",
+                lambda world, args: world.revoke(args.B, args.K, args.which))
     p.add_argument("B", type=hex_int, help="pseudonym base, hex")
     p.add_argument("K", type=hex_int, help="pseudonym value, hex")
     p.add_argument("--list", dest="which", choices=("sig", "issuer"),
                    default="sig")
-    world_arg(p)
 
-    p = sub.add_parser("disclose", help="prove ownership of one registered key")
+    p = command("disclose", "prove ownership of one registered key",
+                lambda world, args: world.disclose(
+                    args.user, args.key_index,
+                    reveal_identity=args.reveal_identity))
     p.add_argument("user")
     p.add_argument("--key-index", type=int, default=0)
     p.add_argument("--reveal-identity", action="store_true")
-    world_arg(p)
 
-    p = sub.add_parser("show", help="print the transcript and state hash")
-    world_arg(p)
+    command("show", "print the transcript and state hash",
+            lambda world, args: print(world.transcript_text()
+                                      + f"state hash {world.state_hash()}"),
+            kind="view")
+    command("export", "print chain and drop-log text exports", _export,
+            kind="view").add_argument("--node", default=None,
+                                      help="limit to one node id")
 
-    p = sub.add_parser("export", help="print chain and drop-log text exports")
-    p.add_argument("--node", default=None, help="limit to one node id")
-    world_arg(p)
+    for p in sub.choices.values():  # each of these names its world file last
+        p.add_argument("--world", required=True, metavar="PATH",
+                       help="world state file")
 
-    p = sub.add_parser("demo", help="scripted end-to-end run")
+    p = command("demo", "scripted end-to-end run", _demo, kind="create")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--profile", default="desk")
     p.add_argument("--world", metavar="PATH",
@@ -164,10 +175,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-
-    try:
         return _dispatch(args, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
@@ -214,17 +221,23 @@ def _refuse_undecodable(args, parser):
                 parser.error(f"argument {name} is not valid UTF-8")
 
 
-def _view(world, args) -> int:
-    if args.command == "show":
-        print(world.transcript_text(), end="")
-        print(f"state hash {world.state_hash()}")
-        return EXIT_OK
+def _setup(args, parser):
+    profile = _resolve_profile(args, parser)
+    _check_output_path(args.world, args.force, parser)
+    return World.create(args.group_id, profile, args.seed), ()
+
+
+def _demo(args, parser):
+    _check_output_path(args.world, args.force, parser)
+    return run_demo(args.seed, _resolve_profile(args, parser))
+
+
+def _export(world, args):
     from .ledger import chain_export_text, drop_log_export_text
     nodes = [n for n in world.nodes
              if args.node is None or n.node_id == args.node]
     if args.node is not None and not nodes:
-        print(f"unknown node {args.node!r}", file=sys.stderr)
-        return EXIT_PROTOCOL
+        raise ProtocolError(f"unknown node {args.node!r}")
     for node in nodes:
         print(f"# chain {node.node_id}")
         text = chain_export_text(node.chain)
@@ -234,23 +247,12 @@ def _view(world, args) -> int:
         drops = drop_log_export_text(node)
         if drops:
             print(drops)
-    return EXIT_OK
 
 
 def _dispatch(args, parser) -> int:
     _refuse_undecodable(args, parser)
-    if args.command == "setup":
-        profile = _resolve_profile(args, parser)
-        _check_output_path(args.world, args.force, parser)
-        world = World.create(args.group_id, profile, args.seed)
-        _save_world(world, args.world, parser)
-        print(world.transcript_text(), end="")
-        return EXIT_OK
-
-    if args.command == "demo":
-        _check_output_path(args.world, getattr(args, "force", False), parser)
-        profile = _resolve_profile(args, parser)
-        world, failures = run_demo(args.seed, profile)
+    if args.kind == "create":  # a creator's run checks its output path
+        world, failures = args.run(args, parser)
         if args.world:
             _save_world(world, args.world, parser)
         print(world.transcript_text(), end="")
@@ -260,38 +262,13 @@ def _dispatch(args, parser) -> int:
         return EXIT_OK
 
     world = _load_world(args, parser)
-    if args.command in ("show", "export"):
-        return _view(world, args)  # a view never writes the world file
+    if args.kind == "view":  # a view never writes the world file
+        args.run(world, args)
+        return EXIT_OK
     lines_before = len(world.lines)
     code = EXIT_OK
     try:
-        if args.command == "enroll":
-            world.enroll(args.user)
-        elif args.command == "join":
-            world.join(args.user)
-        elif args.command == "prove":
-            world.prove(args.user, args.member_index)
-        elif args.command == "register":
-            world.register(args.user, args.key_index,
-                           with_identity=args.identity)
-        elif args.command == "outsider":
-            world.add_outsider(args.user)
-        elif args.command == "tx":
-            world.tx(args.user, args.key_index, args.payload.encode())
-        elif args.command == "add-node":
-            world.add_node(args.node_id, dishonest=args.dishonest)
-        elif args.command == "mine":
-            world.mine(args.node_id)
-        elif args.command == "audit":
-            report = world.audit(args.block_hash)
-            print(f"{len(report.violations)} violations")
-        elif args.command == "revoke":
-            world.revoke(args.B, args.K, args.which)
-        elif args.command == "disclose":
-            world.disclose(args.user, args.key_index,
-                           reveal_identity=args.reveal_identity)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
+        args.run(world, args)
     except ProtocolError as exc:
         # Rejected steps are part of the simulated history: persist their
         # side effects (burned challenges, consumed randomness).

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -370,6 +371,28 @@ def test_world_path_may_hold_non_utf8_bytes(tmp_path, capsys):
     path = str(tmp_path / "w\udcff.json")
     assert run(capsys, "setup", "g", "--seed", "5", "--world", path)[0] == 0
     assert run(capsys, "enroll", "alice", "--world", path)[0] == 0
+
+
+def _subcommands(parser):
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("name", sorted(_subcommands(cli.build_parser())))
+def test_every_subcommand_answers_help(capsys, name):
+    # --help exits 0 through argparse, past the usage-error remap.
+    subparser = _subcommands(cli.build_parser())[name]
+    code, out, _ = run(capsys, name, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: chainanchor {name} ")
+    for action in subparser._actions:
+        for option in action.option_strings:
+            assert option in out, option
+
+
+def test_no_command_is_usage_error(capsys):
+    code, _, err = run(capsys)
+    assert code == 1 and "required: command" in err
 
 
 def test_show_prints_state_hash(ready_world, capsys):

@@ -385,7 +385,7 @@ SPLIT_INPUTS = (sorted(SAFE_512.values()) + [
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_split_prime_test_same_for_any_worker_count(monkeypatch, cpus):
+def test_prime_test_and_first_safe_same_for_any_cpu_count(monkeypatch, cpus):
     for r in (_LIAR_P, _FERMAT_R):
         assert sympy.isprime(r) and sympy.isprime(2 * r - 1)
     assert pow(2, FERMAT_LIAR_512 - 1, FERMAT_LIAR_512) == 1
@@ -412,7 +412,7 @@ def test_split_prime_test_same_for_any_worker_count(monkeypatch, cpus):
     assert_no_child_left()
 
 
-def test_split_prime_test_turns_down_a_fermat_composite_before_forking(
+def test_prime_test_and_first_safe_turn_down_a_fermat_composite(
         monkeypatch):
     # is_probable_prime refuses in this process every composite that trial
     # division leaves, a base-2 Fermat liar included; only a safe-prime
@@ -432,8 +432,7 @@ def test_split_prime_test_turns_down_a_fermat_composite_before_forking(
     assert_no_child_left()
 
 
-def test_split_prime_test_runs_in_process_when_fork_fails(monkeypatch,
-                                                          desk_gpk):
+def test_prime_tests_run_in_process_when_fork_fails(monkeypatch, desk_gpk):
     # A host out of processes: validate_gpk tests a 512-bit p in this
     # process and never tries to fork, and a 512-bit safe-prime search, whose
     # workers cannot be forked, finds the prime that one process finds.
@@ -473,7 +472,7 @@ def test_split_prime_test_runs_in_process_when_fork_fails(monkeypatch,
     assert_no_child_left()
 
 
-def test_split_prime_test_refuses_on_a_failure_in_a_childs_share(
+def test_first_safe_refuses_on_a_failure_in_the_partners_share(
         monkeypatch):
     # Every round the caller runs passes and every round the partner runs
     # fails: a found q in the partner's share gives no safe prime, the same

@@ -67,7 +67,7 @@ def stage(desk_group):
 # ---------------------------------------------------------------------------
 # steps 0-1
 
-def test_establish_group_duplicate_rejected():
+def test_establish_group_returns_a_valid_group_key():
     rng = random.Random(40)
     group = roles.pi_establish_group("g", DESK, rng)
     assert epid.validate_gpk(group.gpk)
