@@ -940,7 +940,7 @@ _TASKS = {task.__name__: task
 # ---------------------------------------------------------------------------
 # groups
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1 << 14)
 def in_subgroup(x: int, p: int, q: int) -> bool:
     """Whether ``x`` is a non-identity element of the order-q subgroup of
     Z_p^*.  The one membership test for every value that comes from outside;
@@ -949,7 +949,10 @@ def in_subgroup(x: int, p: int, q: int) -> bool:
     The verdict is a pure function of ``(x, p, q)`` and is memoized, as
     :func:`is_probable_prime` is: an RL entry that every signer checks, or
     a transaction key checked at registration and again per signature, costs
-    one power per process while it stays in the record.
+    one power per process while it stays in the record.  The record holds a
+    10,000-key permissions database together with the one-shot values (each
+    signature's ``W``, ``B`` and ``K``, each DH share) checked between two
+    uses of a key; those are the least recently used, so they go first.
     """
     return 1 < x < p and modexp(x, q, p) == 1
 

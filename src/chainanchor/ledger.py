@@ -57,9 +57,10 @@ def create_transaction(keypair: schnorr.SchnorrKeypair, payload: bytes,
 
 
 def verify_transaction(group: schnorr.SigningGroup, tx: Transaction) -> bool:
-    if tx.txid != _txid(tx.body_bytes(), tx.signature):
+    body = tx.body_bytes()
+    if tx.txid != _txid(body, tx.signature):
         return False
-    return schnorr.verify(group, tx.sender_key, tx.body_bytes(), tx.signature)
+    return schnorr.verify(group, tx.sender_key, body, tx.signature)
 
 
 class TransactionPool:

@@ -529,6 +529,23 @@ def test_random_base_verifier_powers_mod_p_are_the_entry_inverses(
     assert powers == [(K_i, -1) for _, K_i in rl.entries]
 
 
+def test_a_long_rl_s_base_checks_are_paid_once(desk_gpk, member_key):
+    # Under a revocation list of 100 entries the signer checks each B_i's
+    # order.  The verdicts outlast a verification, whose fresh W checks
+    # come between, so the second signature under the same list skips
+    # every B_i's power by q (~240 multiplications each on desk).
+    rng = random.Random(36)
+    rl = _random_rl(desk_gpk, 100, rng)
+    groupmath.in_subgroup.cache_clear()
+    counts = []
+    for _ in range(2):
+        groupmath.MULTIPLICATIONS.clear()
+        sig = sign(member_key, desk_gpk, rng, sig_rl=rl)
+        counts.append(sum(groupmath.MULTIPLICATIONS.values()))
+        assert verify(desk_gpk, sig, sig_rl=rl)
+    assert counts[0] - counts[1] >= 20000, counts
+
+
 def _tamper_entry(sig, tag, i, **fields):
     name = "nonrevocation_sig" if tag == "sig-rl" else "nonrevocation_iss"
     proofs = list(getattr(sig, name))

@@ -221,7 +221,7 @@ def _see_cpus(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("cpus", [1, None, 8])
-def test_safe_prime_512_same_for_any_worker_count(monkeypatch, cpus):
+def test_safe_prime_512_same_for_any_cpu_count(monkeypatch, cpus):
     # One CPU, this host's CPUs (None) and 8 CPUs seen all find the prime
     # that a scan in order finds; the searches fork one partner between
     # them on two CPUs or more, and none on one.
@@ -304,8 +304,8 @@ class _Refused(Exception):
 
 
 @pytest.mark.parametrize("failing", ["child", "killed", "caller"])
-def test_safe_prime_search_leaves_no_child_when_a_worker_fails(monkeypatch,
-                                                               failing):
+def test_safe_prime_search_leaves_no_child_when_a_share_fails(monkeypatch,
+                                                              failing):
     # A task that raises in the partner (child) or a partner killed in the
     # middle of a window leaves its share to the caller, which finds the
     # same prime; the caller's own error propagates as it is.  Every share
@@ -526,7 +526,7 @@ def test_safe_prime_interval_matches_trial_division(bits):
 
 
 @pytest.mark.parametrize("bits", [512, 1024])
-def test_safe_prime_interval_same_for_any_worker_count(monkeypatch, bits):
+def test_safe_prime_interval_same_for_any_cpu_count(monkeypatch, bits):
     # The two shares of the sieving primes, one on the partner, mark a full
     # window as one process does, whatever the CPU count seen.
     rng = random.Random(bits)
@@ -799,7 +799,7 @@ def test_in_subgroup_remembers_each_verdict(monkeypatch):
     assert calls == [(2, 11, 23), (22, 11, 23)]
     # the record is bounded, and what it forgot is simply tested again
     cap = in_subgroup.cache_info().maxsize
-    assert cap == 64
+    assert cap == 1 << 14
     for p in range(23, 23 + 2 * cap):
         in_subgroup(2, p, 11)
     assert in_subgroup.cache_info().currsize == cap

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chainanchor import ledger, schnorr
+from chainanchor import groupmath, ledger, schnorr
 from chainanchor.channels import LogicalClock
 from chainanchor.errors import ProtocolError
 from chainanchor.groupmath import DESK
@@ -310,3 +310,30 @@ def test_forged_transaction_under_a_registered_identity_key_is_refused():
     with pytest.raises(ProtocolError, match="transaction signature invalid"):
         ledger.submit(world.pool, forged)
     assert not world.pool.pending
+
+
+def test_a_sender_keys_subgroup_check_is_paid_once(group, monkeypatch):
+    # Every transaction checks its sender key's order, a power of the key
+    # by q.  A process that has checked a key answers the next check from
+    # memory, also when 99 other keys were checked in between: a second
+    # transaction from each of 100 keys raises none of them to q.
+    rng = random.Random(36)
+    clock = LogicalClock()
+    keys = [schnorr.generate_keypair(group, rng) for _ in range(100)]
+    pool = ledger.TransactionPool(group)
+    checks = []
+
+    def counting_pow(*args):
+        if args[1:] == (group.q, group.p):
+            checks.append(args[0])
+        return pow(*args)
+
+    monkeypatch.setattr(groupmath, "pow", counting_pow, raising=False)
+    rounds = []
+    for payload in (b"first", b"second"):
+        del checks[:]
+        for kp in keys:
+            assert ledger.submit(pool, ledger.create_transaction(kp, payload,
+                                                                 clock))
+        rounds.append(len(checks))
+    assert rounds == [len(keys), 0]
